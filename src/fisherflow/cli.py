@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
 
 import numpy as np
@@ -64,6 +63,7 @@ from .scenario import (
 from .simplex import (
     extend_generator,
     is_markovian_generator,
+    min_offdiag,
     prob_vec,
     rate_matrix_from_rates,
     tangent_vec,
@@ -132,6 +132,10 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -149,12 +153,6 @@ def _check_max(observed: float, limit: float) -> dict:
 
 def _check_true(flag: bool) -> dict:
     return _check(bool(flag), True, bool(flag))
-
-
-def _min_offdiag(r: np.ndarray) -> float:
-    masked = r.copy()
-    np.fill_diagonal(masked, np.inf)
-    return float(masked.min())
 
 
 def _generator_for(scn: Scenario, t: float) -> np.ndarray:
@@ -178,7 +176,7 @@ def _figure1_block(dyn, times, thetas, dirs0, p0, tr_ref):
         tr = np.abs(disp).sum(axis=1)
         fish = np.sqrt((disp**2 / (2.0 * base)).sum(axis=1))
         rates = fisher_rates(base, disp, gen)
-        min_rate = _min_offdiag(gen)
+        min_rate = min_offdiag(gen)[1]
         defects[k] = np.abs(tr - (1.0 - dyn.s(t)) * tr_ref).max()
         max_rates[k] = rates.max()
         min_rates[k] = min_rate
@@ -205,7 +203,7 @@ plot \\
 """
 
 
-def cmd_figure1(scn: Scenario, outdir: str, seed: int, threads: int):
+def cmd_figure1(scn: Scenario, outdir: str, seed: int):
     """Sweep a plane of perturbations through the bundled mixing family.
 
     Writes one CSV row per (t, theta) with the trace distance, the local
@@ -233,18 +231,7 @@ def cmd_figure1(scn: Scenario, outdir: str, seed: int, threads: int):
     )
     tr_ref = np.abs(dirs0).sum(axis=1)
 
-    bounds = np.linspace(0, times.shape[0], min(threads, times.shape[0]) + 1).astype(int)
-    chunks = [(times[a:b],) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    work = lambda part: _figure1_block(dyn, part[0], thetas, dirs0, p0, tr_ref)
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(work, chunks))
-    else:
-        blocks = [work(part) for part in chunks]
-    csv_body = "\n".join(block[0] for block in blocks)
-    defects = np.concatenate([block[1] for block in blocks])
-    max_rates = np.concatenate([block[2] for block in blocks])
-    min_rates = np.concatenate([block[3] for block in blocks])
+    csv_body, defects, max_rates, min_rates = _figure1_block(dyn, times, thetas, dirs0, p0, tr_ref)
 
     scan = divisibility_scan(dyn, times, rate_tol=scn.tolerance("rate_tol"))
     windows = scan.windows()
@@ -282,7 +269,7 @@ def cmd_figure1(scn: Scenario, outdir: str, seed: int, threads: int):
 # scan
 
 
-def cmd_scan(scn: Scenario, outdir: str, seed: int, threads: int):
+def cmd_scan(scn: Scenario, outdir: str, seed: int):
     """Report every grid time whose generator carries a negative rate."""
     dyn = build_dynamics(scn.dynamics)
     block = scn.analyses.divisibility or DivisibilitySpec()
@@ -296,10 +283,9 @@ def cmd_scan(scn: Scenario, outdir: str, seed: int, threads: int):
             gen = generator_of(dyn, float(t))
         except FisherflowError:
             continue
-        neg = sum(
-            1 for (i, j), v in _offdiag_items(gen) if v < -block.rate_tol
-        )
-        rows.append(f"{_fmt(t)},{_fmt(_min_offdiag(gen))},{neg}")
+        off = ~np.eye(gen.shape[0], dtype=bool)
+        neg = int(np.count_nonzero(gen[off] < -block.rate_tol))
+        rows.append(f"{_fmt(t)},{_fmt(min_offdiag(gen)[1])},{neg}")
     _atomic_write(
         os.path.join(outdir, "scan.csv"),
         "# t,min_rate,n_negative\n" + "\n".join(rows) + "\n",
@@ -323,19 +309,11 @@ def cmd_scan(scn: Scenario, outdir: str, seed: int, threads: int):
     return results, checks, ["scan.csv"]
 
 
-def _offdiag_items(r: np.ndarray):
-    n = r.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                yield (i, j), float(r[i, j])
-
-
 # --------------------------------------------------------------------------
 # witness
 
 
-def cmd_witness(scn: Scenario, outdir: str, seed: int, threads: int):
+def cmd_witness(scn: Scenario, outdir: str, seed: int):
     """Search for a base and direction with a positive squared-Fisher rate."""
     block = scn.analyses.witness or WitnessSpec()
     r = _generator_for(scn, block.time)
@@ -367,7 +345,7 @@ def cmd_witness(scn: Scenario, outdir: str, seed: int, threads: int):
 # nogo
 
 
-def cmd_nogo(scn: Scenario, outdir: str, seed: int, threads: int):
+def cmd_nogo(scn: Scenario, outdir: str, seed: int):
     """Certify strict contraction on replicated and ancilla-extended spaces."""
     block = scn.analyses.no_go or NoGoSpec()
     r = _generator_for(scn, 0.0)
@@ -422,7 +400,7 @@ def cmd_nogo(scn: Scenario, outdir: str, seed: int, threads: int):
 # filter
 
 
-def cmd_filter(scn: Scenario, outdir: str, seed: int, threads: int):
+def cmd_filter(scn: Scenario, outdir: str, seed: int):
     """Run the filtered-distance witness on an ancilla extension."""
     block = scn.analyses.filter or FilterSpec()
     r = _generator_for(scn, 0.0)
@@ -479,7 +457,7 @@ def cmd_filter(scn: Scenario, outdir: str, seed: int, threads: int):
 # retro
 
 
-def cmd_retro(scn: Scenario, outdir: str, seed: int, threads: int):
+def cmd_retro(scn: Scenario, outdir: str, seed: int):
     """Check recovery-map identities and the contraction/retrodiction link."""
     block = scn.analyses.retrodiction
     if block is None:
@@ -562,7 +540,7 @@ def cmd_retro(scn: Scenario, outdir: str, seed: int, threads: int):
 # quantum
 
 
-def cmd_quantum(scn: Scenario, outdir: str, seed: int, threads: int):
+def cmd_quantum(scn: Scenario, outdir: str, seed: int):
     """Classify a semiclassical step by complete positivity and witness it."""
     block = scn.analyses.quantum or QuantumSpec()
     rates = {(i, j): v for i, j, v in block.rates}
@@ -633,12 +611,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help="worker threads for sweeps (default: FISHERFLOW_THREADS or 1)",
+            help="thread count, validated only: sweeps run on one thread (default: FISHERFLOW_THREADS or 1)",
         )
     return parser
 
 
-def _resolve_threads(value: int | None) -> int:
+def _check_threads(value: int | None) -> None:
     if value is None:
         raw = os.environ.get("FISHERFLOW_THREADS", "1")
         try:
@@ -647,17 +625,16 @@ def _resolve_threads(value: int | None) -> int:
             raise InvalidInputError(f"FISHERFLOW_THREADS must be an integer, got {raw!r}") from exc
     if value < 1:
         raise InvalidInputError(f"thread count must be >= 1, got {value}")
-    return value
 
 
 def _run(args) -> int:
     scn = load_scenario(args.scenario)
     seed = args.seed if args.seed is not None else scn.seed
-    threads = _resolve_threads(args.threads)
+    _check_threads(args.threads)
     outdir = args.out or scn.output_dir or "."
     os.makedirs(outdir, exist_ok=True)
 
-    results, checks, artifacts = _COMMANDS[args.command](scn, outdir, seed, threads)
+    results, checks, artifacts = _COMMANDS[args.command](scn, outdir, seed)
     passed = all(entry["ok"] for entry in checks.values())
     report = {
         "schema": _REPORT_SCHEMA,

@@ -14,6 +14,17 @@ Each flow is non-negative, so a negative rate is the only way the squared
 distance can grow. Squared quantities are the standard here: every rate
 returned by this module is the derivative of a squared distance.
 
+Summing the flows edge by edge gives the closed form used for every rate
+here: with ``u = d / p`` and edge weights ``W[i, j] = rate(i <- j) p_j``
+(``i != j``),
+
+    d/dt D2 = -1/2 u^T L u,
+
+where ``L`` is the graph Laplacian of ``S = W + W^T``. On an orthonormal
+basis ``B`` the contraction form is therefore ``-1/2 (P^-1 B)^T L (P^-1 B)``
+with ``P = diag(p)``. A Laplacian with non-negative weights is positive
+semidefinite, so a Markovian generator never has a positive form.
+
 The trace distance ``sum_i |p_i - q_i|`` and the Bhattacharyya angle and
 Hellinger distance are provided for comparison; only the Fisher rate admits
 the edge-flow decomposition above.
@@ -120,11 +131,13 @@ def fisher_flow(p, d, i: int, j: int) -> float:
     return float(0.5 * (disp[i] / base[i] - disp[j] / base[j]) ** 2 * base[j])
 
 
-def _flow_matrix(p: np.ndarray, d: np.ndarray) -> np.ndarray:
-    # flows[i, j] = flow(i <- j); diagonal is zero by construction
-    u = d / p
-    diff = u[:, None] - u[None, :]
-    return 0.5 * diff**2 * p[None, :]
+def _edge_laplacian(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    # Laplacian of S = W + W^T with W[i, j] = r[i, j] p[j] off the diagonal;
+    # the rate of d at p is -1/2 u^T L u with u = d / p.
+    w = r * p[None, :]
+    np.fill_diagonal(w, 0.0)
+    s = w + w.T
+    return np.diag(s.sum(axis=1)) - s
 
 
 def fisher_rate(p, d, r) -> float:
@@ -138,8 +151,8 @@ def fisher_rate(p, d, r) -> float:
     gen = np.asarray(r, dtype=float)
     _check_same_dim(base, disp, gen)
     _require_interior(base)
-    # diagonal terms multiply vanishing flows, so no masking is needed
-    return float(-np.sum(gen * _flow_matrix(base, disp)))
+    u = disp / base
+    return float(-0.5 * (u @ _edge_laplacian(base, gen) @ u))
 
 
 class TraceRate(NamedTuple):
@@ -177,14 +190,6 @@ def forward_trace_rate(d, r) -> float:
     return float(np.sign(disp) @ vel + np.sum(np.abs(vel[zero])))
 
 
-def _rate_on_directions(p: np.ndarray, r: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    # Batched fisher_rate over rows of ``dirs``; inputs validated by caller.
-    u = dirs / p[None, :]
-    diff = u[:, :, None] - u[:, None, :]
-    flows = 0.5 * diff**2 * p[None, None, :]
-    return -np.einsum("ij,mij->m", r, flows)
-
-
 def fisher_rates(p, dirs, r) -> np.ndarray:
     """Vectorized :func:`fisher_rate` over the rows of ``dirs``.
 
@@ -200,7 +205,8 @@ def fisher_rates(p, dirs, r) -> np.ndarray:
         )
     _check_same_dim(base, gen)
     _require_interior(base)
-    return _rate_on_directions(base, gen, stack)
+    u = stack / base[None, :]
+    return -0.5 * np.einsum("mi,mi->m", u @ _edge_laplacian(base, gen), u)
 
 
 @dataclass(frozen=True)
@@ -247,11 +253,12 @@ class ContractionForm:
 
 
 def contraction_form(p, r, basis: np.ndarray | None = None) -> ContractionForm:
-    """Assemble the rate form by evaluating it on a basis via polarization.
+    """Assemble the rate form ``-1/2 (P^-1 B)^T L (P^-1 B)`` on a basis ``B``.
 
-    ``basis`` defaults to an orthonormal basis of the full zero-sum
-    subspace; passing a smaller orthonormal zero-sum basis restricts the
-    form to that sector.
+    ``L`` is the edge Laplacian described in the module docstring and
+    ``P = diag(p)``. ``basis`` defaults to an orthonormal basis of the full
+    zero-sum subspace; passing a smaller orthonormal zero-sum basis
+    restricts the form to that sector.
     """
     base = prob_vec(p)
     gen = rate_matrix(r)
@@ -260,14 +267,10 @@ def contraction_form(p, r, basis: np.ndarray | None = None) -> ContractionForm:
     b = zero_sum_basis(n) if basis is None else np.asarray(basis, dtype=float)
     if b.shape[0] != n:
         raise DimensionMismatchError(f"basis rows {b.shape[0]} != dimension {n}")
-    k = b.shape[1]
-    singles = _rate_on_directions(base, gen, b.T)
-    iu, ju = np.triu_indices(k, 1)
-    pair_dirs = b.T[iu] + b.T[ju]
-    pairs = _rate_on_directions(base, gen, pair_dirs) if len(iu) else np.empty(0)
-    m = np.diag(singles)
-    m[iu, ju] = 0.5 * (pairs - singles[iu] - singles[ju])
-    m[ju, iu] = m[iu, ju]
+    v = b / base[:, None]
+    m = -0.5 * (v.T @ _edge_laplacian(base, gen) @ v)
+    # exact symmetry keeps eigh independent of which triangle it reads
+    m = 0.5 * (m + m.T)
     return ContractionForm(base=base, generator=gen, basis=b, matrix=m)
 
 

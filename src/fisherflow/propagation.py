@@ -31,6 +31,7 @@ from scipy.linalg import expm
 from .errors import (
     DimensionMismatchError,
     DomainError,
+    FisherflowError,
     IntegrationAccuracyError,
     InvalidStateError,
     NearSingularError,
@@ -261,13 +262,16 @@ def _rk4_sweep(rate_fn, times: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     out[0] = np.eye(n)
     t_mat = np.eye(n)
     drift = 0.0
+    # each grid point's generator serves as one step's end and the next one's start
+    r_end = rate_fn(float(times[0]))
     for k in range(times.size - 1):
         t0, t1 = float(times[k]), float(times[k + 1])
         h = t1 - t0
-        k1 = rate_fn(t0) @ t_mat
-        k2 = rate_fn(t0 + 0.5 * h) @ (t_mat + 0.5 * h * k1)
-        k3 = rate_fn(t0 + 0.5 * h) @ (t_mat + 0.5 * h * k2)
-        k4 = rate_fn(t1) @ (t_mat + h * k3)
+        r_start, r_mid, r_end = r_end, rate_fn(t0 + 0.5 * h), rate_fn(t1)
+        k1 = r_start @ t_mat
+        k2 = r_mid @ (t_mat + 0.5 * h * k1)
+        k3 = r_mid @ (t_mat + 0.5 * h * k2)
+        k4 = r_end @ (t_mat + h * k3)
         t_mat = t_mat + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         col_drift = t_mat.sum(axis=0) - 1.0
         drift = max(drift, float(np.max(np.abs(col_drift))))
@@ -434,8 +438,9 @@ class ScanResult:
 def divisibility_scan(dyn: Dynamics, grid, rate_tol: float = 1e-9) -> ScanResult:
     """Extract the generator at each grid time and collect negative rates.
 
-    Per-point extraction failures are reported in the result rather than
-    aborting the scan.
+    Per-point extraction failures (library errors and singular solves) are
+    reported in the result rather than aborting the scan; any other
+    exception, such as a bug in a callable generator, propagates.
     """
     times = np.asarray(grid, dtype=float)
     violations: list[ScanPoint] = []
@@ -443,7 +448,7 @@ def divisibility_scan(dyn: Dynamics, grid, rate_tol: float = 1e-9) -> ScanResult
     for t in times:
         try:
             r = generator_of(dyn, float(t))
-        except Exception as exc:  # noqa: BLE001 - survey must keep walking
+        except (FisherflowError, np.linalg.LinAlgError) as exc:
             failures.append((float(t), f"{type(exc).__name__}: {exc}"))
             continue
         n = r.shape[0]

@@ -166,6 +166,14 @@ def rates_of(r, col_tol: float = COLUMN_TOL) -> dict[tuple[int, int], float]:
     return {(i, j): float(m[i, j]) for i in range(n) for j in range(n) if i != j}
 
 
+def min_offdiag(r: np.ndarray) -> tuple[tuple[int, int], float]:
+    """Smallest off-diagonal entry of ``r`` and its index, first in row-major order on ties."""
+    off = np.array(r, dtype=float)
+    np.fill_diagonal(off, np.inf)
+    idx = divmod(int(np.argmin(off)), off.shape[0])
+    return idx, float(off[idx])
+
+
 class GeneratorCheck(NamedTuple):
     markovian: bool
     negative_rates: dict[tuple[int, int], float]
@@ -237,27 +245,6 @@ def extend_generator(r, copies: int = 1, ancilla_dim: int = 0, max_dim: int = MA
     if ancilla_dim >= 1:
         out = np.kron(out, np.eye(ancilla_dim))
     return _freeze(out)
-
-
-@dataclass(frozen=True)
-class ExtendedSpace:
-    """Bookkeeping for a system with replicas and an idle ancilla."""
-
-    base_dim: int
-    copies: int = 1
-    ancilla_dim: int = 0
-    max_dim: int = MAX_TENSOR_DIM
-
-    def __post_init__(self) -> None:
-        if self.base_dim < 2 or self.copies < 1 or self.ancilla_dim < 0:
-            raise DimensionMismatchError(
-                f"invalid extended space ({self.base_dim}, {self.copies}, {self.ancilla_dim})"
-            )
-        _check_tensor_dim(self.total_dim, self.max_dim)
-
-    @property
-    def total_dim(self) -> int:
-        return self.base_dim**self.copies * max(self.ancilla_dim, 1)
 
 
 @lru_cache(maxsize=64)

@@ -47,6 +47,7 @@ from .errors import (
 )
 from .simplex import (
     is_markovian_generator,
+    min_offdiag,
     prob_vec,
     rate_matrix,
     rates_of,
@@ -115,14 +116,6 @@ class WitnessReport:
         raise WitnessNotApplicableError(f"unknown method {self.method!r}")
 
 
-def _most_negative_rate(r: np.ndarray) -> tuple[tuple[int, int], float]:
-    off = r.copy()
-    np.fill_diagonal(off, np.inf)
-    flat = int(np.argmin(off))
-    idx = (flat // r.shape[0], flat % r.shape[0])
-    return idx, float(r[idx])
-
-
 def _sample_interior(rng: np.random.Generator, n: int) -> np.ndarray:
     raw = rng.dirichlet(np.ones(n))
     return 0.9 * raw + 0.1 / n
@@ -148,7 +141,7 @@ def dilation_direction_search(
     check = is_markovian_generator(m)
     if check.markovian:
         return WitnessReport(found=False, method="ladder", generator=m, seed=seed)
-    offender, offender_rate = _most_negative_rate(m)
+    offender, offender_rate = min_offdiag(m)
     i0, j0 = offender
 
     for eps in eps_ladder:
@@ -446,7 +439,7 @@ def trace_ancilla_witness(r, mode: str = "ancilla-M2") -> WitnessReport:
     check = is_markovian_generator(m)
     if check.markovian:
         return WitnessReport(found=False, method="trace-ancilla", generator=m)
-    offender, offender_rate = _most_negative_rate(m)
+    offender, offender_rate = min_offdiag(m)
     _, j0 = offender
 
     if mode == "ancilla-M2":

@@ -1,7 +1,7 @@
 """Distances, the local Fisher quadratic form, and its rate under generators.
 
-Rate values are checked along two independent routes: the flow
-decomposition inside the package and the direct differentiation oracle in
+Rate values are checked along two independent routes: the edge-Laplacian
+closed form inside the package and the direct differentiation oracle in
 tests/oracles.py, plus a plain finite difference.
 """
 
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import fisherflow as ff
 import oracles
-from helpers import random_interior, random_markovian, random_zero_sum
+from helpers import random_forced_negative, random_interior, random_markovian, random_zero_sum
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
 COUNTEREXAMPLE = np.array([[-1.0, -0.5], [1.0, 0.5]])
@@ -223,11 +223,20 @@ class TestContractionForm:
     def test_spectrum_matches_polarization_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
-            n = int(rng.integers(2, 6))
+            n = int(rng.integers(2, 13))
             p = random_interior(rng, n)
-            r = random_markovian(rng, n)
-            got = np.sort(ff.contraction_form(p, r).eigenvalues)
-            want = np.sort(oracles.form_eigen_direct(p, r))
+            for r in (random_markovian(rng, n), random_forced_negative(rng, n)):
+                got = np.sort(ff.contraction_form(p, r).eigenvalues)
+                want = np.sort(oracles.form_eigen_direct(p, r))
+                assert np.allclose(got, want, atol=1e-9)
+        for _ in range(10):
+            k = int(rng.integers(2, 5))
+            m = int(rng.integers(2, 4))
+            p = random_interior(rng, k * m)
+            r = random_forced_negative(rng, k * m)
+            sector = np.kron(ff.zero_sum_basis(k), np.eye(m))
+            got = np.sort(ff.contraction_form(p, r, basis=sector).eigenvalues)
+            want = np.sort(oracles.form_eigen_direct(p, r, sector=sector))
             assert np.allclose(got, want, atol=1e-9)
 
     def test_evaluate_agrees_with_rate(self):

@@ -63,6 +63,31 @@ class TestPropagate:
         with pytest.raises(ff.IntegrationAccuracyError):
             ff.propagate(ff.GeneratorDynamics(stiff), 0.0, 1.0, steps=4)
 
+    def test_one_generator_call_per_rk4_grid_point(self):
+        # RK4 needs R at each grid point and each midpoint: 2 steps + 1 calls per
+        # sweep, for the 8-step run and its 16-step Richardson check
+        times = []
+
+        def rate(t):
+            times.append(t)
+            return SYM * (1.0 + 0.5 * np.sin(3.0 * t))
+
+        traj = ff.propagate(ff.GeneratorDynamics(rate, dimension=2), 0.0, 1.0, steps=8)
+        assert len(times) == (2 * 8 + 1) + (2 * 16 + 1)
+
+        # same arithmetic as four evaluations per step, so bitwise equal
+        grid = np.linspace(0.0, 1.0, 9)
+        t_mat = np.eye(2)
+        for t0, t1 in zip(grid[:-1], grid[1:]):
+            h = t1 - t0
+            k1 = rate(t0) @ t_mat
+            k2 = rate(t0 + 0.5 * h) @ (t_mat + 0.5 * h * k1)
+            k3 = rate(t0 + 0.5 * h) @ (t_mat + 0.5 * h * k2)
+            k4 = rate(t1) @ (t_mat + h * k3)
+            t_mat = t_mat + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t_mat = t_mat - (t_mat.sum(axis=0) - 1.0)[None, :] / 2
+        assert np.array_equal(traj.propagators[-1], t_mat)
+
     def test_propagator_at_exact_when_available(self):
         dyn = ff.case_study_dynamics()
         assert np.allclose(ff.propagator_at(dyn, 0.7), dyn.propagator_at(0.7), atol=1e-14)
@@ -159,6 +184,14 @@ class TestDivisibilityScan:
         result = ff.divisibility_scan(dyn, np.linspace(0.0, 1.0, 9))
         assert result.failures, "saturated mixing weight must be reported, not raised"
         assert all(np.isfinite(t) for t, _ in result.failures)
+
+    def test_programming_errors_propagate(self):
+        def broken(t):
+            raise TypeError("bad generator")
+
+        dyn = ff.GeneratorDynamics(broken, dimension=2)
+        with pytest.raises(TypeError, match="bad generator"):
+            ff.divisibility_scan(dyn, np.linspace(0.0, 1.0, 5))
 
 
 class TestTraceScaling:

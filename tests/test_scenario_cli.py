@@ -181,6 +181,17 @@ class TestCliRuns:
             _scenario("counterexample_witness.json")
         )
 
+    def test_outputs_follow_umask(self, tmp_path):
+        previous = os.umask(0o022)
+        try:
+            code = main(
+                ["witness", "--scenario", _scenario("counterexample_witness.json"), "--out", str(tmp_path)]
+            )
+        finally:
+            os.umask(previous)
+        assert code == 0
+        assert (tmp_path / "witness.json").stat().st_mode & 0o777 == 0o644
+
     def test_scan_command_writes_csv(self, tmp_path):
         code = main(
             ["scan", "--scenario", _scenario("case_study_scan.json"), "--out", str(tmp_path)]
