@@ -34,7 +34,7 @@ from .errors import (
     WitnessNotApplicableError,
     WitnessNotFoundError,
 )
-from .propagation import divisibility_scan, generator_of, scan_refinement_check
+from .propagation import divisibility_scan, generator_of, refinement_stable
 from .quantum import (
     MonotoneKind,
     channel_step,
@@ -63,7 +63,6 @@ from .scenario import (
 from .simplex import (
     extend_generator,
     is_markovian_generator,
-    min_offdiag,
     prob_vec,
     rate_matrix_from_rates,
     tangent_vec,
@@ -85,10 +84,6 @@ _REPORT_SCHEMA = "fisherflow-report-v1"
 _SWEEP_U1 = np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)
 _SWEEP_U2 = np.array([2.0, -1.0, -1.0]) / np.sqrt(6.0)
 _FIGURE1_P0 = (0.2, 0.4, 0.4)
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _plain(value):
@@ -126,12 +121,13 @@ def _assert_finite(obj, where: str = "report") -> None:
             _assert_finite(v, f"{where}[{i}]")
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write the text chunks of an iterable to ``path``, replacing it only once all are written."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         # mkstemp creates the file 0600; give it the mode open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -163,30 +159,34 @@ def _generator_for(scn: Scenario, t: float) -> np.ndarray:
 # figure1
 
 
-def _figure1_block(dyn, times, thetas, dirs0, p0, tr_ref):
-    lines: list[str] = []
+def _figure1_block(dyn, times, dirs0, p0, tr_ref):
+    """Trace distance, Fisher distance and Fisher rate per (t, theta), and trace-law defects."""
+    values = np.empty((times.shape[0], dirs0.shape[0], 3))
     defects = np.empty(times.shape[0])
-    max_rates = np.empty(times.shape[0])
-    min_rates = np.empty(times.shape[0])
     for k, t in enumerate(times):
         prop = dyn.propagator_at(t)
-        gen = dyn.generator_at(t)
         base = prop @ p0
         disp = dirs0 @ prop.T
         tr = np.abs(disp).sum(axis=1)
-        fish = np.sqrt((disp**2 / (2.0 * base)).sum(axis=1))
-        rates = fisher_rates(base, disp, gen)
-        min_rate = min_offdiag(gen)[1]
+        values[k, :, 0] = tr
+        values[k, :, 1] = np.sqrt((disp**2 / (2.0 * base)).sum(axis=1))
+        values[k, :, 2] = fisher_rates(base, disp, dyn.generator_at(t))
         defects[k] = np.abs(tr - (1.0 - dyn.s(t)) * tr_ref).max()
-        max_rates[k] = rates.max()
-        min_rates[k] = min_rate
-        mr = _fmt(min_rate)
-        ts = _fmt(t)
-        for m in range(thetas.shape[0]):
-            lines.append(
-                f"{ts},{_fmt(thetas[m])},{_fmt(tr[m])},{_fmt(fish[m])},{_fmt(rates[m])},{mr}"
-            )
-    return "\n".join(lines), defects, max_rates, min_rates
+    return values, defects
+
+
+def _figure1_csv(times, thetas, values, min_rates):
+    """Yield figure1.csv: the header, then the rows of one time at a time.
+
+    Each time's rows come from one ``%`` template whose float cells are
+    ``%.17g``, so a block is formatted by a single C-level operation.
+    """
+    yield "# t,theta,D_tr,D_fish,dDfish_dt,min_rate\n"
+    cells = [f",{theta:.17g},%.17g,%.17g,%.17g," for theta in thetas.tolist()]
+    for t, block, min_rate in zip(times.tolist(), values, min_rates.tolist()):
+        ts, mr = f"{t:.17g}", f"{min_rate:.17g}"
+        template = ts + f"{mr}\n{ts}".join(cells) + f"{mr}\n"
+        yield template % tuple(block.ravel().tolist())
 
 
 _FIGURE1_GP = """\
@@ -231,18 +231,20 @@ def cmd_figure1(scn: Scenario, outdir: str, seed: int):
     )
     tr_ref = np.abs(dirs0).sum(axis=1)
 
-    csv_body, defects, max_rates, min_rates = _figure1_block(dyn, times, thetas, dirs0, p0, tr_ref)
-
+    values, defects = _figure1_block(dyn, times, dirs0, p0, tr_ref)
+    max_rates = values[:, :, 2].max(axis=1)
     scan = divisibility_scan(dyn, times, rate_tol=scn.tolerance("rate_tol"))
+    min_rates = scan.min_rates
     windows = scan.windows()
     backflow_per_window = []
     for lo, hi in windows:
         inside = (times >= lo) & (times <= hi)
         backflow_per_window.append(bool(np.any(max_rates[inside] > 0.0)))
 
-    header = "# t,theta,D_tr,D_fish,dDfish_dt,min_rate\n"
-    _atomic_write(os.path.join(outdir, "figure1.csv"), header + csv_body + "\n")
-    _atomic_write(os.path.join(outdir, "figure1.gp"), _FIGURE1_GP)
+    _atomic_write(
+        os.path.join(outdir, "figure1.csv"), _figure1_csv(times, thetas, values, min_rates)
+    )
+    _atomic_write(os.path.join(outdir, "figure1.gp"), [_FIGURE1_GP])
 
     argmin = int(np.argmin(min_rates))
     results = {
@@ -275,21 +277,15 @@ def cmd_scan(scn: Scenario, outdir: str, seed: int):
     block = scn.analyses.divisibility or DivisibilitySpec()
     times = scn.grid.times()
     result = divisibility_scan(dyn, times, rate_tol=block.rate_tol)
-    refinement_stable = scan_refinement_check(dyn, times, rate_tol=block.rate_tol)
+    stable = refinement_stable(dyn, result)
 
-    rows = []
-    for t in times:
-        try:
-            gen = generator_of(dyn, float(t))
-        except FisherflowError:
-            continue
-        off = ~np.eye(gen.shape[0], dtype=bool)
-        neg = int(np.count_nonzero(gen[off] < -block.rate_tol))
-        rows.append(f"{_fmt(t)},{_fmt(min_offdiag(gen)[1])},{neg}")
-    _atomic_write(
-        os.path.join(outdir, "scan.csv"),
-        "# t,min_rate,n_negative\n" + "\n".join(rows) + "\n",
-    )
+    failed = {t for t, _ in result.failures}
+    negatives = {v.t: len(v.negative_rates) for v in result.violations}
+    rows = ["# t,min_rate,n_negative\n"]
+    for t, min_rate in zip(result.grid.tolist(), result.min_rates.tolist()):
+        if t not in failed:
+            rows.append("%.17g,%.17g,%d\n" % (t, min_rate, negatives.get(t, 0)))
+    _atomic_write(os.path.join(outdir, "scan.csv"), rows)
 
     results = {
         "rate_tol": block.rate_tol,
@@ -300,11 +296,11 @@ def cmd_scan(scn: Scenario, outdir: str, seed: int):
             for v in result.violations
         ],
         "failures": list(result.failures),
-        "refinement_stable": refinement_stable,
+        "refinement_stable": stable,
     }
     checks = {
         "scan_clean": _check_true(not result.failures),
-        "refinement_stable": _check_true(refinement_stable),
+        "refinement_stable": _check_true(stable),
     }
     return results, checks, ["scan.csv"]
 
@@ -630,6 +626,8 @@ def _check_threads(value: int | None) -> None:
 def _run(args) -> int:
     scn = load_scenario(args.scenario)
     seed = args.seed if args.seed is not None else scn.seed
+    if seed < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
     _check_threads(args.threads)
     outdir = args.out or scn.output_dir or "."
     os.makedirs(outdir, exist_ok=True)
@@ -648,7 +646,7 @@ def _run(args) -> int:
     }
     _assert_finite(report["results"], "results")
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    _atomic_write(os.path.join(outdir, f"{args.command}.json"), text)
+    _atomic_write(os.path.join(outdir, f"{args.command}.json"), [text])
     print(f"{args.command}: {'PASS' if passed else 'FAIL'} ({args.command}.json)")
     if not passed:
         failed = sorted(name for name, entry in checks.items() if not entry["ok"])

@@ -36,7 +36,7 @@ from .errors import (
     InvalidStateError,
     NearSingularError,
 )
-from .simplex import StochasticityReport, prob_vec, rate_matrix, validate_stochastic
+from .simplex import StochasticityReport, min_offdiag, prob_vec, rate_matrix, validate_stochastic
 
 __all__ = [
     "Dynamics",
@@ -52,6 +52,7 @@ __all__ = [
     "ScanPoint",
     "ScanResult",
     "divisibility_scan",
+    "refinement_stable",
     "scan_refinement_check",
     "trace_scaling_check",
 ]
@@ -402,12 +403,17 @@ class ScanPoint:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Grid points at which some transition rate dips below ``-rate_tol``."""
+    """Grid points at which some transition rate dips below ``-rate_tol``.
+
+    ``min_rates`` holds the smallest off-diagonal rate at each grid point,
+    NaN where extraction failed.
+    """
 
     grid: np.ndarray
     rate_tol: float
     violations: tuple[ScanPoint, ...]
     failures: tuple[tuple[float, str], ...]
+    min_rates: np.ndarray
 
     @property
     def markovian_on_grid(self) -> bool:
@@ -445,12 +451,14 @@ def divisibility_scan(dyn: Dynamics, grid, rate_tol: float = 1e-9) -> ScanResult
     times = np.asarray(grid, dtype=float)
     violations: list[ScanPoint] = []
     failures: list[tuple[float, str]] = []
-    for t in times:
+    min_rates = np.full(times.shape, np.nan)
+    for k, t in enumerate(times):
         try:
             r = generator_of(dyn, float(t))
         except (FisherflowError, np.linalg.LinAlgError) as exc:
             failures.append((float(t), f"{type(exc).__name__}: {exc}"))
             continue
+        min_rates[k] = min_offdiag(r)[1]
         n = r.shape[0]
         neg = {
             (i, j): float(r[i, j])
@@ -465,19 +473,23 @@ def divisibility_scan(dyn: Dynamics, grid, rate_tol: float = 1e-9) -> ScanResult
         rate_tol=float(rate_tol),
         violations=tuple(violations),
         failures=tuple(failures),
+        min_rates=min_rates,
+    )
+
+
+def refinement_stable(dyn: Dynamics, coarse: ScanResult, factor: int = 2) -> bool:
+    """True when rescanning ``coarse.grid`` refined by ``factor`` preserves every violation window."""
+    times = coarse.grid
+    fine = np.linspace(times[0], times[-1], factor * (times.size - 1) + 1)
+    fine_windows = divisibility_scan(dyn, fine, coarse.rate_tol).windows()
+    return all(
+        any(flo <= hi and lo <= fhi for flo, fhi in fine_windows) for lo, hi in coarse.windows()
     )
 
 
 def scan_refinement_check(dyn: Dynamics, grid, rate_tol: float = 1e-9, factor: int = 2) -> bool:
     """True when refining the grid by ``factor`` preserves every violation window."""
-    times = np.asarray(grid, dtype=float)
-    fine = np.linspace(times[0], times[-1], factor * (times.size - 1) + 1)
-    coarse_windows = divisibility_scan(dyn, times, rate_tol).windows()
-    fine_windows = divisibility_scan(dyn, fine, rate_tol).windows()
-    for lo, hi in coarse_windows:
-        if not any(flo <= hi and lo <= fhi for flo, fhi in fine_windows):
-            return False
-    return True
+    return refinement_stable(dyn, divisibility_scan(dyn, grid, rate_tol), factor)
 
 
 def trace_scaling_check(dyn: MixingDynamics, p0, q0, grid) -> float:

@@ -96,10 +96,19 @@ def _vector(value, where: str) -> tuple[float, ...]:
     return tuple(_number(v, f"{where} entry") for v in value)
 
 
+def _integers(value, where: str) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioError(f"{where} must be an array of integers")
+    return tuple(_integer(v, where) for v in value)
+
+
 def _matrix(value, where: str) -> tuple[tuple[float, ...], ...]:
     if not isinstance(value, (list, tuple)):
         raise ScenarioError(f"{where} must be an array of rows")
-    return tuple(_vector(row, f"{where} row") for row in value)
+    rows = tuple(_vector(row, f"{where} row") for row in value)
+    if any(len(row) != len(rows) for row in rows):
+        raise ScenarioError(f"{where} must be a square array")
+    return rows
 
 
 def _rate_triples(value, where: str) -> tuple[tuple[int, int, float], ...]:
@@ -140,6 +149,8 @@ class PerturbationSpec:
     def __post_init__(self) -> None:
         if (self.direction is None) == (self.theta_points is None):
             raise ScenarioError("perturbation needs exactly one of direction / theta_points")
+        if self.theta_points is not None and self.theta_points < 1:
+            raise ScenarioError("perturbation.theta_points must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -183,6 +194,10 @@ class FilterSpec:
     ancilla_dim: int = 2
     ancilla_displacement: tuple[float, ...] = (0.1, -0.1)
 
+    def __post_init__(self) -> None:
+        if not self.epsilons:
+            raise ScenarioError("filter.epsilons must not be empty")
+
 
 @dataclass(frozen=True)
 class RetroSpec:
@@ -222,6 +237,10 @@ class Scenario:
     perturbation: PerturbationSpec | None = None
     tolerances: dict[str, float] = field(default_factory=dict)
     output_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be a non-negative integer, got {self.seed}")
 
     def tolerance(self, name: str) -> float:
         if name not in TOLERANCE_DEFAULTS:
@@ -327,8 +346,8 @@ def _parse_analyses(raw) -> AnalysesSpec:
                       "analyses.no_go", (), ("base", "copies", "ancilla_dims", "margin"))
         out["no_go"] = NoGoSpec(
             base=_vector(block["base"], "no_go.base") if "base" in block else None,
-            copies=tuple(_integer(c, "no_go.copies") for c in block.get("copies", (1, 2))),
-            ancilla_dims=tuple(_integer(m, "no_go.ancilla_dims") for m in block.get("ancilla_dims", (0, 2, 4))),
+            copies=_integers(block.get("copies", (1, 2)), "no_go.copies"),
+            ancilla_dims=_integers(block.get("ancilla_dims", (0, 2, 4)), "no_go.ancilla_dims"),
             margin=_number(block["margin"], "no_go.margin") if "margin" in block else None,
         )
     if "filter" in keys:

@@ -2,12 +2,15 @@
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fisherflow as ff
-from fisherflow.cli import main
+from fisherflow.cli import _atomic_write, main
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -114,6 +117,21 @@ class TestScenarioParsing:
                 dict(MINIMAL, perturbation={"direction": [0.1, -0.1, 0.0], "theta_points": 8})
             )
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"dynamics": {"kind": "generator", "matrix": [[-1.0, 1.0], [1.0]]}},
+            {"dynamics": {"kind": "generator", "matrix": [[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]}},
+            {"seed": -1},
+            {"perturbation": {"theta_points": 0}},
+            {"analyses": {"no_go": {"copies": None}}},
+            {"analyses": {"filter": {"epsilons": []}}},
+        ],
+    )
+    def test_malformed_fields_rejected(self, change):
+        with pytest.raises(ff.ScenarioError):
+            ff.parse_scenario(dict(MINIMAL, **change))
+
     def test_booleans_rejected_as_numbers(self):
         with pytest.raises(ff.ScenarioError, match="number"):
             ff.parse_scenario(dict(MINIMAL, grid={"t1": True, "points": 4}))
@@ -192,6 +210,19 @@ class TestCliRuns:
         assert code == 0
         assert (tmp_path / "witness.json").stat().st_mode & 0o777 == 0o644
 
+    def test_atomic_write_keeps_target_when_chunks_fail(self, tmp_path):
+        target = tmp_path / "figure1.csv"
+        target.write_text("old\n")
+
+        def chunks():
+            yield "new\n"
+            raise RuntimeError("midway")
+
+        with pytest.raises(RuntimeError, match="midway"):
+            _atomic_write(str(target), chunks())
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["figure1.csv"]
+
     def test_scan_command_writes_csv(self, tmp_path):
         code = main(
             ["scan", "--scenario", _scenario("case_study_scan.json"), "--out", str(tmp_path)]
@@ -224,6 +255,24 @@ class TestCliRuns:
         report = json.loads((tmp_path / "figure1.json").read_text())
         assert report["checks"]["trace_law"]["ok"] is True
         assert report["checks"]["backflow_present"]["ok"] is True
+
+    def test_figure1_csv_rows_time_major_seventeen_digits(self, tmp_path):
+        scn = {
+            "dynamics": {"kind": "case_study"},
+            "grid": {"t1": 3.141592653589793, "points": 5},
+            "perturbation": {"epsilon": 0.001, "theta_points": 7},
+            "analyses": {"figure1": {}},
+        }
+        assert main(["figure1", "--scenario", _write(tmp_path, scn), "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "figure1.csv").read_text()
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        times = np.linspace(0.0, np.pi, 5)
+        thetas = np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False)
+        assert [(float(r[0]), float(r[1])) for r in rows] == [(t, th) for t in times for th in thetas]
+        for row in rows:
+            assert len(row) == 6
+            assert row == [f"{float(field):.17g}" for field in row]
 
     def test_figure1_rejects_generator_dynamics(self, tmp_path):
         scn = {
@@ -300,6 +349,13 @@ class TestCliExitCodes:
         }
         code = main(["witness", "--scenario", _write(tmp_path, scn), "--out", str(tmp_path)])
         assert code == 3
+
+    def test_negative_seed_maps_to_1(self, tmp_path):
+        retro = _scenario("relaxation_retro.json")
+        assert main(["retro", "--scenario", retro, "--out", str(tmp_path), "--seed", "-1"]) == 1
+        with open(retro, encoding="utf-8") as fh:
+            payload = dict(json.load(fh), seed=-1)
+        assert main(["retro", "--scenario", _write(tmp_path, payload), "--out", str(tmp_path)]) == 1
 
     def test_help_maps_to_0(self):
         assert main(["--help"]) == 0
@@ -390,3 +446,59 @@ class TestCliDeterminism:
         for line in lines[:5]:
             t = line.split(",")[0]
             assert float(t) == float(f"{float(t):.17g}")
+
+
+#: Bundled scenarios and the command each one drives; figure1's sweep is too
+#: slow to run once per example.
+FUZZ_COMMANDS = {
+    "case_study_scan.json": "scan",
+    "counterexample_witness.json": "witness",
+    "counterexample_nogo.json": "nogo",
+    "counterexample_filter.json": "filter",
+    "relaxation_retro.json": "retro",
+    "nonmarkovian_quantum.json": "quantum",
+}
+
+#: Arbitrary JSON. Integers stay small because they size grids, tensor
+#: products and Choi matrices: the fuzz probes validation, not capacity.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 8)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def _field_paths(value, path=()):
+    """Every object key and array position nested in ``value``, as a path."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+class TestScenarioFuzz:
+    @pytest.mark.parametrize("name", sorted(FUZZ_COMMANDS))
+    @given(data=st.data())
+    def test_one_replaced_field_never_raises(self, name, data):
+        with open(_scenario(name), encoding="utf-8") as fh:
+            payload = json.load(fh)
+        path = data.draw(st.sampled_from(list(_field_paths(payload))))
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(JSON_VALUES)
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario = os.path.join(tmp, "scenario.json")
+            with open(scenario, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+            code = main([FUZZ_COMMANDS[name], "--scenario", scenario, "--out", tmp])
+        assert code in (0, 1, 2, 3)
