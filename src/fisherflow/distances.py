@@ -74,8 +74,11 @@ def _check_same_dim(*arrays) -> int:
 
 def _require_interior(p: np.ndarray, floor: float = INTERIOR_FLOOR) -> None:
     if not is_interior(p, floor):
+        # with batch axes, name the first base that touches the boundary
+        rows = p.reshape(-1, p.shape[-1])
+        first = rows[int(np.argmin(rows.min(axis=1) >= floor))]
         raise SingularBaseError(
-            f"base distribution has an entry {np.min(p):.3e} below the interior floor {floor:.0e}"
+            f"base distribution has an entry {np.min(first):.3e} below the interior floor {floor:.0e}"
         )
 
 
@@ -133,11 +136,15 @@ def fisher_flow(p, d, i: int, j: int) -> float:
 
 def _edge_laplacian(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     # Laplacian of S = W + W^T with W[i, j] = r[i, j] p[j] off the diagonal;
-    # the rate of d at p is -1/2 u^T L u with u = d / p.
-    w = r * p[None, :]
-    np.fill_diagonal(w, 0.0)
-    s = w + w.T
-    return np.diag(s.sum(axis=1)) - s
+    # the rate of d at p is -1/2 u^T L u with u = d / p. Leading axes of p
+    # and r are batch axes.
+    diag = np.arange(p.shape[-1])
+    w = r * p[..., None, :]
+    w[..., diag, diag] = 0.0
+    s = w + np.swapaxes(w, -1, -2)
+    lap = np.zeros_like(s)
+    lap[..., diag, diag] = s.sum(axis=-1)
+    return lap - s
 
 
 def fisher_rate(p, d, r) -> float:
@@ -194,19 +201,21 @@ def fisher_rates(p, dirs, r) -> np.ndarray:
     """Vectorized :func:`fisher_rate` over the rows of ``dirs``.
 
     Useful for sweeps that evaluate many displacements at one base point;
-    agrees entrywise with calling ``fisher_rate`` row by row.
+    agrees entrywise with calling ``fisher_rate`` row by row. Leading axes
+    are batch axes: bases ``(..., n)``, directions ``(..., m, n)`` and
+    generators ``(..., n, n)`` give rates ``(..., m)``.
     """
     base = np.asarray(p, dtype=float)
     gen = np.asarray(r, dtype=float)
     stack = np.atleast_2d(np.asarray(dirs, dtype=float))
-    if stack.shape[1] != base.shape[0]:
-        raise DimensionMismatchError(
-            f"direction rows have length {stack.shape[1]}, base has {base.shape[0]}"
-        )
-    _check_same_dim(base, gen)
+    n = base.shape[-1]
+    if stack.shape[-1] != n:
+        raise DimensionMismatchError(f"direction rows have length {stack.shape[-1]}, base has {n}")
+    if gen.shape[-2:] != (n, n):
+        raise DimensionMismatchError(f"generator of shape {gen.shape} for dimension {n}")
     _require_interior(base)
-    u = stack / base[None, :]
-    return -0.5 * np.einsum("mi,mi->m", u @ _edge_laplacian(base, gen), u)
+    u = stack / base[..., None, :]
+    return -0.5 * np.einsum("...mi,...mi->...m", u @ _edge_laplacian(base, gen), u)
 
 
 @dataclass(frozen=True)

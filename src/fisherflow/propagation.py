@@ -9,21 +9,23 @@ Supported dynamics:
   s(t) m(t) 1^T`` that sends every state toward the moving target
   ``m(t)`` with weight ``s(t)``. Propagators are evaluated exactly and,
   when the derivatives of ``s`` and ``m`` are supplied, so is the
-  generator: ``rate(i <- j) = sdot/(1-s) * m_i + s * mdot_i``.
+  generator: ``rate(i <- j) = sdot/(1-s) * m_i + s * mdot_i``. Both are
+  evaluated on a whole array of times at once.
 * ``case_study_dynamics()`` - a fixed three-state mixing family with an
   oscillating target, bundled because several commands and tests drive it.
 
-``divisibility_scan`` walks a time grid, extracts the generator at each
-point, and reports every transition whose rate dips below ``-rate_tol``;
-an empty report certifies divisibility into stochastic pieces on that
-grid resolution.
+``generator_grid`` evaluates the generator on a time grid as one stack,
+falling back to a per-point loop for families without a grid form.
+``divisibility_scan`` classifies that stack and reports every transition
+whose rate dips below ``-rate_tol``; an empty report certifies
+divisibility into stochastic pieces on that grid resolution.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -36,7 +38,7 @@ from .errors import (
     InvalidStateError,
     NearSingularError,
 )
-from .simplex import StochasticityReport, min_offdiag, prob_vec, rate_matrix, validate_stochastic
+from .simplex import COLUMN_TOL, StochasticityReport, prob_vec, rate_matrix, validate_stochastic
 
 __all__ = [
     "Dynamics",
@@ -49,6 +51,9 @@ __all__ = [
     "propagator_at",
     "intermediate_map",
     "generator_of",
+    "GeneratorGrid",
+    "generator_grid",
+    "exact_propagators",
     "ScanPoint",
     "ScanResult",
     "divisibility_scan",
@@ -67,6 +72,18 @@ RICHARDSON_TOL = 1e-6
 MIXING_CEILING = 1.0 - 1e-12
 
 
+class GeneratorGrid(NamedTuple):
+    """Generators of one dynamics on a time grid.
+
+    ``generators`` is a ``(T, n, n)`` stack; a row whose extraction failed
+    is NaN and ``errors`` maps its index to the exception.
+    """
+
+    times: np.ndarray
+    generators: np.ndarray
+    errors: dict[int, Exception]
+
+
 class Dynamics:
     """Base class: a time-dependent family of column-stochastic maps."""
 
@@ -80,10 +97,31 @@ class Dynamics:
 
     def generator_at(self, t: float) -> np.ndarray | None:
         """Closed-form generator when available, else None."""
-        return None
+        stack = self.generators_at(np.array([t], dtype=float))
+        return None if stack is None else stack[0]
 
     def propagator_at(self, t: float) -> np.ndarray | None:
         """Closed-form propagator from time 0 when available, else None."""
+        stack = self.propagators_at(np.array([t], dtype=float))
+        return None if stack is None else stack[0]
+
+    def generators_at(self, times) -> np.ndarray | None:
+        """Closed-form generators on an array of times as one ``(T, n, n)`` stack, else None.
+
+        Raises the error of the earliest time at which the generator is undefined.
+        """
+        grid = self._generator_grid(np.asarray(times, dtype=float))
+        if grid is None:
+            return None
+        if grid.errors:
+            raise grid.errors[min(grid.errors)]
+        return grid.generators
+
+    def propagators_at(self, times) -> np.ndarray | None:
+        """Closed-form propagators from time 0 on an array of times as one stack, else None."""
+        return None
+
+    def _generator_grid(self, times: np.ndarray) -> GeneratorGrid | None:
         return None
 
 
@@ -110,20 +148,31 @@ class GeneratorDynamics(Dynamics):
             return self._constant
         return rate_matrix(self._rate_fn(t))
 
-    def closed_form_propagator(self, t: float) -> np.ndarray | None:
+    def _generator_grid(self, times: np.ndarray) -> GeneratorGrid | None:
+        if self._constant is None:
+            return None
+        stack = np.broadcast_to(self._constant, times.shape + self._constant.shape)
+        return GeneratorGrid(times, stack, {})
+
+    def closed_form_propagator(self, t) -> np.ndarray | None:
         """Matrix exponential for constant rates; None for time-dependent ones.
 
-        Deliberately not wired into ``propagator_at``: ``propagate`` must
-        exercise the integrator, while analysis code may want the exact map.
+        An array of times gives a ``(T, n, n)`` stack. Deliberately not
+        wired into ``propagator_at``: ``propagate`` must exercise the
+        integrator, while analysis code may want the exact map.
         """
         if self._constant is None:
             return None
-        return expm(float(t) * self._constant)
+        return expm(np.multiply.outer(np.asarray(t, dtype=float), self._constant))
 
 
 class MixingDynamics(Dynamics):
     """Family ``T(t) = (1 - s(t)) Id + s(t) m(t) 1^T`` with target ``m`` and weight ``s``.
 
+    ``s, sdot, m, mdot`` must accept an array of times and broadcast over
+    it: ``s`` and ``sdot`` return shape ``(T,)``, ``m`` and ``mdot`` shape
+    ``(T, n)`` (and a scalar time gives a scalar or an ``(n,)`` vector).
+    Propagators and generators on a grid come from one evaluation of each.
     ``s`` must start at zero and stay in [0, 1); ``m(t)`` must be a state.
     These are checked on a sample grid at construction time.
     """
@@ -132,10 +181,10 @@ class MixingDynamics(Dynamics):
 
     def __init__(
         self,
-        s: Callable[[float], float],
-        m: Callable[[float], np.ndarray],
-        sdot: Callable[[float], float] | None = None,
-        mdot: Callable[[float], np.ndarray] | None = None,
+        s: Callable[[np.ndarray], np.ndarray],
+        m: Callable[[np.ndarray], np.ndarray],
+        sdot: Callable[[np.ndarray], np.ndarray] | None = None,
+        mdot: Callable[[np.ndarray], np.ndarray] | None = None,
         dimension: int | None = None,
         horizon: float = np.inf,
         check_points: int = 65,
@@ -153,30 +202,60 @@ class MixingDynamics(Dynamics):
         if abs(self.s(0.0)) > 1e-12:
             raise InvalidStateError(f"mixing weight must start at 0, got s(0) = {self.s(0.0):.3e}")
         t_hi = self.horizon if np.isfinite(self.horizon) else 1.0
-        for t in np.linspace(0.0, t_hi, check_points):
-            w = float(self.s(t))
+        grid = np.linspace(0.0, t_hi, check_points)
+        values = {}
+        for name in ("s", "sdot", "m", "mdot"):
+            fn = getattr(self, name)
+            if fn is not None:
+                values[name] = np.asarray(fn(grid), dtype=float)
+                if values[name].shape[:1] != grid.shape:
+                    raise DimensionMismatchError(f"mixing {name} must broadcast over an array of times")
+        for t, w, target in zip(grid.tolist(), values["s"].tolist(), values["m"]):
             if not 0.0 <= w <= 1.0 + 1e-12:
                 raise InvalidStateError(f"mixing weight {w:.3e} at t = {t:.3g} outside [0, 1]")
-            target = prob_vec(self.m(t))
-            if target.shape[0] != self.dimension:
+            if prob_vec(target).shape[0] != self.dimension:
                 raise DimensionMismatchError("mixing target changed dimension")
 
-    def propagator_at(self, t: float) -> np.ndarray:
-        w = float(self.s(t))
-        target = np.asarray(self.m(t), dtype=float)
-        return (1.0 - w) * np.eye(self.dimension) + w * np.outer(target, np.ones(self.dimension))
+    def propagators_at(self, times) -> np.ndarray:
+        t = np.asarray(times, dtype=float)
+        w = np.asarray(self.s(t), dtype=float)[:, None, None]
+        target = np.asarray(self.m(t), dtype=float)[:, :, None]
+        return (1.0 - w) * np.eye(self.dimension) + w * target
 
-    def generator_at(self, t: float) -> np.ndarray | None:
+    def _generator_grid(self, times: np.ndarray) -> GeneratorGrid | None:
         if self.sdot is None or self.mdot is None:
             return None
-        w = float(self.s(t))
-        if w > MIXING_CEILING:
-            raise DomainError(f"mixing weight {w} leaves no invertible part at t = {t:.6g}")
-        coef = float(self.sdot(t)) / (1.0 - w)
-        col = coef * np.asarray(self.m(t), dtype=float) + w * np.asarray(self.mdot(t), dtype=float)
-        r = np.tile(col[:, None], (1, self.dimension))
-        np.fill_diagonal(r, np.diag(r) - col.sum())
-        return rate_matrix(r)
+        n = self.dimension
+        w = np.asarray(self.s(times), dtype=float)
+        dead = w > MIXING_CEILING
+        errors: dict[int, Exception] = {
+            k: DomainError(f"mixing weight {float(w[k])} leaves no invertible part at t = {times[k]:.6g}")
+            for k in np.flatnonzero(dead).tolist()
+        }
+        # rows past the ceiling are left out before dividing by 1 - s
+        live = np.flatnonzero(~dead)
+        wl = w[live]
+        coef = np.asarray(self.sdot(times), dtype=float)[live] / (1.0 - wl)
+        col = (
+            coef[:, None] * np.asarray(self.m(times), dtype=float)[live]
+            + wl[:, None] * np.asarray(self.mdot(times), dtype=float)[live]
+        )
+        rates = np.repeat(col[:, :, None], n, axis=2)
+        diag = np.arange(n)
+        rates[:, diag, diag] -= col.sum(axis=1)[:, None]
+        # rows rate_matrix could reject (non-finite or off column sums) get its own error
+        with np.errstate(invalid="ignore"):
+            suspect = ~(np.abs(rates.sum(axis=1)).max(axis=1) <= COLUMN_TOL)
+        for k in np.flatnonzero(suspect).tolist():
+            try:
+                rate_matrix(rates[k])
+            except FisherflowError as exc:
+                errors[int(live[k])] = exc
+        stack = np.full(times.shape + (n, n), np.nan)
+        stack[live] = rates
+        stack[list(errors)] = np.nan
+        stack.flags.writeable = False
+        return GeneratorGrid(times, stack, errors)
 
 
 #: Fixed constants of the bundled demonstration family.
@@ -195,18 +274,18 @@ def case_study_dynamics(horizon: float = np.pi) -> MixingDynamics:
     stochastic pieces only outside those windows.
     """
 
-    def s(t: float) -> float:
+    def s(t):
         return 1.0 - np.exp(-t)
 
-    def sdot(t: float) -> float:
+    def sdot(t):
         return np.exp(-t)
 
-    def m(t: float) -> np.ndarray:
-        c = np.cos(_CS_FREQ * t)
+    def m(t):
+        c = np.cos(_CS_FREQ * t)[..., None]
         return 0.5 * ((1.0 + c) * _CS_V1 + (1.0 - c) * _CS_V2)
 
-    def mdot(t: float) -> np.ndarray:
-        ds = -_CS_FREQ * np.sin(_CS_FREQ * t)
+    def mdot(t):
+        ds = -_CS_FREQ * np.sin(_CS_FREQ * t)[..., None]
         return 0.5 * ds * (_CS_V1 - _CS_V2)
 
     dyn = MixingDynamics(s, m, sdot, mdot, dimension=3, horizon=horizon)
@@ -223,9 +302,9 @@ def contraction_to_target(pi, decay_rate: float = 1.0, horizon: float = np.inf) 
 
     dyn = MixingDynamics(
         s=lambda t: 1.0 - np.exp(-decay_rate * t),
-        m=lambda t: target,
+        m=lambda t: np.broadcast_to(target, np.shape(t) + target.shape),
         sdot=lambda t: decay_rate * np.exp(-decay_rate * t),
-        mdot=lambda t: zero,
+        mdot=lambda t: np.broadcast_to(zero, np.shape(t) + zero.shape),
         dimension=target.shape[0],
         horizon=horizon,
     )
@@ -306,13 +385,12 @@ def propagate(
     times = np.linspace(t0, t1, steps + 1)
     n = dyn.dimension
 
-    closed = dyn.propagator_at(0.0)
-    if closed is not None:
-        mats = np.stack([dyn.propagator_at(float(t)) for t in times])
+    mats = dyn.propagators_at(times)
+    if mats is not None:
         if t0 != 0.0:
-            start = dyn.propagator_at(float(t0))
+            start = mats[0]
             _guard_condition(start)
-            mats = np.stack([np.linalg.solve(start.T, m.T).T for m in mats])
+            mats = np.linalg.solve(start.T, mats.transpose(0, 2, 1)).transpose(0, 2, 1)
         drift = float(np.max(np.abs(mats.sum(axis=1) - 1.0)))
     else:
         rate_fn = dyn.generator_at
@@ -333,6 +411,18 @@ def propagate(
             raise DimensionMismatchError("initial state dimension mismatch")
         states = mats @ p0
     return Trajectory(times=times, propagators=mats, states=states, max_column_drift=drift, dynamics=dyn)
+
+
+def exact_propagators(dyn: Dynamics, times) -> np.ndarray | None:
+    """Exact propagators from time 0 on an array of times as one stack, else None.
+
+    Closed-form families evaluate their formula; constant generators take
+    the matrix exponential. Families that need the integrator give None.
+    """
+    stack = dyn.propagators_at(times)
+    if stack is None and isinstance(dyn, GeneratorDynamics):
+        return dyn.closed_form_propagator(np.asarray(times, dtype=float))
+    return stack
 
 
 def propagator_at(dyn: Dynamics, t: float, steps: int = 256) -> np.ndarray:
@@ -420,59 +510,72 @@ class ScanResult:
         return not self.violations
 
     def windows(self) -> list[tuple[float, float]]:
-        """Maximal contiguous grid intervals covered by violations."""
-        if not self.violations:
-            return []
-        bad = {round(v.t, 15) for v in self.violations}
-        out: list[tuple[float, float]] = []
-        start = None
-        prev = None
-        for t in self.grid:
-            key = round(float(t), 15)
-            if key in bad:
-                if start is None:
-                    start = float(t)
-                prev = float(t)
-            elif start is not None:
-                out.append((start, prev))
-                start = None
-        if start is not None:
-            out.append((start, prev))
-        return out
+        """Maximal contiguous grid intervals covered by violations.
+
+        A grid point has a violation exactly when its minimal rate is below
+        ``-rate_tol`` (failed points are NaN and never are).
+        """
+        bad = self.min_rates < -self.rate_tol
+        edges = np.diff(bad.astype(np.int8), prepend=0, append=0)
+        starts = np.flatnonzero(edges == 1)
+        ends = np.flatnonzero(edges == -1) - 1
+        return [(float(self.grid[a]), float(self.grid[b])) for a, b in zip(starts, ends)]
 
 
-def divisibility_scan(dyn: Dynamics, grid, rate_tol: float = 1e-9) -> ScanResult:
-    """Extract the generator at each grid time and collect negative rates.
+def generator_grid(dyn: Dynamics, times) -> GeneratorGrid:
+    """Generators of ``dyn`` on ``times`` as one stack, with per-point failures.
 
-    Per-point extraction failures (library errors and singular solves) are
-    reported in the result rather than aborting the scan; any other
-    exception, such as a bug in a callable generator, propagates.
+    Families with a grid form evaluate it once; the others extract each
+    point with :func:`generator_of`. Library errors and singular solves at
+    a point become entries of ``errors``; any other exception, such as a
+    bug in a callable generator, propagates.
+    """
+    times = np.asarray(times, dtype=float)
+    grid = dyn._generator_grid(times)
+    if grid is not None:
+        return grid
+    n = dyn.dimension
+    stack = np.full(times.shape + (n, n), np.nan)
+    errors: dict[int, Exception] = {}
+    for k, t in enumerate(times.tolist()):
+        try:
+            stack[k] = generator_of(dyn, t)
+        except (FisherflowError, np.linalg.LinAlgError) as exc:
+            errors[k] = exc
+    return GeneratorGrid(times, stack, errors)
+
+
+def divisibility_scan(
+    dyn: Dynamics, grid, rate_tol: float = 1e-9, generators: GeneratorGrid | None = None
+) -> ScanResult:
+    """Classify the generator at each grid time and collect negative rates.
+
+    ``generators`` is the :func:`generator_grid` of ``dyn`` on ``grid`` when
+    the caller already has it. Per-point extraction failures are reported
+    in the result rather than aborting the scan.
     """
     times = np.asarray(grid, dtype=float)
-    violations: list[ScanPoint] = []
-    failures: list[tuple[float, str]] = []
+    gens = generator_grid(dyn, times) if generators is None else generators
+    stack = gens.generators
+    n = stack.shape[-1]
+    off = np.where(np.eye(n, dtype=bool), np.inf, stack)
+    ok = np.ones(times.shape, dtype=bool)
+    ok[list(gens.errors)] = False
     min_rates = np.full(times.shape, np.nan)
-    for k, t in enumerate(times):
-        try:
-            r = generator_of(dyn, float(t))
-        except (FisherflowError, np.linalg.LinAlgError) as exc:
-            failures.append((float(t), f"{type(exc).__name__}: {exc}"))
-            continue
-        min_rates[k] = min_offdiag(r)[1]
-        n = r.shape[0]
-        neg = {
-            (i, j): float(r[i, j])
-            for i in range(n)
-            for j in range(n)
-            if i != j and r[i, j] < -rate_tol
-        }
-        if neg:
-            violations.append(ScanPoint(t=float(t), negative_rates=neg))
+    min_rates[ok] = off[ok].min(axis=(1, 2))
+    # failed rows are NaN and compare False; nonzero walks (time, i, j) in row-major order
+    negative: dict[int, dict[tuple[int, int], float]] = {}
+    ks, rows, cols = np.nonzero(off < -rate_tol)
+    for k, i, j, rate in zip(ks.tolist(), rows.tolist(), cols.tolist(), off[ks, rows, cols].tolist()):
+        negative.setdefault(k, {})[(i, j)] = rate
+    t_list = times.tolist()
     return ScanResult(
         grid=times,
         rate_tol=float(rate_tol),
-        violations=tuple(violations),
-        failures=tuple(failures),
+        violations=tuple(ScanPoint(t=t_list[k], negative_rates=neg) for k, neg in negative.items()),
+        failures=tuple(
+            (t_list[k], f"{type(exc).__name__}: {exc}") for k, exc in sorted(gens.errors.items())
+        ),
         min_rates=min_rates,
     )
 
@@ -504,9 +607,7 @@ def trace_scaling_check(dyn: MixingDynamics, p0, q0, grid) -> float:
     p = prob_vec(p0)
     q = prob_vec(q0)
     d0 = float(np.sum(np.abs(p - q)))
-    worst = 0.0
-    for t in np.asarray(grid, dtype=float):
-        mat = dyn.propagator_at(float(t))
-        d_t = float(np.sum(np.abs(mat @ p - mat @ q)))
-        worst = max(worst, abs(d_t - (1.0 - float(dyn.s(t))) * d0))
-    return worst
+    times = np.asarray(grid, dtype=float)
+    mats = dyn.propagators_at(times)
+    d_t = np.abs(mats @ p - mats @ q).sum(axis=1)
+    return float(np.max(np.abs(d_t - (1.0 - dyn.s(times)) * d0), initial=0.0))

@@ -82,6 +82,91 @@ def case_study_rates(t: float) -> np.ndarray:
     return m + s * mdot  # sdot/(1-s) = 1 for s = 1 - e^{-t}
 
 
+def mixing_generator_point(s, sdot, m, mdot, t: float) -> np.ndarray:
+    """Generator of T(t) = (1 - s) Id + s m 1^T at one time, from scalar evaluations.
+
+    rate(i <- j) = sdot/(1 - s) m_i + s mdot_i off the diagonal; the
+    diagonal makes each column sum to zero.
+    """
+    w = float(s(t))
+    coef = float(sdot(t)) / (1.0 - w)
+    col = coef * np.asarray(m(t), dtype=float) + w * np.asarray(mdot(t), dtype=float)
+    r = np.tile(col[:, None], (1, col.size))
+    np.fill_diagonal(r, np.diag(r) - col.sum())
+    return r
+
+
+def mixing_propagator_point(s, m, t: float) -> np.ndarray:
+    """T(t) = (1 - s) Id + s m 1^T at one time, from scalar evaluations."""
+    w = float(s(t))
+    target = np.asarray(m(t), dtype=float)
+    n = target.size
+    return (1.0 - w) * np.eye(n) + w * np.outer(target, np.ones(n))
+
+
+def scan_loop(generator_at, grid, rate_tol: float, errors):
+    """Divisibility scan one grid point at a time.
+
+    ``generator_at(t)`` returns the generator or raises one of the exception
+    classes in ``errors``. Returns the minimal off-diagonal rate per point
+    (NaN where extraction failed), the violations as ``(t, {(i, j): rate})``
+    in grid order, the failures as ``(t, "Type: message")`` and the maximal
+    runs of violating grid points as ``(first t, last t)``.
+    """
+    min_rates = np.full(len(grid), np.nan)
+    violations, failures, flags = [], [], []
+    for k, t in enumerate(float(x) for x in grid):
+        try:
+            r = np.asarray(generator_at(t), dtype=float)
+        except errors as exc:
+            failures.append((t, f"{type(exc).__name__}: {exc}"))
+            flags.append(False)
+            continue
+        off = [(i, j) for i in range(r.shape[0]) for j in range(r.shape[0]) if i != j]
+        min_rates[k] = min(r[i, j] for i, j in off)
+        neg = {(i, j): float(r[i, j]) for i, j in off if r[i, j] < -rate_tol}
+        flags.append(bool(neg))
+        if neg:
+            violations.append((t, neg))
+    windows, start = [], None
+    for k, flag in enumerate(flags):
+        if flag and start is None:
+            start = k
+        if start is not None and (not flag or k == len(flags) - 1):
+            end = k if flag else k - 1
+            windows.append((float(grid[start]), float(grid[end])))
+            start = None
+    return min_rates, violations, failures, windows
+
+
+def adjoint_defect_loop(fwd, a, prior, trials: int, seed: int) -> float:
+    """Pull-back identity and self-adjointness defect of a round trip, one trial at a time.
+
+    For each of ``trials`` zero-sum draws d: |<d, A d>_pi - <T d, T d>_{T pi}|
+    with <x, y>_p = sum x y / (2 p); the result is the largest of these and
+    of the asymmetry of A in the sqrt(2 pi)-scaled frame.
+    """
+    fwd = np.asarray(fwd, dtype=float)
+    a = np.asarray(a, dtype=float)
+    pi = np.asarray(prior, dtype=float)
+    pushed = fwd @ pi
+    pushed = np.where(pushed < 0.0, 0.0, pushed)
+    pushed = pushed / pushed.sum()
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        d = rng.standard_normal(pi.size)
+        d -= d.mean()
+        ad = a @ d
+        fd = fwd @ d
+        lhs = float(np.sum(d * ad / (2.0 * pi)))
+        rhs = float(np.sum(fd * fd / (2.0 * pushed)))
+        worst = max(worst, abs(lhs - rhs))
+    scale = 1.0 / np.sqrt(2.0 * pi)
+    sym = scale[:, None] * a * (1.0 / scale)[None, :]
+    return max(worst, float(np.max(np.abs(sym - sym.T))))
+
+
 def bayes_direct(t_mat, pi):
     t_mat = np.asarray(t_mat, dtype=float)
     pi = np.asarray(pi, dtype=float)

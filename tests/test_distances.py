@@ -170,6 +170,21 @@ class TestFisherRate:
         looped = np.array([ff.fisher_rate(p, d, r) for d in dirs])
         assert np.allclose(batched, looped, atol=1e-15)
 
+    def test_batch_axes_match_unbatched_calls(self):
+        rng = np.random.default_rng(11)
+        bases = np.stack([random_interior(rng, 3) for _ in range(5)])
+        gens = np.stack([random_markovian(rng, 3) for _ in range(5)])
+        dirs = np.stack([[random_zero_sum(rng, 3) for _ in range(7)] for _ in range(5)])
+        batched = ff.fisher_rates(bases, dirs, gens)
+        assert batched.shape == (5, 7)
+        for k in range(5):
+            assert batched[k].tobytes() == ff.fisher_rates(bases[k], dirs[k], gens[k]).tobytes()
+
+    def test_batch_names_first_boundary_base(self):
+        bases = np.array([[0.5, 0.5], [1e-14, 1.0 - 1e-14], [0.0, 1.0]])
+        with pytest.raises(ff.SingularBaseError, match="entry 1.000e-14"):
+            ff.fisher_rates(bases, np.zeros((3, 1, 2)), np.broadcast_to(SYM, (3, 2, 2)))
+
     def test_batched_rejects_bad_rows(self):
         with pytest.raises(ff.DimensionMismatchError):
             ff.fisher_rates([0.5, 0.5], np.zeros((3, 3)), SYM)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import fisherflow as ff
 import oracles
@@ -192,6 +193,102 @@ class TestDivisibilityScan:
         dyn = ff.GeneratorDynamics(broken, dimension=2)
         with pytest.raises(TypeError, match="bad generator"):
             ff.divisibility_scan(dyn, np.linspace(0.0, 1.0, 5))
+
+
+def _bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+GRID_FAMILIES = {
+    "case_study": ff.case_study_dynamics,
+    "contraction": lambda: ff.contraction_to_target([0.2, 0.3, 0.5], decay_rate=1.7),
+}
+
+
+class TestGridEvaluation:
+    @pytest.mark.parametrize("points", [257, 1024, 4097])
+    @pytest.mark.parametrize("family", sorted(GRID_FAMILIES))
+    def test_stacks_bitwise_equal_per_point_formulas(self, family, points):
+        dyn = GRID_FAMILIES[family]()
+        grid = np.linspace(0.0, np.pi, points)
+        gens = dyn.generators_at(grid)
+        props = dyn.propagators_at(grid)
+        assert gens.shape == props.shape == (points, 3, 3)
+        want_gens = np.stack(
+            [oracles.mixing_generator_point(dyn.s, dyn.sdot, dyn.m, dyn.mdot, float(t)) for t in grid]
+        )
+        want_props = np.stack([oracles.mixing_propagator_point(dyn.s, dyn.m, float(t)) for t in grid])
+        assert _bitwise_equal(gens, want_gens)
+        assert _bitwise_equal(props, want_props)
+        # the per-point methods are the length-1 case of the batched ones
+        for k in (0, points // 3, points - 1):
+            assert _bitwise_equal(dyn.generator_at(float(grid[k])), want_gens[k])
+            assert _bitwise_equal(dyn.propagator_at(float(grid[k])), want_props[k])
+
+    def test_constant_generator_broadcasts(self):
+        dyn = ff.GeneratorDynamics(SYM)
+        stack = dyn.generators_at(np.linspace(0.0, 1.0, 5))
+        assert stack.shape == (5, 2, 2)
+        assert np.array_equal(stack, np.broadcast_to(SYM, (5, 2, 2)))
+
+    def test_exact_propagators_of_constant_generator(self):
+        r = np.array([[-1.0, 0.4], [1.0, -0.4]])
+        grid = np.linspace(0.0, 2.0, 9)
+        stack = ff.exact_propagators(ff.GeneratorDynamics(r), grid)
+        assert _bitwise_equal(stack, np.stack([expm(float(t) * r) for t in grid]))
+        assert ff.exact_propagators(ff.GeneratorDynamics(lambda t: r, dimension=2), grid) is None
+
+    def test_callable_generator_has_no_grid_form(self):
+        dyn = ff.GeneratorDynamics(lambda t: (1.0 + t) * SYM, dimension=2)
+        assert dyn.generators_at(np.linspace(0.0, 1.0, 5)) is None
+        grid = ff.generator_grid(dyn, np.linspace(0.0, 1.0, 5))
+        assert not grid.errors
+        assert np.array_equal(grid.generators[4], 2.0 * SYM)
+
+    def test_batched_generators_raise_first_failure(self):
+        dyn = ff.contraction_to_target([0.5, 0.5], decay_rate=50.0, horizon=1.0)
+        with pytest.raises(ff.DomainError, match="at t = 0.625$"):
+            dyn.generators_at(np.linspace(0.0, 1.0, 9))
+
+    def test_non_broadcasting_callable_rejected(self):
+        with pytest.raises(ff.DimensionMismatchError, match="broadcast"):
+            ff.MixingDynamics(
+                s=lambda t: 1.0 - np.exp(-t), m=lambda t: np.array([0.5, 0.5]), dimension=2
+            )
+
+    @pytest.mark.parametrize(
+        "make, t1, points",
+        [
+            (lambda: ff.contraction_to_target([0.5, 0.5], decay_rate=50.0, horizon=1.0), 1.0, 9),
+            (lambda: ff.contraction_to_target([0.2, 0.8], decay_rate=30.0), 1.5, 301),
+            # column sums off by rounding at rate 1e9 before the weight saturates
+            (lambda: ff.contraction_to_target([0.1, 0.2, 0.7], decay_rate=1e9), 4e-8, 9),
+            (lambda: ff.case_study_dynamics(horizon=40.0), 40.0, 513),
+        ],
+    )
+    def test_scan_matches_per_point_loop(self, make, t1, points):
+        dyn = make()
+        grid = np.linspace(0.0, t1, points)
+        result = ff.divisibility_scan(dyn, grid)
+        min_rates, violations, failures, windows = oracles.scan_loop(
+            dyn.generator_at, grid, 1e-9, (ff.FisherflowError, np.linalg.LinAlgError)
+        )
+        assert failures, "the mixing weight must cross the ceiling on this grid"
+        assert list(result.failures) == failures
+        assert np.array_equal(np.isnan(result.min_rates), np.isnan(min_rates))
+        assert _bitwise_equal(result.min_rates, min_rates)
+        assert [(v.t, list(v.negative_rates.items())) for v in result.violations] == [
+            (t, list(neg.items())) for t, neg in violations
+        ]
+        assert result.windows() == windows
+
+    def test_case_study_windows_match_per_point_loop(self):
+        dyn = ff.case_study_dynamics()
+        for points in (257, 1024, 4097):
+            grid = np.linspace(0.0, np.pi, points)
+            _, _, _, windows = oracles.scan_loop(dyn.generator_at, grid, 1e-9, ff.FisherflowError)
+            assert windows and ff.divisibility_scan(dyn, grid).windows() == windows
 
 
 class TestTraceScaling:

@@ -1,5 +1,6 @@
 """Bayes recovery maps, round trips, and the curvature equivalence check."""
 
+import os
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ import oracles
 from helpers import random_interior, random_markovian
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 class TestBayesInverse:
@@ -153,6 +155,19 @@ class TestAdjointIdentity:
         )
         t = float(ctx.grid[20])
         assert ff.adjoint_identity_check(ctx, t, trials=100, seed=2) <= 1e-10
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_batched_trials_equal_per_trial_loop(self, seed):
+        scn = ff.load_scenario(os.path.join(SCENARIO_DIR, "relaxation_retro.json"))
+        block = scn.analyses.retrodiction
+        grid = scn.grid.times()
+        ctx = ff.retrodiction_context(block.prior, ff.build_dynamics(scn.dynamics), grid)
+        for k in np.unique(np.linspace(0, grid.size - 1, 9).astype(int)):
+            want = oracles.adjoint_defect_loop(
+                ctx.forward_maps[k], ctx.round_trips[k], ctx.prior, block.trials, seed
+            )
+            assert ff.adjoint_identity_check(ctx, float(grid[k]), trials=block.trials, seed=seed) == want
 
 
 class TestEquivalenceCheck:

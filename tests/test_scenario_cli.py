@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fisherflow as ff
+import fisherflow.cli
 from fisherflow.cli import _atomic_write, main
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -273,6 +274,40 @@ class TestCliRuns:
         for row in rows:
             assert len(row) == 6
             assert row == [f"{float(field):.17g}" for field in row]
+
+    def test_figure1_evaluates_generators_once_per_run(self, tmp_path, monkeypatch):
+        # sdot and mdot enter only the generator; count their calls per run
+        calls = {"sdot": 0, "mdot": 0}
+
+        def counted(build):
+            def wrapped(spec):
+                dyn = build(spec)
+                for name in calls:
+                    fn = getattr(dyn, name)
+
+                    def spy(t, fn=fn, name=name):
+                        calls[name] += 1
+                        return fn(t)
+
+                    setattr(dyn, name, spy)
+                return dyn
+
+            return wrapped
+
+        monkeypatch.setattr(fisherflow.cli, "build_dynamics", counted(fisherflow.cli.build_dynamics))
+        per_run = []
+        for points in (16, 512):
+            scn = {
+                "dynamics": {"kind": "case_study"},
+                "grid": {"t1": 3.141592653589793, "points": points},
+                "perturbation": {"epsilon": 0.001, "theta_points": 8},
+                "analyses": {"figure1": {}},
+            }
+            path = _write(tmp_path, scn, f"figure1_{points}.json")
+            assert main(["figure1", "--scenario", path, "--out", str(tmp_path)]) == 0
+            per_run.append(dict(calls))
+            calls.update(sdot=0, mdot=0)
+        assert per_run[0] == per_run[1] == {"sdot": 1, "mdot": 1}
 
     def test_figure1_rejects_generator_dynamics(self, tmp_path):
         scn = {
