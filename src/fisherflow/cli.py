@@ -16,16 +16,19 @@ be found.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
+import signal
 import sys
 import tempfile
+import traceback
 from enum import Enum
 
 import numpy as np
 
-from .distances import fisher_rates, forward_trace_rate
+from .distances import _require_interior, fisher_rates, forward_trace_rate
 from .errors import (
     FisherflowError,
     InvalidInputError,
@@ -121,13 +124,35 @@ def _assert_finite(obj, where: str = "report") -> None:
             _assert_finite(v, f"{where}[{i}]")
 
 
-def _atomic_write(path: str, chunks) -> None:
-    """Write the text chunks of an iterable to ``path``, replacing it only once all are written."""
+def _atomic_write(path: str, chunks, parts=()) -> None:
+    """Write the text chunks of an iterable to ``path``, replacing it only once all are written.
+
+    Each of ``parts``, also an iterable of text chunks, is written by a forked
+    child process while this process writes ``chunks``; the parts are then
+    appended in order with ``os.sendfile``, so the file holds ``chunks``
+    followed by every part. If anything fails, every child is reaped and
+    ``path`` stays as it was.
+    """
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    pids, part_fds = [], []  # children not yet reaped; descriptors of their part files
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            for part in parts:
+                pid, part_fd = _fork_writer(directory, part)
+                pids.append(pid)
+                part_fds.append(part_fd)
             fh.writelines(chunks)
+            fh.flush()
+            for part_fd in part_fds:
+                pid = pids.pop(0)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code != 0:
+                    raise RuntimeError(f"writer process {pid} for {path} exited with status {code}")
+                size = os.fstat(part_fd).st_size
+                offset = 0
+                while offset < size:
+                    offset += os.sendfile(fh.fileno(), part_fd, offset, size - offset)
         # mkstemp creates the file 0600; give it the mode open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -137,6 +162,42 @@ def _atomic_write(path: str, chunks) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for part_fd in part_fds:
+            os.close(part_fd)
+
+
+def _fork_writer(directory: str, chunks) -> tuple[int, int]:
+    """Fork a child that writes ``chunks`` to a new file; return its pid and the file's descriptor.
+
+    The file is made by ``mkstemp`` in ``directory`` and unlinked at once, so
+    it disappears with its last descriptor whatever happens. The child leaves
+    with ``os._exit`` (status 0 once everything is written, else 1 after
+    printing the traceback): it never returns into the caller and runs none
+    of the parent's exit handlers or buffer flushes.
+    """
+    fd, name = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    os.unlink(name)
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(chunks)
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+    return pid, fd
 
 
 def _check(observed, limit, ok) -> dict:
@@ -163,6 +224,11 @@ def _generator_for(scn: Scenario, t: float) -> np.ndarray:
 #: so blocks reuse heap memory instead of raising the peak resident size.
 _FIGURE1_BLOCK_ROWS = 4096
 
+#: figure1.csv rows per writer process. On 2 cores a second writer first
+#: pays for its fork between 8,192 and 16,384 rows (a tie at 16,384), so
+#: every sweep of up to 32,768 rows stays on one process.
+_FIGURE1_ROWS_PER_WORKER = 32768
+
 
 def _figure1_block(dyn, gens, dirs0, p0, tr_ref):
     """Trace distance, Fisher distance and Fisher rate per (t, theta), and trace-law defects.
@@ -179,6 +245,7 @@ def _figure1_block(dyn, gens, dirs0, p0, tr_ref):
         span = slice(lo, min(lo + step, stop))
         props = dyn.propagators_at(times[span])
         bases = props @ p0
+        _require_interior(bases)
         disps = dirs0 @ props.transpose(0, 2, 1)
         tr = np.abs(disps).sum(axis=2)
         values[span, :, 0] = tr
@@ -190,18 +257,46 @@ def _figure1_block(dyn, gens, dirs0, p0, tr_ref):
     return values, defects
 
 
-def _figure1_csv(times, thetas, values, min_rates):
-    """Yield figure1.csv: the header, then the rows of one time at a time.
+def _figure1_rows(cells, times, values, min_rates):
+    """Yield the figure1.csv rows of one time at a time.
 
-    Each time's rows come from one ``%`` template whose float cells are
-    ``%.17g``, so a block is formatted by a single C-level operation.
+    ``cells`` holds one ``,theta,%.17g,%.17g,%.17g,`` cell per angle, so a
+    time's rows come from one ``%`` template and are formatted by a single
+    C-level operation.
     """
-    yield "# t,theta,D_tr,D_fish,dDfish_dt,min_rate\n"
-    cells = [f",{theta:.17g},%.17g,%.17g,%.17g," for theta in thetas.tolist()]
     for t, block, min_rate in zip(times.tolist(), values, min_rates.tolist()):
         ts, mr = f"{t:.17g}", f"{min_rate:.17g}"
         template = ts + f"{mr}\n{ts}".join(cells) + f"{mr}\n"
         yield template % tuple(block.ravel().tolist())
+
+
+def _write_figure1_csv(path, times, thetas, values, min_rates, cap):
+    """Write figure1.csv, its time rows split into contiguous ranges among forked writers.
+
+    One writer per ``_FIGURE1_ROWS_PER_WORKER`` CSV rows, but never more
+    than ``cap``, the CPUs this process may run on, or one per time. The
+    first range is formatted here, each other one in a child process (see
+    ``_atomic_write``); the bytes do not depend on the number of writers.
+
+    Forking is safe although numpy's BLAS may have started threads: the
+    children only format floats that are already computed, run no BLAS,
+    and leave with ``os._exit``. (Python 3.12 and later warn with a
+    ``DeprecationWarning`` when a process with threads forks.)
+    """
+    writers = 1
+    # splicing needs os.fork and a file-to-file os.sendfile, which only Linux has
+    if hasattr(os, "fork") and sys.platform.startswith("linux"):
+        cpus = len(os.sched_getaffinity(0))
+        rows = values.shape[0] * values.shape[1]
+        writers = min(cap or cpus, cpus, -(-rows // _FIGURE1_ROWS_PER_WORKER), times.shape[0])
+    cells = [f",{theta:.17g},%.17g,%.17g,%.17g," for theta in thetas.tolist()]
+    bounds = [times.shape[0] * k // writers for k in range(writers + 1)]
+    ranges = [
+        _figure1_rows(cells, times[lo:hi], values[lo:hi], min_rates[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    header = "# t,theta,D_tr,D_fish,dDfish_dt,min_rate\n"
+    _atomic_write(path, itertools.chain([header], ranges[0]), parts=ranges[1:])
 
 
 _FIGURE1_GP = """\
@@ -218,12 +313,13 @@ plot \\
 """
 
 
-def cmd_figure1(scn: Scenario, outdir: str, seed: int):
+def cmd_figure1(scn: Scenario, outdir: str, seed: int, threads: int | None = None):
     """Sweep a plane of perturbations through the bundled mixing family.
 
     Writes one CSV row per (t, theta) with the trace distance, the local
     Fisher distance, its squared-distance rate, and the minimal transition
-    rate of the generator at that time.
+    rate of the generator at that time. ``threads`` caps the processes that
+    format the CSV (default: the CPUs this process may run on).
     """
     dyn = build_dynamics(scn.dynamics)
     if getattr(dyn, "kind", "") != "case_study":
@@ -257,8 +353,8 @@ def cmd_figure1(scn: Scenario, outdir: str, seed: int):
         inside = (times >= lo) & (times <= hi)
         backflow_per_window.append(bool(np.any(max_rates[inside] > 0.0)))
 
-    _atomic_write(
-        os.path.join(outdir, "figure1.csv"), _figure1_csv(times, thetas, values, min_rates)
+    _write_figure1_csv(
+        os.path.join(outdir, "figure1.csv"), times, thetas, values, min_rates, threads
     )
     _atomic_write(os.path.join(outdir, "figure1.gp"), [_FIGURE1_GP])
 
@@ -623,20 +719,25 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help="thread count, validated only: sweeps run on one thread (default: FISHERFLOW_THREADS or 1)",
+            help="most processes figure1 may use to write its CSV; output bytes never depend"
+            " on it (default: FISHERFLOW_THREADS, else the CPUs this process may run on)",
         )
     return parser
 
 
-def _check_threads(value: int | None) -> None:
+def _thread_cap(value: int | None) -> int | None:
+    """The ``--threads`` value, else ``FISHERFLOW_THREADS``, else None (no cap)."""
     if value is None:
-        raw = os.environ.get("FISHERFLOW_THREADS", "1")
+        raw = os.environ.get("FISHERFLOW_THREADS")
+        if raw is None:
+            return None
         try:
             value = int(raw)
         except ValueError as exc:
             raise InvalidInputError(f"FISHERFLOW_THREADS must be an integer, got {raw!r}") from exc
     if value < 1:
         raise InvalidInputError(f"thread count must be >= 1, got {value}")
+    return value
 
 
 def _run(args) -> int:
@@ -644,11 +745,14 @@ def _run(args) -> int:
     seed = args.seed if args.seed is not None else scn.seed
     if seed < 0:
         raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
-    _check_threads(args.threads)
+    threads = _thread_cap(args.threads)
     outdir = args.out or scn.output_dir or "."
     os.makedirs(outdir, exist_ok=True)
 
-    results, checks, artifacts = _COMMANDS[args.command](scn, outdir, seed)
+    if args.command == "figure1":
+        results, checks, artifacts = cmd_figure1(scn, outdir, seed, threads)
+    else:
+        results, checks, artifacts = _COMMANDS[args.command](scn, outdir, seed)
     passed = all(entry["ok"] for entry in checks.values())
     report = {
         "schema": _REPORT_SCHEMA,

@@ -337,17 +337,50 @@ class Trajectory:
         return idx
 
 
-def _rk4_sweep(rate_fn, times: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+def _with_midpoints(grid: np.ndarray) -> np.ndarray:
+    """``grid`` with the midpoint of each step inserted: the nodes at which RK4 needs the generator."""
+    nodes = np.empty(2 * grid.size - 1)
+    nodes[0::2] = grid
+    nodes[1::2] = grid[:-1] + 0.5 * np.diff(grid)
+    return nodes
+
+
+def _node_generators(dyn: Dynamics, nodes: np.ndarray) -> np.ndarray:
+    """Generators of ``dyn`` at ``nodes`` as one ``(N, n, n)`` stack.
+
+    A callable generator is called once per node and its stack validated in
+    one batched check; if that fails, ``rate_matrix`` re-validates the nodes
+    in time order, so the first bad one raises its own error.
+    """
+    rate_fn = getattr(dyn, "_rate_fn", None)
+    if rate_fn is None:
+        return np.array([dyn.generator_at(t) for t in nodes.tolist()])
+    raw = [rate_fn(t) for t in nodes.tolist()]
+    try:
+        stack = np.array(raw, dtype=float)
+    except (TypeError, ValueError):
+        stack = None
+    if (
+        stack is None
+        or stack.ndim != 3
+        or not stack.shape[1] == stack.shape[2] >= 2
+        or not np.all(np.isfinite(stack))
+        or np.max(np.abs(stack.sum(axis=1))) > COLUMN_TOL
+    ):
+        stack = np.array([rate_matrix(r) for r in raw])
+    return stack
+
+
+def _rk4_sweep(gens: np.ndarray, times: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """Fixed-step RK4 on ``times``; ``gens`` holds the generators at ``_with_midpoints(times)``."""
     out = np.empty((times.size, n, n))
     out[0] = np.eye(n)
     t_mat = np.eye(n)
     drift = 0.0
-    # each grid point's generator serves as one step's end and the next one's start
-    r_end = rate_fn(float(times[0]))
-    for k in range(times.size - 1):
-        t0, t1 = float(times[k]), float(times[k + 1])
-        h = t1 - t0
-        r_start, r_mid, r_end = r_end, rate_fn(t0 + 0.5 * h), rate_fn(t1)
+    t_list = times.tolist()
+    for k in range(len(t_list) - 1):
+        h = t_list[k + 1] - t_list[k]
+        r_start, r_mid, r_end = gens[2 * k], gens[2 * k + 1], gens[2 * k + 2]
         k1 = r_start @ t_mat
         k2 = r_mid @ (t_mat + 0.5 * h * k1)
         k3 = r_mid @ (t_mat + 0.5 * h * k2)
@@ -393,11 +426,13 @@ def propagate(
             mats = np.linalg.solve(start.T, mats.transpose(0, 2, 1)).transpose(0, 2, 1)
         drift = float(np.max(np.abs(mats.sum(axis=1) - 1.0)))
     else:
-        rate_fn = dyn.generator_at
-        mats, drift = _rk4_sweep(rate_fn, times, n)
+        # one generator stack serves both sweeps: the half-step sweep runs on
+        # the full sweep's nodes, so the full sweep takes every other node
+        coarse = _with_midpoints(times)
+        gens = _node_generators(dyn, _with_midpoints(coarse) if check else coarse)
+        mats, drift = _rk4_sweep(gens[::2] if check else gens, times, n)
         if check:
-            fine_times = np.linspace(t0, t1, 2 * steps + 1)
-            fine, _ = _rk4_sweep(rate_fn, fine_times, n)
+            fine, _ = _rk4_sweep(gens, coarse, n)
             gap = float(np.max(np.abs(fine[-1] - mats[-1]))) / 15.0
             if gap > richardson_tol:
                 raise IntegrationAccuracyError(

@@ -1,5 +1,8 @@
-"""Shared pytest configuration: a deterministic hypothesis profile."""
+"""Shared pytest configuration: a deterministic hypothesis profile and a child-process guard."""
 
+import os
+
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -10,3 +13,14 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"test left child process {pid} unreaped" if pid else "test left a child process running")

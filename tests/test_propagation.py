@@ -65,8 +65,8 @@ class TestPropagate:
             ff.propagate(ff.GeneratorDynamics(stiff), 0.0, 1.0, steps=4)
 
     def test_one_generator_call_per_rk4_grid_point(self):
-        # RK4 needs R at each grid point and each midpoint: 2 steps + 1 calls per
-        # sweep, for the 8-step run and its 16-step Richardson check
+        # RK4 needs R at each grid point and each midpoint; the 16-step Richardson
+        # check runs on the 8-step run's nodes, so 2 * 16 + 1 calls serve both
         times = []
 
         def rate(t):
@@ -74,7 +74,8 @@ class TestPropagate:
             return SYM * (1.0 + 0.5 * np.sin(3.0 * t))
 
         traj = ff.propagate(ff.GeneratorDynamics(rate, dimension=2), 0.0, 1.0, steps=8)
-        assert len(times) == (2 * 8 + 1) + (2 * 16 + 1)
+        assert len(times) == 2 * 16 + 1
+        assert times == sorted(times)
 
         # same arithmetic as four evaluations per step, so bitwise equal
         grid = np.linspace(0.0, 1.0, 9)
@@ -88,6 +89,30 @@ class TestPropagate:
             t_mat = t_mat + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t_mat = t_mat - (t_mat.sum(axis=0) - 1.0)[None, :] / 2
         assert np.array_equal(traj.propagators[-1], t_mat)
+
+    @pytest.mark.parametrize(
+        "bump, error, message",
+        [
+            (lambda t: t, ff.InvalidGeneratorError, "off by 5.000e-01"),
+            (lambda t: np.nan, ff.InvalidStateError, "non-finite"),
+        ],
+        ids=["column-sum", "non-finite"],
+    )
+    def test_first_bad_generator_node_raises_its_own_error(self, bump, error, message):
+        # every node from t = 0.5 on is bad; the batched check must report the
+        # first of them in time order, as a per-node rate_matrix call would
+        calls = []
+
+        def rate(t):
+            calls.append(t)
+            r = SYM * (1.0 + 0.5 * np.sin(3.0 * t))
+            if t >= 0.5:
+                r[0, 0] += bump(t)
+            return r
+
+        with pytest.raises(error, match=message):
+            ff.propagate(ff.GeneratorDynamics(rate, dimension=2), 0.0, 1.0, steps=8)
+        assert len(calls) == 2 * 16 + 1
 
     def test_propagator_at_exact_when_available(self):
         dyn = ff.case_study_dynamics()

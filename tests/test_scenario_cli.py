@@ -22,6 +22,15 @@ MINIMAL = {
 }
 
 
+#: A 5 x 7 figure1 sweep: small enough to run many times.
+FIGURE1_SMALL = {
+    "dynamics": {"kind": "case_study"},
+    "grid": {"t1": 3.141592653589793, "points": 5},
+    "perturbation": {"epsilon": 0.001, "theta_points": 7},
+    "analyses": {"figure1": {}},
+}
+
+
 def _scenario(name):
     return os.path.join(SCENARIO_DIR, name)
 
@@ -258,13 +267,8 @@ class TestCliRuns:
         assert report["checks"]["backflow_present"]["ok"] is True
 
     def test_figure1_csv_rows_time_major_seventeen_digits(self, tmp_path):
-        scn = {
-            "dynamics": {"kind": "case_study"},
-            "grid": {"t1": 3.141592653589793, "points": 5},
-            "perturbation": {"epsilon": 0.001, "theta_points": 7},
-            "analyses": {"figure1": {}},
-        }
-        assert main(["figure1", "--scenario", _write(tmp_path, scn), "--out", str(tmp_path)]) == 0
+        path = _write(tmp_path, FIGURE1_SMALL)
+        assert main(["figure1", "--scenario", path, "--out", str(tmp_path)]) == 0
         text = (tmp_path / "figure1.csv").read_text()
         assert text.endswith("\n") and not text.endswith("\n\n")
         rows = [line.split(",") for line in text.splitlines()[1:]]
@@ -309,6 +313,16 @@ class TestCliRuns:
             calls.update(sdot=0, mdot=0)
         assert per_run[0] == per_run[1] == {"sdot": 1, "mdot": 1}
 
+    def test_figure1_boundary_base_exits_1_without_warning(self, tmp_path, capsys):
+        # RuntimeWarning is an error under pytest, so a division by the zero
+        # entry before the interior check would end in a traceback instead
+        scn = dict(FIGURE1_SMALL, initial_state=[0.0, 0.5, 0.5])
+        assert main(["figure1", "--scenario", _write(tmp_path, scn), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "fisherflow: invalid input: base distribution has an entry 0.000e+00"
+            " below the interior floor 1e-12\n"
+        )
+
     def test_figure1_rejects_generator_dynamics(self, tmp_path):
         scn = {
             "dynamics": {"kind": "generator", "matrix": [[-1.0, 1.0], [1.0, -1.0]]},
@@ -350,6 +364,47 @@ class TestCliRuns:
         assert code == 0
         report = json.loads((tmp_path / "quantum.json").read_text())
         assert report["checks"]["cp_matches_rate_sign"]["ok"] is True
+
+
+@pytest.fixture
+def many_writers(monkeypatch):
+    """One figure1.csv writer per CSV row and 64 CPUs: only --threads and the time rows bound W."""
+    monkeypatch.setattr(fisherflow.cli, "_FIGURE1_ROWS_PER_WORKER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+
+
+class TestFigure1Writers:
+    def test_thread_cap_of_one_never_forks(self, tmp_path, many_writers, monkeypatch):
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setenv("FISHERFLOW_THREADS", "1")
+        path = _write(tmp_path, FIGURE1_SMALL)
+        assert main(["figure1", "--scenario", path, "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("in_child", [True, False], ids=["child-fails", "parent-fails"])
+    def test_failed_writer_keeps_old_csv(self, tmp_path, many_writers, monkeypatch, capfd, in_child):
+        parent = os.getpid()
+        rows = fisherflow.cli._figure1_rows
+
+        def failing_rows(*args):
+            for chunk in rows(*args):
+                if (os.getpid() != parent) == in_child:
+                    raise RuntimeError("formatting failed")
+                yield chunk
+
+        monkeypatch.setattr(fisherflow.cli, "_figure1_rows", failing_rows)
+        (tmp_path / "figure1.csv").write_text("old\n")
+        path = _write(tmp_path, FIGURE1_SMALL)
+        expected = "exited with status 1" if in_child else "formatting failed"
+        with pytest.raises(RuntimeError, match=expected):
+            main(["figure1", "--scenario", path, "--out", str(tmp_path), "--threads", "3"])
+        assert os.getpid() == parent
+        assert (tmp_path / "figure1.csv").read_text() == "old\n"
+        assert not [name for name in os.listdir(tmp_path) if name.startswith(".tmp-")]
+        if in_child:
+            assert "RuntimeError: formatting failed" in capfd.readouterr().err
 
 
 class TestCliExitCodes:
@@ -444,20 +499,30 @@ class TestCliDeterminism:
         a, b = self._run_twice(tmp_path, "scan", _scenario("case_study_scan.json"))
         assert a == b
 
-    def test_figure1_threads_do_not_change_bytes(self, tmp_path):
-        scn = {
-            "dynamics": {"kind": "case_study"},
-            "grid": {"t1": 3.141592653589793, "points": 64},
-            "perturbation": {"epsilon": 0.001, "theta_points": 16},
-            "analyses": {"figure1": {}},
-        }
-        path = _write(tmp_path, scn)
-        single = tmp_path / "single"
-        multi = tmp_path / "multi"
-        assert main(["figure1", "--scenario", path, "--out", str(single), "--threads", "1"]) == 0
-        assert main(["figure1", "--scenario", path, "--out", str(multi), "--threads", "3"]) == 0
-        assert (single / "figure1.csv").read_bytes() == (multi / "figure1.csv").read_bytes()
-        assert (single / "figure1.json").read_bytes() == (multi / "figure1.json").read_bytes()
+    def test_figure1_threads_do_not_change_bytes(self, tmp_path, many_writers, monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def counted_fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        path = _write(tmp_path, FIGURE1_SMALL)
+        files = ["figure1.csv", "figure1.gp", "figure1.json"]
+        outputs = {}
+        # 5 time rows: no cap and 9 ask for more writers than rows, and get 5
+        for threads, writers in ((1, 1), (2, 2), (3, 3), (9, 5), (None, 5)):
+            out = tmp_path / f"threads-{threads}"
+            extra = [] if threads is None else ["--threads", str(threads)]
+            forks.clear()
+            assert main(["figure1", "--scenario", path, "--out", str(out), *extra]) == 0
+            assert len(forks) == writers - 1
+            assert sorted(os.listdir(out)) == files
+            outputs[threads] = {name: (out / name).read_bytes() for name in files}
+        assert all(files == outputs[1] for files in outputs.values())
 
     def test_seed_override_recorded(self, tmp_path):
         code = main(
