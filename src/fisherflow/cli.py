@@ -145,8 +145,9 @@ def _atomic_write(path: str, chunks, parts=()) -> None:
             fh.writelines(chunks)
             fh.flush()
             for part_fd in part_fds:
-                pid = pids.pop(0)
+                pid = pids[0]
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                pids.pop(0)
                 if code != 0:
                     raise RuntimeError(f"writer process {pid} for {path} exited with status {code}")
                 size = os.fstat(part_fd).st_size
@@ -270,12 +271,12 @@ def _figure1_rows(cells, times, values, min_rates):
         yield template % tuple(block.ravel().tolist())
 
 
-def _write_figure1_csv(path, times, thetas, values, min_rates, cap):
+def _write_figure1_csv(path, times, thetas, values, min_rates):
     """Write figure1.csv, its time rows split into contiguous ranges among forked writers.
 
     One writer per ``_FIGURE1_ROWS_PER_WORKER`` CSV rows, but never more
-    than ``cap``, the CPUs this process may run on, or one per time. The
-    first range is formatted here, each other one in a child process (see
+    than the CPUs this process may run on or one per time. The first range
+    is formatted here, each other one in a child process (see
     ``_atomic_write``); the bytes do not depend on the number of writers.
 
     Forking is safe although numpy's BLAS may have started threads: the
@@ -288,7 +289,7 @@ def _write_figure1_csv(path, times, thetas, values, min_rates, cap):
     if hasattr(os, "fork") and sys.platform.startswith("linux"):
         cpus = len(os.sched_getaffinity(0))
         rows = values.shape[0] * values.shape[1]
-        writers = min(cap or cpus, cpus, -(-rows // _FIGURE1_ROWS_PER_WORKER), times.shape[0])
+        writers = min(cpus, -(-rows // _FIGURE1_ROWS_PER_WORKER), times.shape[0])
     cells = [f",{theta:.17g},%.17g,%.17g,%.17g," for theta in thetas.tolist()]
     bounds = [times.shape[0] * k // writers for k in range(writers + 1)]
     ranges = [
@@ -313,13 +314,12 @@ plot \\
 """
 
 
-def cmd_figure1(scn: Scenario, outdir: str, seed: int, threads: int | None = None):
+def cmd_figure1(scn: Scenario, outdir: str, seed: int):
     """Sweep a plane of perturbations through the bundled mixing family.
 
     Writes one CSV row per (t, theta) with the trace distance, the local
     Fisher distance, its squared-distance rate, and the minimal transition
-    rate of the generator at that time. ``threads`` caps the processes that
-    format the CSV (default: the CPUs this process may run on).
+    rate of the generator at that time.
     """
     dyn = build_dynamics(scn.dynamics)
     if getattr(dyn, "kind", "") != "case_study":
@@ -354,7 +354,7 @@ def cmd_figure1(scn: Scenario, outdir: str, seed: int, threads: int | None = Non
         backflow_per_window.append(bool(np.any(max_rates[inside] > 0.0)))
 
     _write_figure1_csv(
-        os.path.join(outdir, "figure1.csv"), times, thetas, values, min_rates, threads
+        os.path.join(outdir, "figure1.csv"), times, thetas, values, min_rates
     )
     _atomic_write(os.path.join(outdir, "figure1.gp"), [_FIGURE1_GP])
 
@@ -719,25 +719,21 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help="most processes figure1 may use to write its CSV; output bytes never depend"
-            " on it (default: FISHERFLOW_THREADS, else the CPUs this process may run on)",
+            help="thread count, validated only: it changes neither how a command runs nor"
+            " what it writes (default: FISHERFLOW_THREADS or 1)",
         )
     return parser
 
 
-def _thread_cap(value: int | None) -> int | None:
-    """The ``--threads`` value, else ``FISHERFLOW_THREADS``, else None (no cap)."""
+def _check_threads(value: int | None) -> None:
     if value is None:
-        raw = os.environ.get("FISHERFLOW_THREADS")
-        if raw is None:
-            return None
+        raw = os.environ.get("FISHERFLOW_THREADS", "1")
         try:
             value = int(raw)
         except ValueError as exc:
             raise InvalidInputError(f"FISHERFLOW_THREADS must be an integer, got {raw!r}") from exc
     if value < 1:
         raise InvalidInputError(f"thread count must be >= 1, got {value}")
-    return value
 
 
 def _run(args) -> int:
@@ -745,14 +741,11 @@ def _run(args) -> int:
     seed = args.seed if args.seed is not None else scn.seed
     if seed < 0:
         raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
-    threads = _thread_cap(args.threads)
+    _check_threads(args.threads)
     outdir = args.out or scn.output_dir or "."
     os.makedirs(outdir, exist_ok=True)
 
-    if args.command == "figure1":
-        results, checks, artifacts = cmd_figure1(scn, outdir, seed, threads)
-    else:
-        results, checks, artifacts = _COMMANDS[args.command](scn, outdir, seed)
+    results, checks, artifacts = _COMMANDS[args.command](scn, outdir, seed)
     passed = all(entry["ok"] for entry in checks.values())
     report = {
         "schema": _REPORT_SCHEMA,

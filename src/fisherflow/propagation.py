@@ -345,32 +345,6 @@ def _with_midpoints(grid: np.ndarray) -> np.ndarray:
     return nodes
 
 
-def _node_generators(dyn: Dynamics, nodes: np.ndarray) -> np.ndarray:
-    """Generators of ``dyn`` at ``nodes`` as one ``(N, n, n)`` stack.
-
-    A callable generator is called once per node and its stack validated in
-    one batched check; if that fails, ``rate_matrix`` re-validates the nodes
-    in time order, so the first bad one raises its own error.
-    """
-    rate_fn = getattr(dyn, "_rate_fn", None)
-    if rate_fn is None:
-        return np.array([dyn.generator_at(t) for t in nodes.tolist()])
-    raw = [rate_fn(t) for t in nodes.tolist()]
-    try:
-        stack = np.array(raw, dtype=float)
-    except (TypeError, ValueError):
-        stack = None
-    if (
-        stack is None
-        or stack.ndim != 3
-        or not stack.shape[1] == stack.shape[2] >= 2
-        or not np.all(np.isfinite(stack))
-        or np.max(np.abs(stack.sum(axis=1))) > COLUMN_TOL
-    ):
-        stack = np.array([rate_matrix(r) for r in raw])
-    return stack
-
-
 def _rk4_sweep(gens: np.ndarray, times: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     """Fixed-step RK4 on ``times``; ``gens`` holds the generators at ``_with_midpoints(times)``."""
     out = np.empty((times.size, n, n))
@@ -429,7 +403,8 @@ def propagate(
         # one generator stack serves both sweeps: the half-step sweep runs on
         # the full sweep's nodes, so the full sweep takes every other node
         coarse = _with_midpoints(times)
-        gens = _node_generators(dyn, _with_midpoints(coarse) if check else coarse)
+        nodes = _with_midpoints(coarse) if check else coarse
+        gens = np.array([dyn.generator_at(t) for t in nodes.tolist()])
         mats, drift = _rk4_sweep(gens[::2] if check else gens, times, n)
         if check:
             fine, _ = _rk4_sweep(gens, coarse, n)

@@ -99,12 +99,9 @@ class TestPropagate:
         ids=["column-sum", "non-finite"],
     )
     def test_first_bad_generator_node_raises_its_own_error(self, bump, error, message):
-        # every node from t = 0.5 on is bad; the batched check must report the
-        # first of them in time order, as a per-node rate_matrix call would
-        calls = []
-
+        # every node from t = 0.5 on is bad; the first of them in time order
+        # (t = 0.5, bumped by 0.5) gives the error
         def rate(t):
-            calls.append(t)
             r = SYM * (1.0 + 0.5 * np.sin(3.0 * t))
             if t >= 0.5:
                 r[0, 0] += bump(t)
@@ -112,7 +109,22 @@ class TestPropagate:
 
         with pytest.raises(error, match=message):
             ff.propagate(ff.GeneratorDynamics(rate, dimension=2), 0.0, 1.0, steps=8)
-        assert len(calls) == 2 * 16 + 1
+
+    def test_generator_that_reuses_its_buffer(self):
+        # a callable may fill and return one array on every call; each node's
+        # generator must be copied before the next call overwrites it
+        buffer = np.empty((2, 2))
+
+        def reused(t):
+            np.multiply(SYM, 1.0 + 0.5 * np.sin(3.0 * t), out=buffer)
+            return buffer
+
+        def fresh(t):
+            return SYM * (1.0 + 0.5 * np.sin(3.0 * t))
+
+        got = ff.propagate(ff.GeneratorDynamics(reused, dimension=2), 0.0, 1.0, steps=8)
+        want = ff.propagate(ff.GeneratorDynamics(fresh, dimension=2), 0.0, 1.0, steps=8)
+        assert np.array_equal(got.propagators, want.propagators)
 
     def test_propagator_at_exact_when_available(self):
         dyn = ff.case_study_dynamics()

@@ -367,24 +367,29 @@ class TestCliRuns:
 
 
 @pytest.fixture
-def many_writers(monkeypatch):
-    """One figure1.csv writer per CSV row and 64 CPUs: only --threads and the time rows bound W."""
+def cpus(monkeypatch):
+    """Set the CPUs figure1 may run on; with one writer per CSV row, they and the time rows bound W."""
     monkeypatch.setattr(fisherflow.cli, "_FIGURE1_ROWS_PER_WORKER", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+
+    def set_cpus(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+    return set_cpus
 
 
 class TestFigure1Writers:
-    def test_thread_cap_of_one_never_forks(self, tmp_path, many_writers, monkeypatch):
+    def test_one_cpu_never_forks(self, tmp_path, cpus, monkeypatch):
         def no_fork():
             raise AssertionError("os.fork called")
 
+        cpus(1)
         monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setenv("FISHERFLOW_THREADS", "1")
         path = _write(tmp_path, FIGURE1_SMALL)
-        assert main(["figure1", "--scenario", path, "--out", str(tmp_path)]) == 0
+        assert main(["figure1", "--scenario", path, "--out", str(tmp_path), "--threads", "4"]) == 0
 
     @pytest.mark.parametrize("in_child", [True, False], ids=["child-fails", "parent-fails"])
-    def test_failed_writer_keeps_old_csv(self, tmp_path, many_writers, monkeypatch, capfd, in_child):
+    def test_failed_writer_keeps_old_csv(self, tmp_path, cpus, monkeypatch, capfd, in_child):
+        cpus(3)
         parent = os.getpid()
         rows = fisherflow.cli._figure1_rows
 
@@ -399,7 +404,7 @@ class TestFigure1Writers:
         path = _write(tmp_path, FIGURE1_SMALL)
         expected = "exited with status 1" if in_child else "formatting failed"
         with pytest.raises(RuntimeError, match=expected):
-            main(["figure1", "--scenario", path, "--out", str(tmp_path), "--threads", "3"])
+            main(["figure1", "--scenario", path, "--out", str(tmp_path)])
         assert os.getpid() == parent
         assert (tmp_path / "figure1.csv").read_text() == "old\n"
         assert not [name for name in os.listdir(tmp_path) if name.startswith(".tmp-")]
@@ -499,7 +504,22 @@ class TestCliDeterminism:
         a, b = self._run_twice(tmp_path, "scan", _scenario("case_study_scan.json"))
         assert a == b
 
-    def test_figure1_threads_do_not_change_bytes(self, tmp_path, many_writers, monkeypatch):
+    def test_figure1_threads_do_not_change_bytes(self, tmp_path):
+        scn = {
+            "dynamics": {"kind": "case_study"},
+            "grid": {"t1": 3.141592653589793, "points": 64},
+            "perturbation": {"epsilon": 0.001, "theta_points": 16},
+            "analyses": {"figure1": {}},
+        }
+        path = _write(tmp_path, scn)
+        single = tmp_path / "single"
+        multi = tmp_path / "multi"
+        assert main(["figure1", "--scenario", path, "--out", str(single), "--threads", "1"]) == 0
+        assert main(["figure1", "--scenario", path, "--out", str(multi), "--threads", "3"]) == 0
+        assert (single / "figure1.csv").read_bytes() == (multi / "figure1.csv").read_bytes()
+        assert (single / "figure1.json").read_bytes() == (multi / "figure1.json").read_bytes()
+
+    def test_figure1_writer_count_does_not_change_bytes(self, tmp_path, cpus, monkeypatch):
         forks = []
         real_fork = os.fork
 
@@ -513,15 +533,15 @@ class TestCliDeterminism:
         path = _write(tmp_path, FIGURE1_SMALL)
         files = ["figure1.csv", "figure1.gp", "figure1.json"]
         outputs = {}
-        # 5 time rows: no cap and 9 ask for more writers than rows, and get 5
-        for threads, writers in ((1, 1), (2, 2), (3, 3), (9, 5), (None, 5)):
-            out = tmp_path / f"threads-{threads}"
-            extra = [] if threads is None else ["--threads", str(threads)]
+        # 5 time rows: 9 CPUs would allow more writers than rows, and get 5
+        for count, writers in ((1, 1), (2, 2), (3, 3), (9, 5)):
+            cpus(count)
+            out = tmp_path / f"cpus-{count}"
             forks.clear()
-            assert main(["figure1", "--scenario", path, "--out", str(out), *extra]) == 0
+            assert main(["figure1", "--scenario", path, "--out", str(out)]) == 0
             assert len(forks) == writers - 1
             assert sorted(os.listdir(out)) == files
-            outputs[threads] = {name: (out / name).read_bytes() for name in files}
+            outputs[count] = {name: (out / name).read_bytes() for name in files}
         assert all(files == outputs[1] for files in outputs.values())
 
     def test_seed_override_recorded(self, tmp_path):
