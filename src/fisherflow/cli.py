@@ -16,8 +16,8 @@ be found.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
-import json
 import math
 import os
 import signal
@@ -25,6 +25,7 @@ import sys
 import tempfile
 import traceback
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -89,39 +90,93 @@ _SWEEP_U2 = np.array([2.0, -1.0, -1.0]) / np.sqrt(6.0)
 _FIGURE1_P0 = (0.2, 0.4, 0.4)
 
 
-def _plain(value):
-    """Recursively convert report payloads to JSON-compatible plain types."""
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    if isinstance(value, dict):
-        return {_plain_key(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
-def _plain_key(key) -> str:
+def _report_key(key) -> str:
     if isinstance(key, tuple):
-        return "<-".join(str(int(k)) for k in key)
+        return "<-".join(map(str, map(int, key)))
     return str(key)
 
 
-def _assert_finite(obj, where: str = "report") -> None:
-    if obj is None or isinstance(obj, (bool, str)):
-        return
-    if isinstance(obj, (int, float)):
-        if not math.isfinite(obj):
-            raise NumericalAccuracyError(f"non-finite value at {where}")
-    elif isinstance(obj, dict):
-        for k, v in obj.items():
-            _assert_finite(v, f"{where}.{k}")
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            _assert_finite(v, f"{where}[{i}]")
+class _NonFinite(ValueError):
+    """A float that JSON cannot hold; ``path`` locates it in the value being encoded."""
+
+    path = ""
+
+
+def _json_text(value, pad: str) -> str:
+    """JSON text of a report value whose first line starts at indentation ``pad``.
+
+    The bytes are those of ``json.dumps(value, indent=2, sort_keys=True,
+    allow_nan=False)`` once ndarrays, numpy scalars and enums are turned
+    into plain values and keys into strings (``(i, j)`` as ``"i<-j"``). The
+    walk visits the entries of a dict in insertion order and sorts only the
+    finished texts, so a non-finite float is reported at the first place
+    it occurs in insertion order. Finite floats, the bulk of a report, are
+    formatted in the loops instead of by a call each.
+    """
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise _NonFinite()
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        pairs = []
+        keyed = {k if type(k) is str else _report_key(k): v for k, v in value.items()}
+        for key, item in keyed.items():
+            if type(item) is float and math.isfinite(item):
+                pairs.append((key, float.__repr__(item)))
+                continue
+            try:
+                pairs.append((key, _json_text(item, inner)))
+            except _NonFinite as exc:
+                exc.path = f".{key}{exc.path}"
+                raise
+        pairs.sort()
+        body = ("," + inner).join([f"{encode_basestring_ascii(k)}: {text}" for k, text in pairs])
+        return "{" + inner + body + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        texts = []
+        for item in value:
+            if type(item) is float and math.isfinite(item):
+                texts.append(float.__repr__(item))
+                continue
+            try:
+                texts.append(_json_text(item, inner))
+            except _NonFinite as exc:
+                exc.path = f"[{len(texts)}]{exc.path}"
+                raise
+        return "[" + inner + ("," + inner).join(texts) + pad + "]"
+    if isinstance(value, np.ndarray):
+        return _json_text(value.tolist(), pad)
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
+        return _json_text(value.item(), pad)
+    if isinstance(value, Enum):
+        return _json_text(value.value, pad)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _report_text(report: dict) -> str:
+    """The report file's text: indented JSON with sorted keys and a final newline.
+
+    Any NaN or infinity raises :class:`NumericalAccuracyError` naming its path.
+    """
+    try:
+        return _json_text(report, "\n") + "\n"
+    except _NonFinite as exc:
+        raise NumericalAccuracyError(f"non-finite value at {exc.path[1:]}") from None
 
 
 def _atomic_write(path: str, chunks, parts=()) -> None:
@@ -704,7 +759,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared by every later ``main``."""
     parser = argparse.ArgumentParser(
         prog="fisherflow",
         description="Fisher-distance contraction analyses driven by scenario files.",
@@ -752,14 +809,12 @@ def _run(args) -> int:
         "command": args.command,
         "seed": seed,
         "scenario": scenario_to_dict(scn),
-        "results": _plain(results),
-        "checks": _plain(checks),
+        "results": results,
+        "checks": checks,
         "artifacts": artifacts + [f"{args.command}.json"],
         "passed": passed,
     }
-    _assert_finite(report["results"], "results")
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    _atomic_write(os.path.join(outdir, f"{args.command}.json"), [text])
+    _atomic_write(os.path.join(outdir, f"{args.command}.json"), [_report_text(report)])
     print(f"{args.command}: {'PASS' if passed else 'FAIL'} ({args.command}.json)")
     if not passed:
         failed = sorted(name for name, entry in checks.items() if not entry["ok"])

@@ -525,11 +525,31 @@ class ScanResult:
         A grid point has a violation exactly when its minimal rate is below
         ``-rate_tol`` (failed points are NaN and never are).
         """
-        bad = self.min_rates < -self.rate_tol
-        edges = np.diff(bad.astype(np.int8), prepend=0, append=0)
-        starts = np.flatnonzero(edges == 1)
-        ends = np.flatnonzero(edges == -1) - 1
-        return [(float(self.grid[a]), float(self.grid[b])) for a, b in zip(starts, ends)]
+        return _windows(self.grid, self.min_rates, self.rate_tol)
+
+
+def _windows(grid: np.ndarray, min_rates: np.ndarray, rate_tol: float) -> list[tuple[float, float]]:
+    """Maximal contiguous runs of grid points whose minimal rate is below ``-rate_tol``."""
+    bad = min_rates < -rate_tol
+    edges = np.diff(bad.astype(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1) - 1
+    return [(float(grid[a]), float(grid[b])) for a, b in zip(starts, ends)]
+
+
+def _scan_rates(gens: GeneratorGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Off-diagonal rates of a generator grid (+inf on the diagonal) and the smallest at each time.
+
+    The smallest rate is NaN at a time whose extraction failed.
+    """
+    stack = gens.generators
+    n = stack.shape[-1]
+    off = np.where(np.eye(n, dtype=bool), np.inf, stack)
+    ok = np.ones(gens.times.shape, dtype=bool)
+    ok[list(gens.errors)] = False
+    min_rates = np.full(gens.times.shape, np.nan)
+    min_rates[ok] = off[ok].min(axis=(1, 2))
+    return off, min_rates
 
 
 def generator_grid(dyn: Dynamics, times) -> GeneratorGrid:
@@ -566,13 +586,7 @@ def divisibility_scan(
     """
     times = np.asarray(grid, dtype=float)
     gens = generator_grid(dyn, times) if generators is None else generators
-    stack = gens.generators
-    n = stack.shape[-1]
-    off = np.where(np.eye(n, dtype=bool), np.inf, stack)
-    ok = np.ones(times.shape, dtype=bool)
-    ok[list(gens.errors)] = False
-    min_rates = np.full(times.shape, np.nan)
-    min_rates[ok] = off[ok].min(axis=(1, 2))
+    off, min_rates = _scan_rates(gens)
     # failed rows are NaN and compare False; nonzero walks (time, i, j) in row-major order
     negative: dict[int, dict[tuple[int, int], float]] = {}
     ks, rows, cols = np.nonzero(off < -rate_tol)
@@ -594,7 +608,8 @@ def refinement_stable(dyn: Dynamics, coarse: ScanResult, factor: int = 2) -> boo
     """True when rescanning ``coarse.grid`` refined by ``factor`` preserves every violation window."""
     times = coarse.grid
     fine = np.linspace(times[0], times[-1], factor * (times.size - 1) + 1)
-    fine_windows = divisibility_scan(dyn, fine, coarse.rate_tol).windows()
+    # only the refined grid's windows are compared, so no scan points are built for it
+    fine_windows = _windows(fine, _scan_rates(generator_grid(dyn, fine))[1], coarse.rate_tol)
     return all(
         any(flo <= hi and lo <= fhi for flo, fhi in fine_windows) for lo, hi in coarse.windows()
     )

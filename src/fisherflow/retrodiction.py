@@ -57,19 +57,25 @@ def bayes_inverse(t, pi) -> np.ndarray:
     """Bayes recovery map of ``t`` with respect to the prior ``pi``.
 
     Column j is the posterior over inputs given output j, so the result is
-    column-stochastic whenever every output has positive probability.
+    column-stochastic whenever every output has positive probability. A
+    ``(T, n, n)`` stack of maps gives the stack of their recovery maps; it
+    fails with the error of its first invalid map or, when every map is
+    valid, of the first map with an output of zero probability.
     """
-    mat = stochastic_matrix(t)
+    mat = stochastic_matrix(t, stack=True)
     prior = prob_vec(pi)
-    if prior.shape[0] != mat.shape[0]:
+    if prior.shape[0] != mat.shape[-1]:
         raise DimensionMismatchError("prior and map dimensions differ")
     pushed = mat @ prior
-    if np.any(pushed <= 0.0):
-        dead = int(np.argmin(pushed))
+    dead = np.flatnonzero(np.any(pushed <= 0.0, axis=-1))
+    if dead.size:
+        first = pushed.reshape(-1, prior.shape[0])[dead[0]]
         raise UndefinedPosteriorError(
-            f"output {dead} has zero probability under the prior; posterior undefined"
+            f"output {int(np.argmin(first))} has zero probability under the prior; posterior undefined"
         )
-    return stochastic_matrix(prior[:, None] * mat.T / pushed[None, :])
+    return stochastic_matrix(
+        prior[:, None] * mat.swapaxes(-1, -2) / pushed[..., None, :], stack=True
+    )
 
 
 def pi_tangent_basis(pi) -> np.ndarray:
@@ -164,7 +170,7 @@ def retrodiction_context(prior, dyn: Dynamics, grid) -> RetrodictionContext:
         traj: Trajectory = propagate(dyn, float(times[0]), float(times[-1]), steps=times.size - 1)
         mats = traj.propagators
 
-    recoveries = np.stack([bayes_inverse(m, pi) for m in mats])
+    recoveries = bayes_inverse(mats, pi)
     round_trips = np.einsum("kij,kjl->kil", recoveries, mats)
     return RetrodictionContext(
         prior=pi,

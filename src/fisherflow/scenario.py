@@ -11,6 +11,7 @@ it exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
@@ -81,7 +82,15 @@ def _take(raw: Mapping, where: str, required: tuple[str, ...], optional: tuple[s
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where} must be a number")
-    return float(value)
+    # json.load reads NaN, Infinity and 1e400 as floats; an integer too long
+    # for a float counts as infinite
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf if value > 0 else -math.inf
+    if not math.isfinite(number):
+        raise ScenarioError(f"{where} must be a finite number, got {number}")
+    return number
 
 
 def _integer(value, where: str) -> int:
@@ -131,6 +140,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.points < 2:
             raise ScenarioError("grid needs at least 2 points")
+        if self.t0 < 0.0:
+            raise ScenarioError("grid needs t0 >= 0: every dynamics starts at time 0")
         if not self.t1 > self.t0:
             raise ScenarioError("grid needs t1 > t0")
 
@@ -197,6 +208,8 @@ class FilterSpec:
     def __post_init__(self) -> None:
         if not self.epsilons:
             raise ScenarioError("filter.epsilons must not be empty")
+        if len(self.ancilla_displacement) != self.ancilla_dim:
+            raise ScenarioError("filter.ancilla_displacement needs one entry per ancilla state (ancilla_dim)")
 
 
 @dataclass(frozen=True)
@@ -214,6 +227,10 @@ class QuantumSpec:
     eta: float = 1e-6
     eps: float = 1e-3
     kind: str = "sld"
+
+    def __post_init__(self) -> None:
+        if self.dim < 2:
+            raise ScenarioError("quantum.dim must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -470,7 +487,7 @@ def load_scenario(path) -> Scenario:
             raw = json.load(fh, object_pairs_hook=_reject_duplicates)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bad UTF-8 and integers past the digit limit
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     return parse_scenario(raw)
 

@@ -58,9 +58,10 @@ def _as_vector(entries, name: str) -> np.ndarray:
     return v
 
 
-def _as_square(entries, name: str) -> np.ndarray:
+def _as_square(entries, name: str, stack: bool = False) -> np.ndarray:
+    """``entries`` as a float square matrix, or with ``stack`` also as a ``(T, n, n)`` stack of them."""
     m = np.array(entries, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
+    if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-1] != m.shape[-2] or m.shape[-1] < 2:
         raise DimensionMismatchError(f"{name} must be square with size >= 2, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidStateError(f"{name} contains non-finite entries")
@@ -96,15 +97,25 @@ def tangent_vec(entries, sum_tol: float = 1e-12) -> np.ndarray:
     return _freeze(d)
 
 
-def stochastic_matrix(entries, col_tol: float = COLUMN_TOL, clamp: float = NEGATIVE_CLAMP) -> np.ndarray:
-    """Validate a column-stochastic matrix, clamping float-noise negatives."""
-    t = _as_square(entries, "stochastic matrix")
-    if np.min(t) < -clamp:
-        raise InvalidStochasticMatrixError(f"entry {np.min(t):.3e} below the clamp window")
+def stochastic_matrix(
+    entries, col_tol: float = COLUMN_TOL, clamp: float = NEGATIVE_CLAMP, *, stack: bool = False
+) -> np.ndarray:
+    """Validate a column-stochastic matrix, clamping float-noise negatives.
+
+    With ``stack`` a ``(T, n, n)`` stack is validated as well, each matrix
+    under the same rules; it fails with the error of its first failing matrix.
+    """
+    t = _as_square(entries, "stochastic matrix", stack)
+    n = t.shape[-1]
+    low = t.reshape(-1, n * n).min(axis=1)
     t = np.where(t < 0.0, 0.0, t)
-    dev = np.max(np.abs(t.sum(axis=0) - 1.0))
-    if dev > col_tol:
-        raise InvalidStochasticMatrixError(f"column sums off by {dev:.3e} (tolerance {col_tol:.0e})")
+    dev = np.abs(t.sum(axis=-2) - 1.0).reshape(-1, n).max(axis=1)
+    bad = np.flatnonzero((low < -clamp) | (dev > col_tol))
+    if bad.size:
+        k = bad[0]
+        if low[k] < -clamp:
+            raise InvalidStochasticMatrixError(f"entry {low[k]:.3e} below the clamp window")
+        raise InvalidStochasticMatrixError(f"column sums off by {dev[k]:.3e} (tolerance {col_tol:.0e})")
     return _freeze(t)
 
 

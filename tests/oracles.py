@@ -8,6 +8,10 @@ files were produced by running this module as a script.
 
 from __future__ import annotations
 
+import json
+import math
+from enum import Enum
+
 import numpy as np
 
 
@@ -172,6 +176,56 @@ def bayes_direct(t_mat, pi):
     pi = np.asarray(pi, dtype=float)
     pushed = t_mat @ pi
     return pi[:, None] * t_mat.T / pushed[None, :]
+
+
+def _plain(value):
+    """Recursively convert report payloads to JSON-compatible plain types."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
+        return value.item()
+    if isinstance(value, dict):
+        return {_plain_key(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _plain_key(key) -> str:
+    if isinstance(key, tuple):
+        return "<-".join(str(int(k)) for k in key)
+    return str(key)
+
+
+def report_text_plain(report) -> str:
+    """A report's file text by two passes: convert to plain types, then ``json.dumps``.
+
+    ``json.dumps`` raises ``ValueError`` on a NaN or an infinity.
+    """
+    return json.dumps(_plain(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def first_nonfinite(report, where: str = "") -> str | None:
+    """Path of the first NaN or infinity in a report, in insertion order; None if there is none.
+
+    Paths read like ``results.cases[2].margin``.
+    """
+    value = _plain(report)
+    if isinstance(value, bool) or not isinstance(value, (int, float, dict, list)):
+        return None
+    if isinstance(value, (int, float)):
+        return None if math.isfinite(value) else where
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        if isinstance(value, list):
+            path = first_nonfinite(item, f"{where}[{key}]")
+        else:
+            path = first_nonfinite(item, f"{where}.{key}" if where else key)
+        if path is not None:
+            return path
+    return None
 
 
 def filter_rate_direct(d, r, eps: float) -> float:

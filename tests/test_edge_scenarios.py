@@ -1,0 +1,72 @@
+"""Every command on every edge scenario: a documented exit code, no traceback, no warning, repeatable bytes."""
+
+import os
+import warnings
+
+import pytest
+
+from fisherflow.cli import main
+
+EDGE_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios", "edge")
+
+COMMANDS = ("figure1", "scan", "witness", "nogo", "filter", "retro", "quantum")
+
+#: Exit code of each command, in ``COMMANDS`` order, on each edge scenario.
+EXIT_CODES = {
+    "boundary_initial_state.json": "1001110",
+    "boundary_retro_target.json": "1201110",
+    "case_study_to_t40.json": "1211110",
+    "decay_rate_1e9.json": "1201110",
+    "grid_from_t0_half.json": "1001110",
+    "infinite_grid_end.json": "1111111",
+    "nan_tolerance.json": "1111111",
+    "retro_boundary_prior.json": "1001110",
+    "retro_negative_trials.json": "1001100",
+    "retro_nonmarkovian_generator.json": "1000010",
+    "retro_stiff_block.json": "1001110",
+    "retro_zero_trials.json": "1001100",
+    "saturated_mixing_weight.json": "1211110",
+    "zero_generator.json": "1001100",
+}
+
+#: Exact standard error of some runs.
+STDERR = {
+    # the first failing grid time's entry, not the most negative entry of the whole grid
+    ("retro_nonmarkovian_generator.json", "retro"): "entry -1.242e-02 below the clamp window",
+    ("boundary_retro_target.json", "retro"): "output 0 has zero probability under the prior; posterior undefined",
+    **{
+        ("nan_tolerance.json", command): "tolerances.filter_ratio must be a finite number, got nan"
+        for command in COMMANDS
+    },
+    **{("infinite_grid_end.json", command): "grid.t1 must be a finite number, got inf" for command in COMMANDS},
+}
+
+
+def test_corpus_is_listed():
+    assert sorted(name for name in os.listdir(EDGE_DIR) if name.endswith(".json")) == sorted(EXIT_CODES)
+
+
+def _run(command, scenario, outdir, capfd):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--scenario", scenario, "--out", str(outdir)])
+    out, err = capfd.readouterr()
+    assert not [str(w.message) for w in caught]
+    assert "Traceback" not in err and "Warning" not in err
+    # a scenario that does not load leaves the output directory unmade
+    names = sorted(os.listdir(outdir)) if outdir.exists() else []
+    files = {name: (outdir / name).read_bytes() for name in names}
+    return code, out, err, files
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_every_command_exits_cleanly_and_repeats(name, tmp_path, capfd):
+    scenario = os.path.join(EDGE_DIR, name)
+    for command, expected in zip(COMMANDS, EXIT_CODES[name]):
+        first = _run(command, scenario, tmp_path / command / "a", capfd)
+        again = _run(command, scenario, tmp_path / command / "b", capfd)
+        assert first[0] == int(expected), (command, first[2])
+        assert first == again, command
+        if (name, command) in STDERR:
+            kind = "numerical accuracy" if first[0] == 2 else "invalid input"
+            assert first[2] == f"fisherflow: {kind}: {STDERR[name, command]}\n"

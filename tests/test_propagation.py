@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 import fisherflow as ff
+from fisherflow.propagation import refinement_stable
 import oracles
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -214,6 +215,29 @@ class TestDivisibilityScan:
     def test_refinement_keeps_windows(self):
         dyn = ff.case_study_dynamics()
         assert ff.scan_refinement_check(dyn, np.linspace(0.0, np.pi, 257))
+
+    @pytest.mark.parametrize(
+        "make, t1, points",
+        [
+            (ff.case_study_dynamics, np.pi, 9),
+            (ff.case_study_dynamics, np.pi, 257),
+            (lambda: ff.case_study_dynamics(horizon=40.0), 40.0, 65),
+        ],
+    )
+    def test_refinement_matches_per_point_rescan(self, make, t1, points):
+        dyn = make()
+        coarse = ff.divisibility_scan(dyn, np.linspace(0.0, t1, points))
+        fine = np.linspace(0.0, t1, 2 * points - 1)
+        _, _, _, fine_windows = oracles.scan_loop(dyn.generator_at, fine, 1e-9, ff.FisherflowError)
+        want = all(any(flo <= hi and lo <= fhi for flo, fhi in fine_windows) for lo, hi in coarse.windows())
+        assert refinement_stable(dyn, coarse) == want
+
+    def test_refinement_flags_a_window_the_rescan_lacks(self):
+        dyn = ff.contraction_to_target([0.2, 0.3, 0.5])
+        coarse = ff.divisibility_scan(dyn, np.linspace(0.0, 2.0, 9))
+        invented = np.where(np.arange(9) == 4, -1.0, coarse.min_rates)
+        assert refinement_stable(dyn, coarse)
+        assert not refinement_stable(dyn, ff.ScanResult(coarse.grid, coarse.rate_tol, (), (), invented))
 
     def test_failures_collected_not_raised(self):
         # generator of a pure-mixing family without derivatives is unavailable;

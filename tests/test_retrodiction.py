@@ -45,6 +45,22 @@ class TestBayesInverse:
         with pytest.raises(ff.UndefinedPosteriorError):
             ff.bayes_inverse([[1.0, 1.0], [0.0, 0.0]], [0.5, 0.5])
 
+    def test_stack_is_bitwise_the_per_map_results(self):
+        rng = np.random.default_rng(17)
+        from scipy.linalg import expm
+
+        for n in (2, 3, 5):
+            maps = expm(np.multiply.outer(np.linspace(0.0, 2.0, 9), random_markovian(rng, n)))
+            pi = random_interior(rng, n)
+            want = np.stack([ff.bayes_inverse(m, pi) for m in maps])
+            assert np.array_equal(ff.bayes_inverse(maps, pi), want)
+
+    def test_stack_names_first_dead_output(self):
+        live = [[0.5, 0.5], [0.5, 0.5]]
+        maps = [live, [[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [0.0, 0.0]]]
+        with pytest.raises(ff.UndefinedPosteriorError, match="^output 0 has zero probability"):
+            ff.bayes_inverse(maps, [0.5, 0.5])
+
 
 class TestPiTangentBasis:
     @pytest.mark.parametrize("pi", [[0.5, 0.5], [0.2, 0.3, 0.5], [0.1, 0.2, 0.3, 0.4]])
@@ -83,6 +99,23 @@ class TestRetrodictionContext:
             vals = ctx.recovery_spectrum(t)
             assert vals.min() >= -1e-12
             assert vals.max() <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize(
+        "dyn, prior",
+        [
+            (ff.GeneratorDynamics(np.array([[-1.0, 0.2, 0.5], [0.6, -0.7, 0.5], [0.4, 0.5, -1.0]])), [0.2, 0.3, 0.5]),
+            (ff.case_study_dynamics(), [0.2, 0.4, 0.4]),
+            (
+                ff.GeneratorDynamics(lambda t: SYM * (1.0 + 0.5 * np.sin(5.0 * t)), dimension=2),
+                [0.35, 0.65],
+            ),
+        ],
+        ids=["constant", "mixing", "callable"],
+    )
+    def test_recovery_maps_are_bitwise_the_per_time_maps(self, dyn, prior):
+        ctx = ff.retrodiction_context(prior, dyn, np.linspace(0.0, 1.0, 33))
+        want = np.stack([ff.bayes_inverse(m, prior) for m in ctx.forward_maps])
+        assert np.array_equal(ctx.recovery_maps, want)
 
     def test_grid_must_start_at_zero(self):
         with pytest.raises(ff.DomainError):

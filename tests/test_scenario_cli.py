@@ -1,6 +1,8 @@
 """Scenario files and the command line front end: parsing, reports, exit codes."""
 
+import argparse
 import json
+import math
 import os
 import tempfile
 
@@ -136,11 +138,41 @@ class TestScenarioParsing:
             {"perturbation": {"theta_points": 0}},
             {"analyses": {"no_go": {"copies": None}}},
             {"analyses": {"filter": {"epsilons": []}}},
+            {"grid": {"t0": -710.0, "t1": 1.0, "points": 4}},
+            {"analyses": {"filter": {"ancilla_dim": 0}}},
+            {"analyses": {"quantum": {"dim": -1}}},
         ],
     )
     def test_malformed_fields_rejected(self, change):
         with pytest.raises(ff.ScenarioError):
             ff.parse_scenario(dict(MINIMAL, **change))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"tolerances": {"filter_ratio": float("nan")}}, "tolerances.filter_ratio must be a finite number, got nan"),
+            ({"grid": {"t1": float("inf"), "points": 8}}, "grid.t1 must be a finite number, got inf"),
+            ({"grid": {"t1": 1.0, "t0": -(10**400), "points": 8}}, "grid.t0 must be a finite number, got -inf"),
+            ({"initial_state": [0.2, float("nan"), 0.4]}, "initial_state entry must be a finite number, got nan"),
+            (
+                {"dynamics": {"kind": "generator", "rates": [[0, 1, -float("inf")], [1, 0, 1.0]], "dimension": 2}},
+                "dynamics.rates must be a finite number, got -inf",
+            ),
+        ],
+        ids=["tolerance", "grid-bound", "long-integer", "vector-entry", "rate-triple"],
+    )
+    def test_non_finite_numbers_exit_1(self, tmp_path, capsys, change, message):
+        # json.dumps writes NaN and Infinity, which json.load reads back as floats
+        path = _write(tmp_path, dict(MINIMAL, **change))
+        assert main(["scan", "--scenario", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"fisherflow: invalid input: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"seed": "\xe9"}')
+        with pytest.raises(ff.ScenarioError, match="not valid JSON"):
+            ff.load_scenario(str(path))
 
     def test_booleans_rejected_as_numbers(self):
         with pytest.raises(ff.ScenarioError, match="number"):
@@ -452,6 +484,21 @@ class TestCliExitCodes:
             payload = dict(json.load(fh), seed=-1)
         assert main(["retro", "--scenario", _write(tmp_path, payload), "--out", str(tmp_path)]) == 1
 
+    def test_parser_built_once_per_process(self, monkeypatch):
+        fisherflow.cli._build_parser.cache_clear()
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        assert main(["witness"]) == 1
+        first = len(built)
+        assert main(["--help"]) == 0
+        assert built.count("fisherflow") == 1 and len(built) == first
+
     def test_help_maps_to_0(self):
         assert main(["--help"]) == 0
 
@@ -579,14 +626,23 @@ FUZZ_COMMANDS = {
     "nonmarkovian_quantum.json": "quantum",
 }
 
-#: Arbitrary JSON. Integers stay small because they size grids, tensor
-#: products and Choi matrices: the fuzz probes validation, not capacity.
-JSON_VALUES = st.recursive(
+#: JSON scalars, with the NaN and Infinity that json.dump writes and
+#: json.load reads; they get a branch of their own, since st.floats() draws
+#: them too rarely for 50 examples. Integers stay small because they size
+#: grids, tensor products and Choi matrices: the fuzz probes validation,
+#: not capacity.
+JSON_SCALARS = (
     st.none()
     | st.booleans()
     | st.integers(-3, 8)
-    | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text(max_size=6),
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.text(max_size=6)
+)
+
+#: A replacement field: a scalar half of the time, else arbitrary JSON.
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=10,
 )

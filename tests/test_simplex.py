@@ -77,6 +77,33 @@ class TestStochasticValidation:
         t = ff.stochastic_matrix([[1.0, 1e-13], [-1e-13, 1.0 - 1e-13]])
         assert np.min(t) == 0.0
 
+    def test_stack_validated_matrix_by_matrix(self):
+        good = np.array([[0.9, 0.2], [0.1, 0.8]])
+        tiny = np.array([[1.0, 1e-13], [-1e-13, 1.0 - 1e-13]])
+        stack = ff.stochastic_matrix(np.stack([good, tiny, good]), stack=True)
+        assert stack.shape == (3, 2, 2) and not stack.flags.writeable
+        for got, single in zip(stack, (good, tiny, good)):
+            assert np.array_equal(got, ff.stochastic_matrix(single))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            # the most negative entry of the stack (-0.5) is in a later matrix
+            ([[[1.0, 0.0], [0.0, 1.0]], [[1.2, 0.0], [-0.2, 1.0]], [[1.5, 0.0], [-0.5, 1.0]]], "entry -2.000e-01"),
+            ([[[1.0, 0.0], [0.0, 1.0]], [[0.9, 0.0], [0.2, 1.0]], [[1.5, 0.0], [-0.5, 1.0]]], "column sums off by 1.000e-01"),
+        ],
+    )
+    def test_stack_fails_with_first_failing_matrix(self, bad, message):
+        with pytest.raises(ff.InvalidStochasticMatrixError, match=message):
+            ff.stochastic_matrix(bad, stack=True)
+        first = next(m for m in bad if not ff.validate_stochastic(m, tol=1e-12).passed)
+        with pytest.raises(ff.InvalidStochasticMatrixError, match=message):
+            ff.stochastic_matrix(first)
+
+    def test_stack_needs_the_flag(self):
+        with pytest.raises(ff.DimensionMismatchError):
+            ff.stochastic_matrix(np.stack([np.eye(2), np.eye(2)]))
+
 
 class TestRateMatrix:
     def test_accepts_zero_column_sums(self):
