@@ -634,24 +634,17 @@ def cmd_retro(scn: Scenario, outdir: str, seed: int):
     markovian = scan.markovian_on_grid and not scan.failures
 
     idx = np.unique(np.linspace(0, grid.shape[0] - 1, num=min(grid.shape[0], 9)).astype(int))
-    sample_times = [float(grid[i]) for i in idx]
-    adjoint_max = max(
-        adjoint_identity_check(ctx, t, trials=block.trials, seed=seed) for t in sample_times
-    )
-
-    spec_min = math.inf
-    spec_max = -math.inf
-    for t in sample_times:
-        vals = ctx.recovery_spectrum(t)
-        spec_min = min(spec_min, float(vals.min()))
-        spec_max = max(spec_max, float(vals.max()))
+    sample_times = grid[idx]
+    adjoint_max = float(np.max(adjoint_identity_check(ctx, sample_times, trials=block.trials, seed=seed)))
+    spectra = ctx.recovery_spectrum(sample_times)
+    spec_min = float(spectra.min())
+    spec_max = float(spectra.max())
 
     n = prior.shape[0]
     bump = 1e-3 * float(prior.min()) * zero_sum_basis(n)[:, 0]
     p0 = prior + bump
-    retro_curve = [retrodiction_distance_sq(p0, ctx, float(t)) for t in grid]
-    drops = [retro_curve[i + 1] - retro_curve[i] for i in range(len(retro_curve) - 1)]
-    monotone = all(step >= -1e-12 for step in drops)
+    retro_curve = retrodiction_distance_sq(p0, ctx, grid)
+    monotone = bool(np.all(np.diff(retro_curve) >= -1e-12))
 
     if block.equivalence_times is not None:
         eq_times = list(block.equivalence_times)
@@ -681,8 +674,8 @@ def cmd_retro(scn: Scenario, outdir: str, seed: int):
         "self_adjoint_defect": ctx.self_adjoint_defect(),
         "adjoint_identity_max": adjoint_max,
         "recovery_spectrum": {"min": spec_min, "max": spec_max},
-        "retro_distance_initial": retro_curve[0],
-        "retro_distance_final": retro_curve[-1],
+        "retro_distance_initial": float(retro_curve[0]),
+        "retro_distance_final": float(retro_curve[-1]),
         "retro_monotone": monotone,
         "equivalence": equivalence,
     }

@@ -148,6 +148,32 @@ class GeneratorDynamics(Dynamics):
             return self._constant
         return rate_matrix(self._rate_fn(t))
 
+    def _rate_stack(self, times: np.ndarray) -> np.ndarray:
+        """The generator on an array of times as one validated ``(T, n, n)`` stack.
+
+        A callable is called once per time, in order, and each return is
+        copied before the next call. The stack is validated at once and
+        fails with the error of its earliest invalid time, also when the
+        callable raises at a later time.
+        """
+        if self._constant is not None:
+            return np.broadcast_to(self._constant, times.shape + self._constant.shape)
+        n = self.dimension
+        stack = np.empty(times.shape + (n, n))
+        for k, t in enumerate(times.tolist()):
+            try:
+                value = np.asarray(self._rate_fn(t), dtype=float)
+                if value.shape != (n, n):
+                    rate_matrix(value)  # a malformed return gets the per-matrix check's own error
+                    raise DimensionMismatchError(
+                        f"generator at t = {t:.6g} has shape {value.shape}, expected ({n}, {n})"
+                    )
+                stack[k] = value
+            except Exception:
+                rate_matrix(stack[:k], stack=True)
+                raise
+        return rate_matrix(stack, stack=True)
+
     def _generator_grid(self, times: np.ndarray) -> GeneratorGrid | None:
         if self._constant is None:
             return None
@@ -404,7 +430,7 @@ def propagate(
         # the full sweep's nodes, so the full sweep takes every other node
         coarse = _with_midpoints(times)
         nodes = _with_midpoints(coarse) if check else coarse
-        gens = np.array([dyn.generator_at(t) for t in nodes.tolist()])
+        gens = dyn._rate_stack(nodes)
         mats, drift = _rk4_sweep(gens[::2] if check else gens, times, n)
         if check:
             fine, _ = _rk4_sweep(gens, coarse, n)

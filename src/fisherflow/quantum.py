@@ -32,6 +32,7 @@ from .errors import (
     DomainError,
     InvalidStateError,
     InvalidTangentError,
+    NumericalAccuracyError,
     ResourceLimitError,
     SingularBaseError,
     WitnessNotApplicableError,
@@ -250,16 +251,19 @@ def channel_step(lind: SuperOperator, dt: float, mode: str = "exact") -> Quantum
     ``exact`` exponentiates the generator; ``euler`` takes Id + dt L, which
     is trace preserving but fails complete positivity at order dt^2 even
     for perfectly valid generators, so classification work must use the
-    exact step.
+    exact step. A step that overflows raises a numerical-accuracy error.
     """
     if dt <= 0.0:
         raise DomainError("dt must be positive")
-    if mode == "exact":
-        s = expm(dt * lind.matrix)
-    elif mode == "euler":
-        s = np.eye(lind.dim**2, dtype=complex) + dt * lind.matrix
-    else:
+    if mode not in ("exact", "euler"):
         raise DomainError(f"unknown mode {mode!r}; use 'exact' or 'euler'")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "exact":
+            s = expm(dt * lind.matrix)
+        else:
+            s = np.eye(lind.dim**2, dtype=complex) + dt * lind.matrix
+    if not np.all(np.isfinite(s)):
+        raise NumericalAccuracyError(f"{mode} step over dt = {dt:g} overflows to non-finite entries")
     return channel_from_matrix(s, lind.dim)
 
 
@@ -292,7 +296,10 @@ class CpReport:
 def cp_check(op: SuperOperator, tol: float = 1e-10) -> CpReport:
     """Complete positivity verdict from the bottom of the Choi spectrum."""
     c = choi(op)
-    vals, vecs = np.linalg.eigh(c)
+    try:
+        vals, vecs = np.linalg.eigh(c)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalAccuracyError(f"Choi spectrum: {exc}") from exc
     return CpReport(
         min_eigenvalue=float(vals[0]),
         tol=float(tol),
@@ -555,16 +562,14 @@ def _diagonal_transition_generator(lifted: SuperOperator, frame: np.ndarray) -> 
     return gen
 
 
-def _witness_rate(intermediate: QuantumChannel, frame: np.ndarray, eta: float, eps: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    total = intermediate.dim ** 2
-    lifted = extend_with_identity(intermediate)
-    gen = rate_matrix(_diagonal_transition_generator(lifted, frame), col_tol=1e-8)
+def _witness_rate(gen: np.ndarray, eta: float, eps: float) -> tuple[float, np.ndarray, np.ndarray]:
+    total = gen.shape[0]
     probs = np.full(total, eta / total)
     probs[0] += 1.0 - eta
     direction = np.zeros(total)
     direction[0] = -eps
     direction[1] = eps
-    return fisher_rate(probs, direction, gen), probs, direction, gen
+    return fisher_rate(probs, direction, gen), probs, direction
 
 
 def quantum_dilation_witness(
@@ -595,8 +600,11 @@ def quantum_dilation_witness(
         raise DomainError("eta and eps must sit in (0, 0.5)")
     psi, v_perp, frame = _witness_frame(d, report.min_eigenvector)
 
-    rate, probs, direction, gen = _witness_rate(intermediate, frame, eta, eps)
-    rate_half, _, _, _ = _witness_rate(intermediate, frame, eta / 2.0, eps)
+    # the lifted map and its generator in the frame do not depend on eta
+    lifted = extend_with_identity(intermediate)
+    gen = rate_matrix(_diagonal_transition_generator(lifted, frame), col_tol=1e-8)
+    rate, probs, direction = _witness_rate(gen, eta, eps)
+    rate_half, _, _ = _witness_rate(gen, eta / 2.0, eps)
     scaled = rate * eta**2
     scaled_half = rate_half * (eta / 2.0) ** 2
     stable = abs(scaled_half - scaled) <= 0.2 * abs(scaled)

@@ -126,12 +126,25 @@ class RetrodictionContext:
             )
         return idx
 
+    def indices_of(self, times) -> np.ndarray:
+        """Grid indices of an array of times, each as :meth:`index_of` gives it.
+
+        Times on the grid are looked up at once; the others go through
+        :meth:`index_of` one at a time, in order, with its snap warning.
+        """
+        t = np.asarray(times, dtype=float)
+        idx = np.minimum(np.searchsorted(self.grid, t), self.grid.size - 1)
+        for k in np.flatnonzero(self.grid[idx] != t).tolist():
+            idx[k] = self.index_of(float(t[k]))
+        return idx
+
     def round_trip_matrix(self, t: float) -> np.ndarray:
         """Round trip at grid time ``t`` projected on the prior-orthonormal basis."""
         a = self.round_trips[self.index_of(t)]
         return self._project(a)
 
     def _project(self, a: np.ndarray) -> np.ndarray:
+        """Round trip ``a``, or a stack of them, on the prior-orthonormal basis."""
         weighted = self.basis / (2.0 * self.prior)[:, None]
         return weighted.T @ a @ self.basis
 
@@ -143,10 +156,16 @@ class RetrodictionContext:
         sym = d[:, None] * self.round_trips * (1.0 / d)[None, :]
         return float(np.max(np.abs(sym - np.transpose(sym, (0, 2, 1)))))
 
-    def recovery_spectrum(self, t: float) -> np.ndarray:
-        """Eigenvalues of the round trip on zero-sum directions (real by symmetry)."""
-        m = self.round_trip_matrix(t)
-        return np.linalg.eigvalsh(0.5 * (m + m.T))
+    def recovery_spectrum(self, t) -> np.ndarray:
+        """Eigenvalues of the round trip on zero-sum directions (real by symmetry).
+
+        An array of times gives one row of eigenvalues per time, from one
+        stacked eigensolve.
+        """
+        times = np.asarray(t, dtype=float)
+        m = self._project(self.round_trips[self.indices_of(times.ravel())])
+        vals = np.linalg.eigvalsh(0.5 * (m + m.swapaxes(-1, -2)))
+        return vals.reshape(times.shape + vals.shape[-1:])
 
 
 def retrodiction_context(prior, dyn: Dynamics, grid) -> RetrodictionContext:
@@ -183,12 +202,13 @@ def retrodiction_context(prior, dyn: Dynamics, grid) -> RetrodictionContext:
     )
 
 
-def retrodiction_distance_sq(p0, ctx: RetrodictionContext, t: float) -> float:
+def retrodiction_distance_sq(p0, ctx: RetrodictionContext, t):
     """Squared prior-weighted distance between p0 - pi and its recovery at ``t``.
 
     The displacement should be small for this to approximate the Fisher
     distance between the initial state and the recovered one; larger
-    displacements are allowed but flagged.
+    displacements are allowed but flagged. An array of times gives an
+    array of distances, from one stacked product.
     """
     state = prob_vec(p0)
     if state.shape[0] != ctx.dimension:
@@ -200,37 +220,44 @@ def retrodiction_distance_sq(p0, ctx: RetrodictionContext, t: float) -> float:
             f"displacement size {size:.3e} is large for a local comparison",
             stacklevel=2,
         )
-    a = ctx.round_trips[ctx.index_of(t)]
-    residual = d - a @ d
-    return fisher_inner(residual, residual, ctx.prior)
+    times = np.asarray(t, dtype=float)
+    residual = d - ctx.round_trips[ctx.indices_of(times.ravel())] @ d
+    # fisher_inner of each residual with itself
+    values = np.sum(residual * residual / (2.0 * ctx.prior), axis=-1).reshape(times.shape)
+    return float(values) if times.ndim == 0 else values
 
 
-def adjoint_identity_check(ctx: RetrodictionContext, t: float, trials: int = 100, seed: int = 0) -> float:
+def adjoint_identity_check(ctx: RetrodictionContext, t, trials: int = 100, seed: int = 0):
     """Max defect of the pull-back identity and of self-adjointness at ``t``.
 
     For random zero-sum d, <d, A d>_pi must equal <T d, T d>_{T pi}; both
     are exact algebraic consequences of the recovery construction, so the
-    return value is pure floating-point noise.
+    return value is pure floating-point noise. An array of times gives an
+    array of defects; one draw of ``trials`` directions serves every time.
     """
-    idx = ctx.index_of(t)
+    times = np.asarray(t, dtype=float)
+    idx = ctx.indices_of(times.ravel())
     fwd = ctx.forward_maps[idx]
     a = ctx.round_trips[idx]
-    pushed = prob_vec(fwd @ ctx.prior)
-    worst = 0.0
+    pushed = np.empty(fwd.shape[:-1])
+    for k, image in enumerate(fwd @ ctx.prior):
+        pushed[k] = prob_vec(image)
+        if trials > 0:
+            _require_interior(pushed[k])
+    worst = np.zeros(idx.size)
     if trials > 0:
-        _require_interior(pushed)
         d = np.random.default_rng(seed).standard_normal((trials, ctx.dimension))
         d -= d.mean(axis=1, keepdims=True)
-        # one mat-vec per trial, as stacked (n, n) @ (n, 1) products
-        ad = (a @ d[:, :, None])[..., 0]
-        fd = (fwd @ d[:, :, None])[..., 0]
-        lhs = np.sum(d * ad / (2.0 * ctx.prior), axis=1)
-        rhs = np.sum(fd * fd / (2.0 * pushed), axis=1)
-        worst = float(np.max(np.abs(lhs - rhs)))
+        # one mat-vec per time and trial, as stacked (n, n) @ (n, 1) products
+        ad = (a[:, None] @ d[:, :, None])[..., 0]
+        fd = (fwd[:, None] @ d[:, :, None])[..., 0]
+        lhs = np.sum(d * ad / (2.0 * ctx.prior), axis=-1)
+        rhs = np.sum(fd * fd / (2.0 * pushed[:, None, :]), axis=-1)
+        worst = np.max(np.abs(lhs - rhs), axis=-1)
     dvec = 1.0 / np.sqrt(2.0 * ctx.prior)
     sym = dvec[:, None] * a * (1.0 / dvec)[None, :]
-    worst = max(worst, float(np.max(np.abs(sym - sym.T))))
-    return worst
+    worst = np.maximum(worst, np.max(np.abs(sym - sym.swapaxes(-1, -2)), axis=(-2, -1)))
+    return float(worst[0]) if times.ndim == 0 else worst.reshape(times.shape)
 
 
 @dataclass(frozen=True)
@@ -263,17 +290,12 @@ class EquivalenceReport:
         return self.verdict == "consistent"
 
 
-def _round_trip_at(ctx: RetrodictionContext, t: float) -> np.ndarray:
-    exact = exact_propagators(ctx.dynamics, [t])
-    if exact is None:
-        return ctx.round_trips[ctx.index_of(t)]
-    return bayes_inverse(exact[0], ctx.prior) @ exact[0]
+def _stencil(t: float, h: float) -> list[float]:
+    """The central-difference ends at ``t`` for steps ``h`` and ``2 h``, clipped at 0: lo, hi, lo, hi."""
+    return [max(t - h, 0.0), t + h, max(t - 2.0 * h, 0.0), t + 2.0 * h]
 
 
-def _curvature_matrix(ctx: RetrodictionContext, t: float, h: float) -> np.ndarray:
-    lo = _round_trip_at(ctx, max(t - h, 0.0))
-    hi = _round_trip_at(ctx, t + h)
-    span = (t + h) - max(t - h, 0.0)
+def _curvature_matrix(ctx: RetrodictionContext, lo: np.ndarray, hi: np.ndarray, span: float) -> np.ndarray:
     a_dot = ctx._project((hi - lo) / span)
     return -0.5 * (a_dot + a_dot.T)
 
@@ -297,14 +319,25 @@ def retrodiction_equivalence_check(
     curvature direction the finite-difference rate of the retrodiction
     distance is reported as well (expected negative: recovery improving).
     """
-    closed = exact_propagators(ctx.dynamics, [0.0]) is not None
-    if h is None:
-        h = CLOSED_FORM_STEP if closed else float(ctx.grid[1] - ctx.grid[0])
-    if t - h < 0.0 and not closed:
-        raise DomainError("t must sit at least one step inside the grid")
+    # families without exact propagators give None at once, without
+    # evaluating any, and are differenced on the grid instead
+    ends = _stencil(t, CLOSED_FORM_STEP if h is None else h)
+    exact = exact_propagators(ctx.dynamics, ends)
+    if exact is None:
+        if h is None:
+            h = float(ctx.grid[1] - ctx.grid[0])
+            ends = _stencil(t, h)
+        if t - h < 0.0:
+            raise DomainError("t must sit at least one step inside the grid")
+        trips = ctx.round_trips[ctx.indices_of(ends)]
+    else:
+        h = CLOSED_FORM_STEP if h is None else h
+        trips = bayes_inverse(exact, ctx.prior) @ exact
+    lo, hi, lo_2h, hi_2h = trips
+    span = ends[1] - ends[0]
 
-    curv = _curvature_matrix(ctx, t, h)
-    curv_2h = _curvature_matrix(ctx, t, 2.0 * h)
+    curv = _curvature_matrix(ctx, lo, hi, span)
+    curv_2h = _curvature_matrix(ctx, lo_2h, hi_2h, ends[3] - ends[2])
     richardson = float(np.max(np.abs(curv - curv_2h))) / 3.0
     if richardson > accuracy_tol:
         raise IntegrationAccuracyError(
@@ -320,9 +353,9 @@ def retrodiction_equivalence_check(
     retro_rates = []
     for k in np.flatnonzero(eigvals < -band):
         direction = tangent_vec(ctx.basis @ eigvecs[:, k])
-        q_lo = _quadratic_residual(ctx, max(t - h, 0.0), direction)
-        q_hi = _quadratic_residual(ctx, t + h, direction)
-        retro_rates.append((q_hi - q_lo) / ((t + h) - max(t - h, 0.0)))
+        q_lo = _quadratic_residual(ctx, lo, direction)
+        q_hi = _quadratic_residual(ctx, hi, direction)
+        retro_rates.append((q_hi - q_lo) / span)
 
     neg_curv = float(eigvals.min()) < -band
     pos_curv_only = float(eigvals.min()) > band
@@ -346,7 +379,6 @@ def retrodiction_equivalence_check(
     )
 
 
-def _quadratic_residual(ctx: RetrodictionContext, t: float, d: np.ndarray) -> float:
-    a = _round_trip_at(ctx, t)
+def _quadratic_residual(ctx: RetrodictionContext, a: np.ndarray, d: np.ndarray) -> float:
     residual = d - a @ d
     return fisher_inner(residual, residual, ctx.prior)

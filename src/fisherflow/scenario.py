@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
@@ -208,6 +209,10 @@ class FilterSpec:
     def __post_init__(self) -> None:
         if not self.epsilons:
             raise ScenarioError("filter.epsilons must not be empty")
+        for k, eps in enumerate(self.epsilons):
+            # the filter command divides by eps**2, which must not underflow
+            if eps > 0.0 and eps * eps < sys.float_info.min:
+                raise ScenarioError(f"filter.epsilons[{k}] = {eps!r} is too small: its square underflows")
         if len(self.ancilla_displacement) != self.ancilla_dim:
             raise ScenarioError("filter.ancilla_displacement needs one entry per ancilla state (ancilla_dim)")
 

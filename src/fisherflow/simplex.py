@@ -63,9 +63,34 @@ def _as_square(entries, name: str, stack: bool = False) -> np.ndarray:
     m = np.array(entries, dtype=float)
     if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-1] != m.shape[-2] or m.shape[-1] < 2:
         raise DimensionMismatchError(f"{name} must be square with size >= 2, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidStateError(f"{name} contains non-finite entries")
     return m
+
+
+def _raise_first_failure(m: np.ndarray, name: str, *rules) -> None:
+    """Raise the error of the first matrix of ``m`` (one matrix or a stack) that breaks a rule.
+
+    Each matrix is checked for non-finite entries first and then against
+    ``rules`` in order. A rule maps finite matrices, one or a stack, to a
+    flag per matrix, true where the matrix breaks the rule, and a function
+    building the error of matrix ``k``.
+    """
+    if np.isfinite(m).all():
+        broken = [rule(m) for rule in rules]
+        if not any(bad.any() for bad, _ in broken):
+            return
+    stack = m.reshape((-1,) + m.shape[-2:])
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    # zeros stand in for the non-finite matrices, which fail as such before any rule
+    broken = [rule(np.where(finite[:, None, None], stack, 0.0)) for rule in rules]
+    failing = ~finite
+    for bad, _ in broken:
+        failing = failing | bad
+    k = int(np.argmax(failing))
+    if not finite[k]:
+        raise InvalidStateError(f"{name} contains non-finite entries")
+    for bad, error in broken:
+        if bad[k]:
+            raise error(k)
 
 
 def prob_vec(entries, clamp: float = NEGATIVE_CLAMP) -> np.ndarray:
@@ -105,26 +130,37 @@ def stochastic_matrix(
     With ``stack`` a ``(T, n, n)`` stack is validated as well, each matrix
     under the same rules; it fails with the error of its first failing matrix.
     """
-    t = _as_square(entries, "stochastic matrix", stack)
-    n = t.shape[-1]
-    low = t.reshape(-1, n * n).min(axis=1)
-    t = np.where(t < 0.0, 0.0, t)
-    dev = np.abs(t.sum(axis=-2) - 1.0).reshape(-1, n).max(axis=1)
-    bad = np.flatnonzero((low < -clamp) | (dev > col_tol))
-    if bad.size:
-        k = bad[0]
-        if low[k] < -clamp:
-            raise InvalidStochasticMatrixError(f"entry {low[k]:.3e} below the clamp window")
-        raise InvalidStochasticMatrixError(f"column sums off by {dev[k]:.3e} (tolerance {col_tol:.0e})")
-    return _freeze(t)
+    m = _as_square(entries, "stochastic matrix", stack)
+
+    def entries_in_window(s):
+        low = s.min(axis=(-2, -1))
+        return low < -clamp, lambda k: InvalidStochasticMatrixError(f"entry {low[k]:.3e} below the clamp window")
+
+    def column_sums(s):
+        dev = np.abs(np.where(s < 0.0, 0.0, s).sum(axis=-2) - 1.0).max(axis=-1)
+        return dev > col_tol, lambda k: InvalidStochasticMatrixError(
+            f"column sums off by {dev[k]:.3e} (tolerance {col_tol:.0e})"
+        )
+
+    _raise_first_failure(m, "stochastic matrix", entries_in_window, column_sums)
+    return _freeze(np.where(m < 0.0, 0.0, m))
 
 
-def rate_matrix(entries, col_tol: float = COLUMN_TOL) -> np.ndarray:
-    """Validate a generator: column sums must vanish. Signs are not restricted."""
-    r = _as_square(entries, "rate matrix")
-    dev = np.max(np.abs(r.sum(axis=0)))
-    if dev > col_tol:
-        raise InvalidGeneratorError(f"column sums off by {dev:.3e} (tolerance {col_tol:.0e})")
+def rate_matrix(entries, col_tol: float = COLUMN_TOL, *, stack: bool = False) -> np.ndarray:
+    """Validate a generator: column sums must vanish. Signs are not restricted.
+
+    With ``stack`` a ``(T, n, n)`` stack is validated as well, each matrix
+    under the same rules; it fails with the error of its first failing matrix.
+    """
+    r = _as_square(entries, "rate matrix", stack)
+
+    def column_sums(s):
+        dev = np.abs(s.sum(axis=-2)).max(axis=-1)
+        return dev > col_tol, lambda k: InvalidGeneratorError(
+            f"column sums off by {dev[k]:.3e} (tolerance {col_tol:.0e})"
+        )
+
+    _raise_first_failure(r, "rate matrix", column_sums)
     return _freeze(r)
 
 
@@ -161,6 +197,7 @@ def validate_stochastic(t, tol: float = COLUMN_TOL) -> StochasticityReport:
     failing report.
     """
     m = _as_square(t, "matrix")
+    _raise_first_failure(m, "matrix")
     devs = m.sum(axis=0) - 1.0
     return StochasticityReport(
         column_sum_deviations=tuple(float(x) for x in devs),

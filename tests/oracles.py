@@ -171,6 +171,96 @@ def adjoint_defect_loop(fwd, a, prior, trials: int, seed: int) -> float:
     return max(worst, float(np.max(np.abs(sym - sym.T))))
 
 
+def first_failure_loop(check, stack):
+    """The error ``check`` raises for the first matrix of ``stack`` it rejects, one matrix at a time.
+
+    Returns ``(index, exception type, message)``, or None when every matrix passes.
+    """
+    for k, mat in enumerate(stack):
+        try:
+            check(mat)
+        except Exception as exc:
+            return k, type(exc), str(exc)
+    return None
+
+
+def round_trip_direct(t_mat, pi) -> np.ndarray:
+    """Round trip A = T_hat T of one map, T_hat built from T with float-noise negatives set to 0.
+
+    ``pi`` is normalized first.
+    """
+    t_mat = np.asarray(t_mat, dtype=float)
+    pi = np.asarray(pi, dtype=float)
+    pi = pi / pi.sum()
+    clamped = np.where(t_mat < 0.0, 0.0, t_mat)
+    pushed = clamped @ pi
+    return (pi[:, None] * clamped.T / pushed[None, :]) @ t_mat
+
+
+def retro_distance_loop(p0, pi, round_trips) -> np.ndarray:
+    """Squared prior-weighted residual d - A d of d = p0 - pi under each round trip, one at a time.
+
+    ``p0`` is normalized first; <x, y>_pi = sum x y / (2 pi).
+    """
+    state = np.asarray(p0, dtype=float)
+    pi = np.asarray(pi, dtype=float)
+    d = state / state.sum() - pi
+    out = []
+    for a in round_trips:
+        residual = d - a @ d
+        out.append(float(np.sum(residual * residual / (2.0 * pi))))
+    return np.array(out)
+
+
+def recovery_spectrum_loop(round_trips, pi, basis) -> np.ndarray:
+    """Eigenvalues of each round trip on the columns of ``basis``, symmetrized, one at a time.
+
+    The round trip is projected as W^T A B with W = B / (2 pi) row-wise.
+    """
+    pi = np.asarray(pi, dtype=float)
+    weighted = basis / (2.0 * pi)[:, None]
+    out = []
+    for a in round_trips:
+        m = weighted.T @ a @ basis
+        out.append(np.linalg.eigvalsh(0.5 * (m + m.T)))
+    return np.array(out)
+
+
+def curvature_loop(round_trip_at, pi, basis, t: float, h: float, band: float):
+    """Both readings of the recovery curvature at ``t``, one round trip per ``round_trip_at`` call.
+
+    Central differences of A over [max(t - s, 0), t + s] for s = h and 2 h,
+    projected as in :func:`recovery_spectrum_loop` and negated, give the
+    symmetrized -dA/dt; the result is its eigenvalues (from ``eigh``), the
+    step-halving estimate |C_h - C_2h|_max / 3, and the rate of the squared
+    residual of each direction whose eigenvalue is below -max(band, 3 estimate).
+    """
+    pi = np.asarray(pi, dtype=float)
+    weighted = basis / (2.0 * pi)[:, None]
+
+    def ends(step):
+        return max(t - step, 0.0), t + step
+
+    def curvature(step):
+        lo, hi = ends(step)
+        a_dot = weighted.T @ ((round_trip_at(hi) - round_trip_at(lo)) / (hi - lo)) @ basis
+        return -0.5 * (a_dot + a_dot.T)
+
+    curv = curvature(h)
+    estimate = float(np.max(np.abs(curv - curvature(2.0 * h)))) / 3.0
+    eigvals, eigvecs = np.linalg.eigh(curv)
+    lo, hi = ends(h)
+    rates = []
+    for k in np.flatnonzero(eigvals < -max(band, 3.0 * estimate)):
+        d = basis @ eigvecs[:, k]
+        q = []
+        for end in (lo, hi):
+            residual = d - round_trip_at(end) @ d
+            q.append(float(np.sum(residual * residual / (2.0 * pi))))
+        rates.append((q[1] - q[0]) / (hi - lo))
+    return eigvals, estimate, tuple(rates)
+
+
 def bayes_direct(t_mat, pi):
     t_mat = np.asarray(t_mat, dtype=float)
     pi = np.asarray(pi, dtype=float)

@@ -17,9 +17,11 @@ EXIT_CODES = {
     "boundary_retro_target.json": "1201110",
     "case_study_to_t40.json": "1211110",
     "decay_rate_1e9.json": "1201110",
+    "filter_tiny_epsilon.json": "1111111",
     "grid_from_t0_half.json": "1001110",
     "infinite_grid_end.json": "1111111",
     "nan_tolerance.json": "1111111",
+    "quantum_extreme_rate.json": "1000012",
     "retro_boundary_prior.json": "1001110",
     "retro_negative_trials.json": "1001100",
     "retro_nonmarkovian_generator.json": "1000010",
@@ -34,11 +36,20 @@ STDERR = {
     # the first failing grid time's entry, not the most negative entry of the whole grid
     ("retro_nonmarkovian_generator.json", "retro"): "entry -1.242e-02 below the clamp window",
     ("boundary_retro_target.json", "retro"): "output 0 has zero probability under the prior; posterior undefined",
+    # exp(dt L) overflows: an error, not numpy warnings and an eigensolver traceback
+    ("quantum_extreme_rate.json", "quantum"): "exact step over dt = 0.001 overflows to non-finite entries",
     **{
         ("nan_tolerance.json", command): "tolerances.filter_ratio must be a finite number, got nan"
         for command in COMMANDS
     },
     **{("infinite_grid_end.json", command): "grid.t1 must be a finite number, got inf" for command in COMMANDS},
+    # filter divides by eps**2, which is 0 here
+    **{
+        ("filter_tiny_epsilon.json", command): (
+            "filter.epsilons[0] = 1.1125369292536007e-308 is too small: its square underflows"
+        )
+        for command in COMMANDS
+    },
 }
 
 

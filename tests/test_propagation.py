@@ -111,6 +111,49 @@ class TestPropagate:
         with pytest.raises(error, match=message):
             ff.propagate(ff.GeneratorDynamics(rate, dimension=2), 0.0, 1.0, steps=8)
 
+    @pytest.mark.parametrize(
+        "late, error, message",
+        [
+            # a bad node before the raising one names itself
+            (RuntimeError("late"), ff.InvalidGeneratorError, "off by 2.500e-01"),
+            (np.zeros(2), ff.InvalidGeneratorError, "off by 2.500e-01"),
+        ],
+        ids=["raises", "wrong-shape"],
+    )
+    def test_earlier_invalid_node_wins_over_a_later_failing_call(self, late, error, message):
+        def rate(t):
+            if t >= 0.75:
+                if isinstance(late, Exception):
+                    raise late
+                return late
+            r = SYM * (1.0 + 0.5 * np.sin(3.0 * t))
+            if t >= 0.25:
+                r[0, 0] += t
+            return r
+
+        with pytest.raises(error, match=message):
+            ff.propagate(ff.GeneratorDynamics(rate, dimension=2), 0.0, 1.0, steps=8)
+
+    @pytest.mark.parametrize(
+        "late, error, message",
+        [
+            (RuntimeError("late"), RuntimeError, "^late$"),
+            (np.zeros(2), ff.DimensionMismatchError, "must be square"),
+            (np.zeros((3, 3)), ff.DimensionMismatchError, r"at t = 0.75 has shape \(3, 3\), expected \(2, 2\)"),
+        ],
+        ids=["raises", "vector", "wrong-size"],
+    )
+    def test_failing_call_after_valid_nodes_raises_its_own_error(self, late, error, message):
+        def rate(t):
+            if t >= 0.75:
+                if isinstance(late, Exception):
+                    raise late
+                return late
+            return SYM * (1.0 + 0.5 * np.sin(3.0 * t))
+
+        with pytest.raises(error, match=message):
+            ff.propagate(ff.GeneratorDynamics(rate, dimension=2), 0.0, 1.0, steps=8)
+
     def test_generator_that_reuses_its_buffer(self):
         # a callable may fill and return one array on every call; each node's
         # generator must be copied before the next call overwrites it

@@ -61,6 +61,19 @@ class TestChannelsAndChoi:
         assert not report.cp
         assert report.min_eigenvalue == pytest.approx(dt * a / d, rel=1e-3)
 
+    @pytest.mark.parametrize("mode", ["exact", "euler"])
+    def test_overflowing_step_is_an_accuracy_error(self, mode):
+        # exp(dt L) overflows for this rate; no numpy warning may escape either
+        lind = ff.semiclassical_lindbladian({(0, 1): -709784.0, (1, 0): 1.0}, 2)
+        dt = 1e-3 if mode == "exact" else 1e305
+        with pytest.raises(ff.NumericalAccuracyError, match=f"^{mode} step over dt = .* overflows"):
+            ff.channel_step(lind, dt, mode=mode)
+
+    def test_failed_choi_eigensolve_is_an_accuracy_error(self):
+        op = ff.SuperOperator(matrix=np.full((4, 4), np.nan), dim=2)
+        with pytest.raises(ff.NumericalAccuracyError, match="^Choi spectrum: Eigenvalues did not converge"):
+            ff.cp_check(op)
+
     def test_kraus_channel_is_cp(self):
         k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(0.5)]])
         k1 = np.array([[0.0, np.sqrt(0.5)], [0.0, 0.0]])
@@ -295,6 +308,16 @@ class TestQuantumWitness:
         gen = report.classical_generator
         assert gen[1, 0] < 0.0
         assert np.allclose(np.asarray(gen).sum(axis=0), 0.0, atol=1e-8)
+
+    def test_lifted_generator_built_once_for_both_etas(self, monkeypatch):
+        step = self._noncp_step()
+        want = ff.quantum_dilation_witness(step)
+        lifts = []
+        real = ff.quantum.extend_with_identity
+        monkeypatch.setattr(ff.quantum, "extend_with_identity", lambda op: lifts.append(op) or real(op))
+        got = ff.quantum_dilation_witness(step)
+        assert len(lifts) == 1
+        assert (got.rate_value, got.scaled_rate_half_eta) == (want.rate_value, want.scaled_rate_half_eta)
 
     def test_eta_domain(self):
         with pytest.raises(ff.DomainError):

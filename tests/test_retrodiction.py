@@ -1,13 +1,17 @@
 """Bayes recovery maps, round trips, and the curvature equivalence check."""
 
+import json
 import os
 import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import fisherflow as ff
+import fisherflow.propagation
 import oracles
+from fisherflow.cli import main
 from helpers import random_interior, random_markovian
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -245,3 +249,118 @@ class TestEquivalenceCheck:
                     assert all(rate < 0.0 for rate in report.retro_rates_along_negative)
                     return
         pytest.fail("no consistent backflow time found in the sweep")
+
+
+def _constant(n):
+    rng = np.random.default_rng(100 + n)
+    r = random_markovian(rng, n)
+    return ff.GeneratorDynamics(r), random_interior(rng, n), lambda t: expm(t * r)
+
+
+def _mixing(dyn, prior):
+    return dyn, prior, lambda t: oracles.mixing_propagator_point(dyn.s, dyn.m, t)
+
+
+#: (dynamics, prior, exact propagator at one time or None) for each family the stacked checks serve.
+STACK_CASES = {
+    **{f"constant-{n}": lambda n=n: _constant(n) for n in range(2, 7)},
+    "case_study": lambda: _mixing(ff.case_study_dynamics(), np.array([0.2, 0.4, 0.4])),
+    "contraction": lambda: _mixing(
+        ff.contraction_to_target([0.1, 0.3, 0.6], decay_rate=2.0), np.array([0.3, 0.3, 0.4])
+    ),
+    "callable": lambda: (
+        ff.GeneratorDynamics(lambda t: SYM * (1.0 + 0.5 * np.sin(5.0 * t)), dimension=2),
+        np.array([0.35, 0.65]),
+        None,
+    ),
+}
+
+
+@pytest.fixture(params=sorted(STACK_CASES), scope="module")
+def stack_case(request):
+    dyn, prior, exact = STACK_CASES[request.param]()
+    ctx = ff.retrodiction_context(prior, dyn, np.linspace(0.0, np.pi / 2.0, 33))
+    return ctx, exact
+
+
+class TestStackedChecks:
+    """Each check on an array of times is bitwise the per-time loop it replaced."""
+
+    def test_distance_over_the_grid(self, stack_case):
+        ctx, _ = stack_case
+        p0 = ctx.prior + 1e-3 * float(ctx.prior.min()) * ff.zero_sum_basis(ctx.dimension)[:, 0]
+        want = oracles.retro_distance_loop(p0, ctx.prior, ctx.round_trips)
+        got = ff.retrodiction_distance_sq(p0, ctx, ctx.grid)
+        assert np.array_equal(got, want)
+        assert ff.retrodiction_distance_sq(p0, ctx, float(ctx.grid[7])) == want[7]
+
+    @pytest.mark.parametrize("trials, seed", [(100, 3), (7, 0), (0, 1)])
+    def test_adjoint_defects_share_one_draw(self, stack_case, trials, seed):
+        ctx, _ = stack_case
+        times = ctx.grid[::4]
+        want = [
+            oracles.adjoint_defect_loop(ctx.forward_maps[k], ctx.round_trips[k], ctx.prior, trials, seed)
+            for k in range(0, ctx.grid.size, 4)
+        ]
+        assert np.array_equal(ff.adjoint_identity_check(ctx, times, trials=trials, seed=seed), want)
+        assert ff.adjoint_identity_check(ctx, float(times[2]), trials=trials, seed=seed) == want[2]
+
+    def test_recovery_spectrum(self, stack_case):
+        ctx, _ = stack_case
+        times = ctx.grid[::4]
+        want = oracles.recovery_spectrum_loop(ctx.round_trips[::4], ctx.prior, ctx.basis)
+        assert np.array_equal(ctx.recovery_spectrum(times), want)
+        assert np.array_equal(ctx.recovery_spectrum(float(times[3])), want[3])
+
+    def test_off_grid_times_snap_as_index_of_does(self, stack_case):
+        ctx, _ = stack_case
+        times = np.array([ctx.grid[3], 0.5 * (ctx.grid[4] + ctx.grid[5]), -1.0, 1e20, ctx.grid[-1]])
+        with pytest.warns(UserWarning, match="off the retrodiction grid") as caught:
+            want = [ctx.index_of(float(t)) for t in times]
+        with pytest.warns(UserWarning, match="off the retrodiction grid") as again:
+            assert ctx.indices_of(times).tolist() == want
+        assert [str(w.message) for w in again] == [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("fraction", [0.2, 0.5, 0.94])
+    def test_equivalence_check_is_the_per_time_round_trips(self, stack_case, fraction):
+        ctx, exact = stack_case
+        t = float(ctx.grid[int(fraction * (ctx.grid.size - 1))])
+        if exact is None:
+            h = float(ctx.grid[1] - ctx.grid[0])
+
+            def round_trip_at(s):
+                return ctx.round_trips[int(np.argmin(np.abs(ctx.grid - s)))]
+        else:
+            h = ff.retrodiction.CLOSED_FORM_STEP
+
+            def round_trip_at(s):
+                return oracles.round_trip_direct(exact(s), ctx.prior)
+
+        # the comparison covers the estimate itself, so the callable's coarse grid step must not abort it
+        report = ff.retrodiction_equivalence_check(ctx, t, accuracy_tol=1.0)
+        eigvals, estimate, rates = oracles.curvature_loop(
+            round_trip_at, ctx.prior, ctx.basis, t, h, ff.retrodiction.INDETERMINATE_BAND
+        )
+        assert report.fd_step == h
+        assert np.array_equal(report.recovery_curvature, eigvals)
+        assert report.richardson_estimate == estimate
+        assert report.retro_rates_along_negative == rates
+        if ctx.dynamics.kind == "case_study" and fraction > 0.2:
+            assert rates, "the case study's backflow windows must give negative curvature"
+
+
+def test_retro_calls_expm_once_for_the_grid_and_once_per_equivalence_time(tmp_path, monkeypatch):
+    # each equivalence time takes its four round trips from one stacked exponential
+    shapes = []
+    real = fisherflow.propagation.expm
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(fisherflow.propagation, "expm", counted)
+    scenario = os.path.join(SCENARIO_DIR, "relaxation_retro.json")
+    assert main(["retro", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+    equivalence = json.loads((tmp_path / "retro.json").read_text())["results"]["equivalence"]
+    assert len(equivalence) == 3
+    assert shapes == [(61, 2, 2)] + [(4, 2, 2)] * len(equivalence)

@@ -141,6 +141,8 @@ class TestScenarioParsing:
             {"grid": {"t0": -710.0, "t1": 1.0, "points": 4}},
             {"analyses": {"filter": {"ancilla_dim": 0}}},
             {"analyses": {"quantum": {"dim": -1}}},
+            # filter divides by eps**2, which underflows
+            {"analyses": {"filter": {"epsilons": [1e-2, 1e-160]}}},
         ],
     )
     def test_malformed_fields_rejected(self, change):

@@ -1,5 +1,7 @@
 """States, tangent vectors, stochastic maps, generators, tensor tools."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,9 +9,42 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import fisherflow as ff
+import oracles
 from helpers import random_markovian
 
 COUNTEREXAMPLE = np.array([[-1.0, -0.5], [1.0, 0.5]])
+
+#: Matrices of every outcome of the stochastic-matrix check, one rule broken at a time.
+STOCHASTIC_KINDS = {
+    "good": [[0.9, 0.2], [0.1, 0.8]],
+    "clamped": [[1.0, 1e-13], [-1e-13, 1.0 - 1e-13]],
+    "negative": [[1.2, 0.0], [-0.2, 1.0]],
+    "column-sum": [[0.9, 0.0], [0.2, 1.0]],
+    "nan": [[np.nan, 0.0], [1.0, 1.0]],
+    "inf": [[np.inf, 0.0], [-np.inf, 1.0]],
+}
+
+#: The same for the generator check.
+GENERATOR_KINDS = {
+    "good": [[-1.0, 0.5], [1.0, -0.5]],
+    "column-sum": [[-1.0, 0.5], [1.0, 0.5]],
+    "nan": [[np.nan, 0.5], [1.0, -0.5]],
+    "inf": [[-np.inf, 0.5], [np.inf, -0.5]],
+}
+
+
+def _assert_first_failures(check, kinds):
+    """Every stack of three of ``kinds`` fails with its first failing matrix's error, or passes when all do."""
+    for order in itertools.product(sorted(kinds), repeat=3):
+        stack = np.array([kinds[kind] for kind in order])
+        want = oracles.first_failure_loop(check, stack)
+        if want is None:
+            check(stack, stack=True)
+            continue
+        _, kind, message = want
+        with pytest.raises(kind) as caught:
+            check(stack, stack=True)
+        assert (type(caught.value), str(caught.value)) == (kind, message), order
 
 
 class TestProbVec:
@@ -104,8 +139,27 @@ class TestStochasticValidation:
         with pytest.raises(ff.DimensionMismatchError):
             ff.stochastic_matrix(np.stack([np.eye(2), np.eye(2)]))
 
+    def test_column_sum_failure_before_a_non_finite_matrix(self):
+        # the non-finite matrix comes second, so the first matrix's own error wins
+        bad = [[[0.9, 0.0], [0.2, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]]
+        with pytest.raises(ff.InvalidStochasticMatrixError, match="column sums off by 1.000e-01"):
+            ff.stochastic_matrix(bad, stack=True)
+
+    def test_stack_fails_as_the_per_matrix_loop(self):
+        _assert_first_failures(ff.stochastic_matrix, STOCHASTIC_KINDS)
+
 
 class TestRateMatrix:
+    def test_stack_fails_as_the_per_matrix_loop(self):
+        _assert_first_failures(ff.rate_matrix, GENERATOR_KINDS)
+
+    def test_stack_is_bitwise_the_per_matrix_results(self):
+        rng = np.random.default_rng(5)
+        stack = np.array([random_markovian(rng, 4) for _ in range(6)])
+        got = ff.rate_matrix(stack, stack=True)
+        assert not got.flags.writeable
+        assert np.array_equal(got, np.stack([ff.rate_matrix(m) for m in stack]))
+
     def test_accepts_zero_column_sums(self):
         r = ff.rate_matrix(COUNTEREXAMPLE)
         assert np.allclose(r.sum(axis=0), 0.0)
