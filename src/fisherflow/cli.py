@@ -515,43 +515,39 @@ def cmd_nogo(scn: Scenario, outdir: str, seed: int):
     n = r.shape[0]
     pi = prob_vec(block.base if block.base is not None else np.full(n, 1.0 / n))
 
-    cases = []
-    all_passed = True
-    condition_met = True
-    for copies in block.copies:
-        for m in block.ancilla_dims:
-            if m == 1:
-                continue
-            rep = no_go_verify(pi, r, copies=copies, ancilla_dim=m, margin=block.margin)
-            condition_met = condition_met and rep.condition_met
-            all_passed = all_passed and rep.passed
-            cases.append(
-                {
-                    "copies": copies,
-                    "ancilla_dim": m,
-                    "lambda_max_on_image": rep.lambda_max_on_image,
-                    "lambda_max_full": rep.lambda_max_full,
-                    "margin": rep.margin,
-                    "passed": rep.passed,
-                }
-            )
-    if not cases:
+    reports = [
+        no_go_verify(pi, r, copies=copies, ancilla_dim=m, margin=block.margin)
+        for copies in block.copies
+        for m in block.ancilla_dims
+        if m != 1
+    ]
+    if not reports:
         raise ScenarioError("no_go produced no cases; check copies/ancilla_dims")
-    if not condition_met:
+    if not all(rep.condition_met for rep in reports):
         raise WitnessNotApplicableError(
             "generator does not satisfy the single-offender condition at this base"
         )
-
-    first = no_go_verify(pi, r, copies=block.copies[0], ancilla_dim=0, margin=block.margin)
+    cases = [
+        {
+            "copies": rep.copies,
+            "ancilla_dim": rep.ancilla_dim,
+            "lambda_max_on_image": rep.lambda_max_on_image,
+            "lambda_max_full": rep.lambda_max_full,
+            "margin": rep.margin,
+            "passed": rep.passed,
+        }
+        for rep in reports
+    ]
+    # the offender depends on the generator and the base only, not on the extension
     results = {
         "base": pi,
-        "offender": first.offender,
-        "offender_rate": first.offender_rate,
+        "offender": reports[0].offender,
+        "offender_rate": reports[0].offender_rate,
         "cases": cases,
         "lambda_margin": scn.tolerance("lambda_margin"),
     }
     checks = {
-        "all_cases_contract": _check_true(all_passed),
+        "all_cases_contract": _check_true(all(rep.passed for rep in reports)),
         "margin_met": _check_true(
             all(c["lambda_max_on_image"] <= -scn.tolerance("lambda_margin") for c in cases)
         ),
@@ -580,10 +576,8 @@ def cmd_filter(scn: Scenario, outdir: str, seed: int):
     direction = np.kron(unit, anc)
 
     report = filter_witness(extended, direction, epsilons=block.epsilons)
-    ratios = {
-        eps: filter_witness_rate(report.base, direction, extended, eps) / eps**2
-        for eps in block.epsilons
-    }
+    rates = {eps: filter_witness_rate(report.base, direction, extended, eps) for eps in block.epsilons}
+    ratios = {eps: rate / eps**2 for eps, rate in rates.items()}
     strength = float(np.abs(direction).sum())
     reference = 2.0 * strength * forward_trace_rate(direction, extended)
 
@@ -597,8 +591,7 @@ def cmd_filter(scn: Scenario, outdir: str, seed: int):
         "ancilla_dim": block.ancilla_dim,
         "direction": direction,
         "base": report.base,
-        "epsilon_rates": {eps: filter_witness_rate(report.base, direction, extended, eps)
-                          for eps in block.epsilons},
+        "epsilon_rates": rates,
         "epsilon_ratios": ratios,
         "limit_reference": reference,
         "trace_witness_rates": {
@@ -627,8 +620,8 @@ def cmd_retro(scn: Scenario, outdir: str, seed: int):
         raise ScenarioError("retro needs an analyses.retrodiction block")
     dyn = build_dynamics(scn.dynamics)
     grid = scn.grid.times()
-    prior = prob_vec(block.prior)
-    ctx = retrodiction_context(prior, dyn, grid)
+    ctx = retrodiction_context(block.prior, dyn, grid)
+    prior = ctx.prior
 
     scan = divisibility_scan(dyn, grid, rate_tol=scn.tolerance("rate_tol"))
     markovian = scan.markovian_on_grid and not scan.failures

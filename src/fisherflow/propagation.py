@@ -338,6 +338,18 @@ def contraction_to_target(pi, decay_rate: float = 1.0, horizon: float = np.inf) 
     return dyn
 
 
+def nearest_index(grid: np.ndarray, times):
+    """Index of the point of ``grid`` nearest to each time; the earlier one on a tie.
+
+    ``grid`` is increasing and has at least two points. Only the two points
+    around a time are compared, so a time far past either end lands on
+    that end.
+    """
+    t = np.asarray(times, dtype=float)
+    upper = np.clip(np.searchsorted(grid, t), 1, grid.size - 1)
+    return upper - (t - grid[upper - 1] <= grid[upper] - t)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Propagators (and optionally states) of one dynamics on a time grid."""
@@ -353,7 +365,7 @@ class Trajectory:
         return self.propagators.shape[1]
 
     def index_of(self, t: float, snap_tol: float = 1e-9) -> int:
-        idx = int(np.argmin(np.abs(self.times - t)))
+        idx = int(nearest_index(self.times, t))
         gap = abs(float(self.times[idx]) - t)
         if gap > snap_tol:
             warnings.warn(

@@ -32,7 +32,7 @@ from .errors import (
     SingularBaseError,
     UndefinedPosteriorError,
 )
-from .propagation import Dynamics, Trajectory, exact_propagators, generator_of, propagate
+from .propagation import Dynamics, Trajectory, exact_propagators, generator_of, nearest_index, propagate
 from .simplex import is_interior, prob_vec, stochastic_matrix, tangent_vec
 
 __all__ = [
@@ -62,8 +62,11 @@ def bayes_inverse(t, pi) -> np.ndarray:
     fails with the error of its first invalid map or, when every map is
     valid, of the first map with an output of zero probability.
     """
-    mat = stochastic_matrix(t, stack=True)
-    prior = prob_vec(pi)
+    return _recovery_maps(stochastic_matrix(t, stack=True), prob_vec(pi))
+
+
+def _recovery_maps(mat: np.ndarray, prior: np.ndarray) -> np.ndarray:
+    """:func:`bayes_inverse` of a validated map or stack ``mat`` and a normalized ``prior``."""
     if prior.shape[0] != mat.shape[-1]:
         raise DimensionMismatchError("prior and map dimensions differ")
     pushed = mat @ prior
@@ -118,7 +121,7 @@ class RetrodictionContext:
         return self.prior.shape[0]
 
     def index_of(self, t: float, snap_tol: float = 1e-9) -> int:
-        idx = int(np.argmin(np.abs(self.grid - t)))
+        idx = int(nearest_index(self.grid, t))
         if abs(float(self.grid[idx]) - t) > snap_tol:
             warnings.warn(
                 f"time {t:.6g} off the retrodiction grid; snapping to {self.grid[idx]:.6g}",
@@ -129,13 +132,13 @@ class RetrodictionContext:
     def indices_of(self, times) -> np.ndarray:
         """Grid indices of an array of times, each as :meth:`index_of` gives it.
 
-        Times on the grid are looked up at once; the others go through
-        :meth:`index_of` one at a time, in order, with its snap warning.
+        All times are looked up at once; those off the grid then go through
+        :meth:`index_of` one at a time, in order, for its snap warning.
         """
         t = np.asarray(times, dtype=float)
-        idx = np.minimum(np.searchsorted(self.grid, t), self.grid.size - 1)
+        idx = nearest_index(self.grid, t)
         for k in np.flatnonzero(self.grid[idx] != t).tolist():
-            idx[k] = self.index_of(float(t[k]))
+            self.index_of(float(t[k]))
         return idx
 
     def round_trip_matrix(self, t: float) -> np.ndarray:
@@ -189,7 +192,7 @@ def retrodiction_context(prior, dyn: Dynamics, grid) -> RetrodictionContext:
         traj: Trajectory = propagate(dyn, float(times[0]), float(times[-1]), steps=times.size - 1)
         mats = traj.propagators
 
-    recoveries = bayes_inverse(mats, pi)
+    recoveries = _recovery_maps(stochastic_matrix(mats, stack=True), pi)
     round_trips = np.einsum("kij,kjl->kil", recoveries, mats)
     return RetrodictionContext(
         prior=pi,
@@ -332,7 +335,7 @@ def retrodiction_equivalence_check(
         trips = ctx.round_trips[ctx.indices_of(ends)]
     else:
         h = CLOSED_FORM_STEP if h is None else h
-        trips = bayes_inverse(exact, ctx.prior) @ exact
+        trips = _recovery_maps(stochastic_matrix(exact, stack=True), ctx.prior) @ exact
     lo, hi, lo_2h, hi_2h = trips
     span = ends[1] - ends[0]
 

@@ -13,20 +13,16 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
-from typing import Any, Mapping
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .errors import ScenarioError
-from .propagation import (
-    Dynamics,
-    GeneratorDynamics,
-    MixingDynamics,
-    case_study_dynamics,
-    contraction_to_target,
-)
+from .propagation import Dynamics, GeneratorDynamics, case_study_dynamics, contraction_to_target
+from .quantum import MonotoneKind
 from .simplex import rate_matrix, rate_matrix_from_rates
+from .witnesses import FALLBACK_SAMPLES, FILTER_EPSILONS
 
 __all__ = [
     "GridSpec",
@@ -70,14 +66,19 @@ def _expect_mapping(value, where: str) -> dict:
     return value
 
 
-def _take(raw: Mapping, where: str, required: tuple[str, ...], optional: tuple[str, ...]) -> dict:
-    unknown = set(raw) - set(required) - set(optional)
+def _take(raw, where: str, cls) -> dict:
+    """``raw`` as an object whose keys are fields of ``cls``, with every field that has no default."""
+    raw = _expect_mapping(raw, where)
+    known = fields(cls)
+    unknown = set(raw) - {f.name for f in known}
     if unknown:
         raise ScenarioError(f"unknown key(s) {sorted(unknown)} in {where}")
-    missing = [k for k in required if k not in raw]
+    missing = [
+        f.name for f in known if f.default is MISSING and f.default_factory is MISSING and f.name not in raw
+    ]
     if missing:
         raise ScenarioError(f"missing key(s) {missing} in {where}")
-    return dict(raw)
+    return raw
 
 
 def _number(value, where: str) -> float:
@@ -132,6 +133,23 @@ def _rate_triples(value, where: str) -> tuple[tuple[int, int, float], ...]:
     return tuple(out)
 
 
+#: Converter of each field annotation a spec class uses (``| None`` left off);
+#: each is called with the value and the field's error path.
+_CONVERTERS = {
+    "float": _number,
+    "int": _integer,
+    "tuple[float, ...]": _vector,
+    "tuple[int, ...]": _integers,
+    "tuple[tuple[float, ...], ...]": _matrix,
+    "tuple[tuple[int, int, float], ...]": _rate_triples,
+}
+
+
+def _kind(label: str, kinds, **default):
+    """A ``kind`` field whose value must be one of ``kinds``; ``label`` names it in the error."""
+    return field(metadata={"label": label, "kinds": tuple(kinds)}, **default)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     t1: float
@@ -167,13 +185,24 @@ class PerturbationSpec:
 
 @dataclass(frozen=True)
 class DynamicsSpec:
-    kind: str
+    kind: str = _kind("dynamics kind", ("case_study", "generator", "contraction"))
     matrix: tuple[tuple[float, ...], ...] | None = None
     rates: tuple[tuple[int, int, float], ...] | None = None
     dimension: int | None = None
     target: tuple[float, ...] | None = None
     decay_rate: float = 1.0
     horizon: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind == "generator":
+            if (self.matrix is None) == (self.rates is None):
+                raise ScenarioError("generator dynamics needs exactly one of matrix / rates")
+            if self.rates is not None and self.dimension is None:
+                raise ScenarioError("generator dynamics with rates needs a dimension")
+        if self.kind == "contraction" and self.target is None:
+            raise ScenarioError("contraction dynamics needs a target")
+        if self.kind == "case_study" and (self.matrix or self.rates or self.target):
+            raise ScenarioError("case_study dynamics takes no matrix/rates/target")
 
 
 @dataclass(frozen=True)
@@ -189,7 +218,7 @@ class Figure1Spec:
 @dataclass(frozen=True)
 class WitnessSpec:
     time: float = 0.0
-    fallback_samples: int = 1000
+    fallback_samples: int = FALLBACK_SAMPLES
 
 
 @dataclass(frozen=True)
@@ -202,7 +231,7 @@ class NoGoSpec:
 
 @dataclass(frozen=True)
 class FilterSpec:
-    epsilons: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
+    epsilons: tuple[float, ...] = FILTER_EPSILONS
     ancilla_dim: int = 2
     ancilla_displacement: tuple[float, ...] = (0.1, -0.1)
 
@@ -231,7 +260,7 @@ class QuantumSpec:
     dt: float = 1e-3
     eta: float = 1e-6
     eps: float = 1e-3
-    kind: str = "sld"
+    kind: str = _kind("metric kind", (k.value for k in MonotoneKind), default="sld")
 
     def __post_init__(self) -> None:
         if self.dim < 2:
@@ -247,6 +276,10 @@ class AnalysesSpec:
     filter: FilterSpec | None = None
     retrodiction: RetroSpec | None = None
     quantum: QuantumSpec | None = None
+
+
+#: The spec class of each analyses block, in declaration order, read from AnalysesSpec.
+_ANALYSES = {name: get_args(hint)[0] for name, hint in get_type_hints(AnalysesSpec).items()}
 
 
 @dataclass(frozen=True)
@@ -270,36 +303,33 @@ class Scenario:
         return self.tolerances.get(name, TOLERANCE_DEFAULTS[name])
 
 
-def _parse_dynamics(raw) -> DynamicsSpec:
-    raw = _expect_mapping(raw, "dynamics")
-    keys = _take(
-        raw,
-        "dynamics",
-        required=("kind",),
-        optional=("matrix", "rates", "dimension", "target", "decay_rate", "horizon"),
-    )
-    kind = keys["kind"]
-    if kind not in ("case_study", "generator", "contraction"):
-        raise ScenarioError(f"unknown dynamics kind {kind!r}")
-    spec = DynamicsSpec(
-        kind=kind,
-        matrix=_matrix(keys["matrix"], "dynamics.matrix") if "matrix" in keys else None,
-        rates=_rate_triples(keys["rates"], "dynamics.rates") if "rates" in keys else None,
-        dimension=_integer(keys["dimension"], "dynamics.dimension") if "dimension" in keys else None,
-        target=_vector(keys["target"], "dynamics.target") if "target" in keys else None,
-        decay_rate=_number(keys.get("decay_rate", 1.0), "dynamics.decay_rate"),
-        horizon=_number(keys["horizon"], "dynamics.horizon") if "horizon" in keys else None,
-    )
-    if kind == "generator":
-        if (spec.matrix is None) == (spec.rates is None):
-            raise ScenarioError("generator dynamics needs exactly one of matrix / rates")
-        if spec.rates is not None and spec.dimension is None:
-            raise ScenarioError("generator dynamics with rates needs a dimension")
-    if kind == "contraction" and spec.target is None:
-        raise ScenarioError("contraction dynamics needs a target")
-    if kind == "case_study" and (spec.matrix or spec.rates or spec.target):
-        raise ScenarioError("case_study dynamics takes no matrix/rates/target")
-    return spec
+def _parse_block(raw, where: str, prefix: str, cls):
+    """Build the spec ``cls`` from the object ``raw``, which ``where`` names in errors.
+
+    A field without a default is required, every other one optional with
+    its default. ``kind`` fields are checked first, against the values in
+    their metadata; then each present value goes through the converter of
+    its field's annotation, with the error path ``prefix.name``.
+    """
+    raw = _take(raw, where, cls)
+    present = [f for f in fields(cls) if f.name in raw]
+    for f in present:
+        if "kinds" in f.metadata and raw[f.name] not in f.metadata["kinds"]:
+            raise ScenarioError(f"unknown {f.metadata['label']} {raw[f.name]!r}")
+    return cls(**{
+        f.name: raw[f.name] if "kinds" in f.metadata
+        else _CONVERTERS[f.type.removesuffix(" | None")](raw[f.name], f"{prefix}.{f.name}")
+        for f in present
+    })
+
+
+def _parse_analyses(raw) -> AnalysesSpec:
+    raw = _take(raw, "analyses", AnalysesSpec)
+    return AnalysesSpec(**{
+        name: _parse_block(raw[name], f"analyses.{name}", name, cls)
+        for name, cls in _ANALYSES.items()
+        if name in raw
+    })
 
 
 def build_dynamics(spec: DynamicsSpec) -> Dynamics:
@@ -320,161 +350,53 @@ def build_dynamics(spec: DynamicsSpec) -> Dynamics:
     return GeneratorDynamics(r, horizon=horizon)
 
 
-def _parse_grid(raw) -> GridSpec:
-    raw = _expect_mapping(raw, "grid")
-    keys = _take(raw, "grid", required=("t1", "points"), optional=("t0",))
-    return GridSpec(
-        t1=_number(keys["t1"], "grid.t1"),
-        points=_integer(keys["points"], "grid.points"),
-        t0=_number(keys.get("t0", 0.0), "grid.t0"),
-    )
-
-
-def _parse_perturbation(raw) -> PerturbationSpec:
-    raw = _expect_mapping(raw, "perturbation")
-    keys = _take(raw, "perturbation", required=(), optional=("epsilon", "direction", "theta_points"))
-    return PerturbationSpec(
-        epsilon=_number(keys.get("epsilon", 1e-3), "perturbation.epsilon"),
-        direction=_vector(keys["direction"], "perturbation.direction") if "direction" in keys else None,
-        theta_points=_integer(keys["theta_points"], "perturbation.theta_points")
-        if "theta_points" in keys
-        else None,
-    )
-
-
-def _parse_analyses(raw) -> AnalysesSpec:
-    raw = _expect_mapping(raw, "analyses")
-    allowed = ("divisibility", "figure1", "witness", "no_go", "filter", "retrodiction", "quantum")
-    keys = _take(raw, "analyses", required=(), optional=allowed)
-    out: dict[str, Any] = {}
-    if "divisibility" in keys:
-        block = _take(_expect_mapping(keys["divisibility"], "analyses.divisibility"),
-                      "analyses.divisibility", (), ("rate_tol",))
-        out["divisibility"] = DivisibilitySpec(
-            rate_tol=_number(block.get("rate_tol", 1e-9), "divisibility.rate_tol")
-        )
-    if "figure1" in keys:
-        _take(_expect_mapping(keys["figure1"], "analyses.figure1"), "analyses.figure1", (), ())
-        out["figure1"] = Figure1Spec()
-    if "witness" in keys:
-        block = _take(_expect_mapping(keys["witness"], "analyses.witness"),
-                      "analyses.witness", (), ("time", "fallback_samples"))
-        out["witness"] = WitnessSpec(
-            time=_number(block.get("time", 0.0), "witness.time"),
-            fallback_samples=_integer(block.get("fallback_samples", 1000), "witness.fallback_samples"),
-        )
-    if "no_go" in keys:
-        block = _take(_expect_mapping(keys["no_go"], "analyses.no_go"),
-                      "analyses.no_go", (), ("base", "copies", "ancilla_dims", "margin"))
-        out["no_go"] = NoGoSpec(
-            base=_vector(block["base"], "no_go.base") if "base" in block else None,
-            copies=_integers(block.get("copies", (1, 2)), "no_go.copies"),
-            ancilla_dims=_integers(block.get("ancilla_dims", (0, 2, 4)), "no_go.ancilla_dims"),
-            margin=_number(block["margin"], "no_go.margin") if "margin" in block else None,
-        )
-    if "filter" in keys:
-        block = _take(_expect_mapping(keys["filter"], "analyses.filter"),
-                      "analyses.filter", (), ("epsilons", "ancilla_dim", "ancilla_displacement"))
-        out["filter"] = FilterSpec(
-            epsilons=_vector(block.get("epsilons", (1e-2, 1e-3, 1e-4)), "filter.epsilons"),
-            ancilla_dim=_integer(block.get("ancilla_dim", 2), "filter.ancilla_dim"),
-            ancilla_displacement=_vector(
-                block.get("ancilla_displacement", (0.1, -0.1)), "filter.ancilla_displacement"
-            ),
-        )
-    if "retrodiction" in keys:
-        block = _take(_expect_mapping(keys["retrodiction"], "analyses.retrodiction"),
-                      "analyses.retrodiction", ("prior",), ("trials", "equivalence_times"))
-        out["retrodiction"] = RetroSpec(
-            prior=_vector(block["prior"], "retrodiction.prior"),
-            trials=_integer(block.get("trials", 100), "retrodiction.trials"),
-            equivalence_times=_vector(block["equivalence_times"], "retrodiction.equivalence_times")
-            if "equivalence_times" in block
-            else None,
-        )
-    if "quantum" in keys:
-        block = _take(_expect_mapping(keys["quantum"], "analyses.quantum"),
-                      "analyses.quantum", (), ("dim", "rates", "dt", "eta", "eps", "kind"))
-        kind = block.get("kind", "sld")
-        if kind not in ("sld", "kmb", "wy"):
-            raise ScenarioError(f"unknown metric kind {kind!r}")
-        out["quantum"] = QuantumSpec(
-            dim=_integer(block.get("dim", 2), "quantum.dim"),
-            rates=_rate_triples(block.get("rates", ((0, 1, -0.5), (1, 0, 1.0))), "quantum.rates"),
-            dt=_number(block.get("dt", 1e-3), "quantum.dt"),
-            eta=_number(block.get("eta", 1e-6), "quantum.eta"),
-            eps=_number(block.get("eps", 1e-3), "quantum.eps"),
-            kind=kind,
-        )
-    return AnalysesSpec(**out)
-
-
 def parse_scenario(raw) -> Scenario:
-    raw = _expect_mapping(raw, "scenario")
-    keys = _take(
-        raw,
-        "scenario",
-        required=("dynamics", "grid", "analyses"),
-        optional=("seed", "initial_state", "perturbation", "tolerances", "output_dir"),
-    )
+    raw = _take(raw, "scenario", Scenario)
     tolerances: dict[str, float] = {}
-    if "tolerances" in keys:
-        block = _expect_mapping(keys["tolerances"], "tolerances")
+    if "tolerances" in raw:
+        block = _expect_mapping(raw["tolerances"], "tolerances")
         for name, value in block.items():
             if name not in TOLERANCE_DEFAULTS:
                 raise ScenarioError(
                     f"unknown tolerance {name!r}; known: {sorted(TOLERANCE_DEFAULTS)}"
                 )
             tolerances[name] = _number(value, f"tolerances.{name}")
-    output_dir = keys.get("output_dir")
+    output_dir = raw.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ScenarioError("output_dir must be a string")
     return Scenario(
-        dynamics=_parse_dynamics(keys["dynamics"]),
-        grid=_parse_grid(keys["grid"]),
-        analyses=_parse_analyses(keys["analyses"]),
-        seed=_integer(keys.get("seed", 0), "seed"),
-        initial_state=_vector(keys["initial_state"], "initial_state")
-        if "initial_state" in keys
+        dynamics=_parse_block(raw["dynamics"], "dynamics", "dynamics", DynamicsSpec),
+        grid=_parse_block(raw["grid"], "grid", "grid", GridSpec),
+        analyses=_parse_analyses(raw["analyses"]),
+        seed=_integer(raw.get("seed", Scenario.seed), "seed"),
+        initial_state=_vector(raw["initial_state"], "initial_state") if "initial_state" in raw else None,
+        perturbation=_parse_block(raw["perturbation"], "perturbation", "perturbation", PerturbationSpec)
+        if "perturbation" in raw
         else None,
-        perturbation=_parse_perturbation(keys["perturbation"]) if "perturbation" in keys else None,
         tolerances=tolerances,
         output_dir=output_dir,
     )
 
 
 def _spec_dict(spec) -> dict:
+    """A spec's fields as JSON values, leaving out those that are None and empty tolerances."""
     out = {}
     for f in fields(spec):
         value = getattr(spec, f.name)
-        if value is None:
-            continue
-        if isinstance(value, tuple):
+        if is_dataclass(value):
+            value = _spec_dict(value)
+        elif isinstance(value, tuple):
             value = [list(v) if isinstance(v, tuple) else v for v in value]
-        out[f.name] = value
+        elif isinstance(value, dict):
+            value = dict(sorted(value.items())) or None
+        if value is not None:
+            out[f.name] = value
     return out
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    out: dict[str, Any] = {
-        "dynamics": _spec_dict(s.dynamics),
-        "grid": _spec_dict(s.grid),
-        "analyses": {},
-        "seed": s.seed,
-    }
-    for name in ("divisibility", "figure1", "witness", "no_go", "filter", "retrodiction", "quantum"):
-        block = getattr(s.analyses, name)
-        if block is not None:
-            out["analyses"][name] = _spec_dict(block)
-    if s.initial_state is not None:
-        out["initial_state"] = list(s.initial_state)
-    if s.perturbation is not None:
-        out["perturbation"] = _spec_dict(s.perturbation)
-    if s.tolerances:
-        out["tolerances"] = dict(sorted(s.tolerances.items()))
-    if s.output_dir is not None:
-        out["output_dir"] = s.output_dir
-    return out
+    """The scenario as the JSON object that parses back to it."""
+    return _spec_dict(s)
 
 
 def _reject_duplicates(pairs):

@@ -187,11 +187,11 @@ def first_failure_loop(check, stack):
 def round_trip_direct(t_mat, pi) -> np.ndarray:
     """Round trip A = T_hat T of one map, T_hat built from T with float-noise negatives set to 0.
 
-    ``pi`` is normalized first.
+    ``pi`` is used as given, so it must be normalized already (a context's
+    ``prior`` is).
     """
     t_mat = np.asarray(t_mat, dtype=float)
     pi = np.asarray(pi, dtype=float)
-    pi = pi / pi.sum()
     clamped = np.where(t_mat < 0.0, 0.0, t_mat)
     pushed = clamped @ pi
     return (pi[:, None] * clamped.T / pushed[None, :]) @ t_mat

@@ -201,6 +201,17 @@ class TestIntermediateMap:
         assert not report.passed
         assert report.most_negative_entry < 0.0
 
+    @pytest.mark.parametrize(
+        "t, want, snap", [(1e20, 1, "1.5"), (2.0, 1, "1.5"), (-1e20, 0, "0"), (0.75, 0, "0")]
+    )
+    def test_off_grid_time_snaps_to_nearest_point(self, t, want, snap):
+        # every distance to a time far past the grid rounds to the same float
+        traj = ff.Trajectory(
+            times=np.array([0.0, 1.5]), propagators=np.stack([np.eye(2)] * 2), states=None, max_column_drift=0.0
+        )
+        with pytest.warns(UserWarning, match=f"off the grid; snapping to {snap}$"):
+            assert traj.index_of(t) == want
+
     def test_backward_request_rejected(self):
         traj = ff.propagate(ff.GeneratorDynamics(SYM), 0.0, 1.0, steps=8)
         with pytest.raises(ff.DomainError):

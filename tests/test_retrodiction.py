@@ -121,6 +121,23 @@ class TestRetrodictionContext:
         want = np.stack([ff.bayes_inverse(m, prior) for m in ctx.forward_maps])
         assert np.array_equal(ctx.recovery_maps, want)
 
+    def test_recovery_maps_use_the_context_prior(self):
+        # normalizing this prior a second time moves it by an ulp
+        prior = random_interior(np.random.default_rng(3), 6)
+        assert not np.array_equal(ff.prob_vec(ff.prob_vec(prior)), ff.prob_vec(prior))
+        dyn = ff.GeneratorDynamics(random_markovian(np.random.default_rng(5), 6))
+        ctx = ff.retrodiction_context(prior, dyn, np.linspace(0.0, 1.0, 9))
+        want = np.stack([oracles.bayes_direct(m, ctx.prior) for m in ctx.forward_maps])
+        assert np.array_equal(ctx.recovery_maps, want)
+
+    @pytest.mark.parametrize("t, want, snap", [(1e20, 1, "1.5"), (2.0, 1, "1.5"), (-1e20, 0, "0")])
+    def test_off_grid_time_snaps_to_nearest_point(self, t, want, snap):
+        ctx = ff.retrodiction_context([0.5, 0.5], ff.GeneratorDynamics(SYM), [0.0, 1.5])
+        with pytest.warns(UserWarning, match=f"off the retrodiction grid; snapping to {snap}$"):
+            assert ctx.index_of(t) == want
+        with pytest.warns(UserWarning, match=f"off the retrodiction grid; snapping to {snap}$"):
+            assert ctx.indices_of([0.0, t]).tolist() == [0, want]
+
     def test_grid_must_start_at_zero(self):
         with pytest.raises(ff.DomainError):
             ff.retrodiction_context([0.5, 0.5], ff.GeneratorDynamics(SYM), [0.5, 1.0])

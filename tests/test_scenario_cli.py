@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import fisherflow as ff
 import fisherflow.cli
+import fisherflow.scenario
 from fisherflow.cli import _atomic_write, main
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -143,6 +144,11 @@ class TestScenarioParsing:
             {"analyses": {"quantum": {"dim": -1}}},
             # filter divides by eps**2, which underflows
             {"analyses": {"filter": {"epsilons": [1e-2, 1e-160]}}},
+            {"analyses": {"retrodiction": {}}},
+            {"analyses": {"quantum": {"kind": "bogus"}}},
+            {"analyses": {"figure1": {"points": 4}}},
+            {"dynamics": {"kind": "contraction"}},
+            {"dynamics": {"kind": "case_study", "target": [0.5, 0.5]}},
         ],
     )
     def test_malformed_fields_rejected(self, change):
@@ -160,8 +166,13 @@ class TestScenarioParsing:
                 {"dynamics": {"kind": "generator", "rates": [[0, 1, -float("inf")], [1, 0, 1.0]], "dimension": 2}},
                 "dynamics.rates must be a finite number, got -inf",
             ),
+            ({"analyses": {"quantum": {"dt": float("nan")}}}, "quantum.dt must be a finite number, got nan"),
+            (
+                {"perturbation": {"epsilon": float("inf"), "theta_points": 4}},
+                "perturbation.epsilon must be a finite number, got inf",
+            ),
         ],
-        ids=["tolerance", "grid-bound", "long-integer", "vector-entry", "rate-triple"],
+        ids=["tolerance", "grid-bound", "long-integer", "vector-entry", "rate-triple", "analyses-block", "perturbation"],
     )
     def test_non_finite_numbers_exit_1(self, tmp_path, capsys, change, message):
         # json.dumps writes NaN and Infinity, which json.load reads back as floats
@@ -169,6 +180,53 @@ class TestScenarioParsing:
         assert main(["scan", "--scenario", path, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"fisherflow: invalid input: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            # the kind is checked before every other field
+            ({"analyses": {"quantum": {"kind": "bogus", "dim": "x"}}}, "unknown metric kind 'bogus'"),
+            ({"dynamics": {"kind": "bogus", "matrix": [[-1.0, 1.0], [1.0]]}}, "unknown dynamics kind 'bogus'"),
+            # unknown keys before missing ones, missing ones before values
+            ({"analyses": {"retrodiction": {"trials": "x", "extra": 1}}}, "unknown key(s) ['extra'] in analyses.retrodiction"),
+            ({"analyses": {"retrodiction": {"trials": "x"}}}, "missing key(s) ['prior'] in analyses.retrodiction"),
+            # fields in declaration order, blocks in AnalysesSpec order
+            ({"grid": {"t0": "x", "points": "y", "t1": 1.0}}, "grid.points must be an integer"),
+            ({"analyses": {"quantum": {"dim": "x"}, "no_go": {"copies": "y"}}}, "no_go.copies must be an array of integers"),
+            ({"analyses": {"filter": []}}, "analyses.filter must be an object, got list"),
+        ],
+    )
+    def test_first_error_is_named(self, change, message):
+        with pytest.raises(ff.ScenarioError) as caught:
+            ff.parse_scenario(dict(MINIMAL, **change))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "name, raw, dumped",
+        [
+            ("divisibility", {}, {"rate_tol": 1e-9}),
+            ("figure1", {}, {}),
+            ("witness", {}, {"time": 0.0, "fallback_samples": 1000}),
+            ("no_go", {}, {"copies": [1, 2], "ancilla_dims": [0, 2, 4]}),
+            ("filter", {}, {"epsilons": [1e-2, 1e-3, 1e-4], "ancilla_dim": 2, "ancilla_displacement": [0.1, -0.1]}),
+            # the prior has no default
+            ("retrodiction", {"prior": [0.5, 0.5]}, {"prior": [0.5, 0.5], "trials": 100}),
+            (
+                "quantum",
+                {},
+                {"dim": 2, "rates": [[0, 1, -0.5], [1, 0, 1.0]], "dt": 1e-3, "eta": 1e-6, "eps": 1e-3, "kind": "sld"},
+            ),
+        ],
+    )
+    def test_empty_analyses_block_takes_defaults(self, name, raw, dumped):
+        s = ff.parse_scenario(dict(MINIMAL, analyses={name: raw}))
+        spec = getattr(s.analyses, name)
+        assert spec == type(spec)(**{k: tuple(v) for k, v in raw.items()})
+        assert json.loads(ff.dump_scenario(s))["analyses"] == {name: dumped}
+
+    def test_dynamics_spec_checks_its_sources(self):
+        with pytest.raises(ff.ScenarioError, match="needs a target"):
+            fisherflow.scenario.DynamicsSpec(kind="contraction")
 
     def test_undecodable_file_rejected(self, tmp_path):
         path = tmp_path / "latin1.json"
@@ -366,7 +424,10 @@ class TestCliRuns:
         code = main(["figure1", "--scenario", _write(tmp_path, scn), "--out", str(tmp_path)])
         assert code == 1
 
-    def test_nogo_command(self, tmp_path):
+    def test_nogo_command(self, tmp_path, monkeypatch):
+        calls = []
+        verify = fisherflow.cli.no_go_verify
+        monkeypatch.setattr(fisherflow.cli, "no_go_verify", lambda *a, **k: calls.append(k) or verify(*a, **k))
         code = main(
             ["nogo", "--scenario", _scenario("counterexample_nogo.json"), "--out", str(tmp_path)]
         )
@@ -374,14 +435,21 @@ class TestCliRuns:
         report = json.loads((tmp_path / "nogo.json").read_text())
         assert report["checks"]["margin_met"]["ok"] is True
         assert len(report["results"]["cases"]) == 6
+        # one contraction form per case: the offender comes from the first
+        assert len(calls) == 6
 
-    def test_filter_command(self, tmp_path):
+    def test_filter_command(self, tmp_path, monkeypatch):
+        calls = []
+        rate = fisherflow.cli.filter_witness_rate
+        monkeypatch.setattr(fisherflow.cli, "filter_witness_rate", lambda *a: calls.append(a[3]) or rate(*a))
         code = main(
             ["filter", "--scenario", _scenario("counterexample_filter.json"), "--out", str(tmp_path)]
         )
         assert code == 0
         report = json.loads((tmp_path / "filter.json").read_text())
         assert report["checks"]["ratio_converges"]["ok"] is True
+        # one rate per epsilon; each ratio is derived from it
+        assert len(calls) == len(set(calls)) == len(report["results"]["epsilon_rates"])
 
     def test_retro_command(self, tmp_path):
         code = main(
