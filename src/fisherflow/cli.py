@@ -694,7 +694,7 @@ def cmd_quantum(scn: Scenario, outdir: str, seed: int):
     block = scn.analyses.quantum or QuantumSpec()
     rates = {(i, j): v for i, j, v in block.rates}
     lind = semiclassical_lindbladian(rates, block.dim)
-    step = channel_step(lind, block.dt, mode="exact")
+    step = channel_step(lind, block.dt)
     cp = cp_check(step, tol=scn.tolerance("cp"))
     classical = rate_matrix_from_rates(rates, block.dim)
     markovian = is_markovian_generator(classical).markovian
@@ -710,9 +710,9 @@ def cmd_quantum(scn: Scenario, outdir: str, seed: int):
     checks = {"cp_matches_rate_sign": _check_true(cp.cp == markovian)}
     if not cp.cp:
         witness = quantum_dilation_witness(
-            step, eta=block.eta, eps=block.eps, kind=MonotoneKind(block.kind)
+            step, eta=block.eta, eps=block.eps, kind=MonotoneKind(block.kind), cp_tol=cp.tol
         )
-        fd = quantum_witness_fd_rate(step, witness)
+        fd = quantum_witness_fd_rate(witness)
         agreement = abs(fd - witness.rate_value) / abs(witness.rate_value)
         results["witness"] = {
             "found": witness.found,

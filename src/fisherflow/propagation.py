@@ -411,15 +411,13 @@ def propagate(
     t1: float | None = None,
     steps: int = 256,
     initial_state=None,
-    richardson_tol: float = RICHARDSON_TOL,
-    check: bool = True,
 ) -> Trajectory:
     """Propagators of ``dyn`` from ``t0`` on a uniform grid of ``steps`` intervals.
 
     Closed-form families are evaluated exactly. Generator-driven families
-    are integrated with fixed-step RK4; when ``check`` is set the run is
-    repeated at half the step and a Richardson disagreement beyond
-    ``richardson_tol`` raises :class:`IntegrationAccuracyError`.
+    are integrated with fixed-step RK4, and the run is repeated at half the
+    step: a Richardson disagreement beyond ``RICHARDSON_TOL`` raises
+    :class:`IntegrationAccuracyError`.
     """
     if t1 is None:
         t1 = dyn.horizon if np.isfinite(dyn.horizon) else 1.0
@@ -441,16 +439,14 @@ def propagate(
         # one generator stack serves both sweeps: the half-step sweep runs on
         # the full sweep's nodes, so the full sweep takes every other node
         coarse = _with_midpoints(times)
-        nodes = _with_midpoints(coarse) if check else coarse
-        gens = dyn._rate_stack(nodes)
-        mats, drift = _rk4_sweep(gens[::2] if check else gens, times, n)
-        if check:
-            fine, _ = _rk4_sweep(gens, coarse, n)
-            gap = float(np.max(np.abs(fine[-1] - mats[-1]))) / 15.0
-            if gap > richardson_tol:
-                raise IntegrationAccuracyError(
-                    f"step-halving estimate {gap:.3e} exceeds {richardson_tol:.0e}; increase steps"
-                )
+        gens = dyn._rate_stack(_with_midpoints(coarse))
+        mats, drift = _rk4_sweep(gens[::2], times, n)
+        fine, _ = _rk4_sweep(gens, coarse, n)
+        gap = float(np.max(np.abs(fine[-1] - mats[-1]))) / 15.0
+        if gap > RICHARDSON_TOL:
+            raise IntegrationAccuracyError(
+                f"step-halving estimate {gap:.3e} exceeds {RICHARDSON_TOL:.0e}; increase steps"
+            )
 
     states = None
     if initial_state is not None:

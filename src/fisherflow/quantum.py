@@ -206,10 +206,8 @@ def dephasing_channel(d: int, keep: float) -> QuantumChannel:
     if not 0.0 <= keep <= 1.0:
         raise DomainError(f"keep must be in [0, 1], got {keep}")
     s = keep * np.eye(d**2, dtype=complex)
-    for i in range(d):
-        e = np.zeros((d, d))
-        e[i, i] = 1.0
-        s += (1.0 - keep) * np.kron(e, e)
+    diagonal = np.arange(d) * (d + 1)  # row-major position of E_ii
+    s[diagonal, diagonal] += 1.0 - keep
     return channel_from_matrix(s, d)
 
 
@@ -230,53 +228,44 @@ def compose(outer: SuperOperator, inner: SuperOperator) -> QuantumChannel:
     return channel_from_matrix(outer.matrix @ inner.matrix, outer.dim)
 
 
-def extend_with_identity(op: SuperOperator, copy_dim: int | None = None) -> SuperOperator:
-    """Lift a map to system (x) copy, acting as identity on the copy."""
-    da = op.dim
-    db = da if copy_dim is None else int(copy_dim)
-    total = da * db
+def extend_with_identity(op: SuperOperator) -> SuperOperator:
+    """Lift a map to system (x) copy of the system, acting as identity on the copy."""
+    d = op.dim
+    total = d * d
     if total > MAX_QUANTUM_DIM:
         raise ResourceLimitError(f"extended dimension {total} exceeds {MAX_QUANTUM_DIM}")
-    s4 = op.matrix.reshape(da, da, da, da)
-    eye = np.eye(db)
+    s4 = op.matrix.reshape(d, d, d, d)
+    eye = np.eye(d)
     big = np.einsum("apcq,bd,PQ->abpPcdqQ", s4, eye, eye).reshape(total**2, total**2)
     if isinstance(op, QuantumChannel):
         return channel_from_matrix(big, total)
     return SuperOperator(matrix=big, dim=total)
 
 
-def channel_step(lind: SuperOperator, dt: float, mode: str = "exact") -> QuantumChannel:
-    """One time step of the semigroup generated by ``lind``.
+def channel_step(lind: SuperOperator, dt: float) -> QuantumChannel:
+    """One exact time step exp(dt L) of the semigroup generated by ``lind``.
 
-    ``exact`` exponentiates the generator; ``euler`` takes Id + dt L, which
-    is trace preserving but fails complete positivity at order dt^2 even
-    for perfectly valid generators, so classification work must use the
-    exact step. A step that overflows raises a numerical-accuracy error.
+    The exponential keeps complete positivity for valid generators, which
+    Id + dt L loses at order dt^2, so classification needs the exact step.
+    A step that overflows raises a numerical-accuracy error.
     """
     if dt <= 0.0:
         raise DomainError("dt must be positive")
-    if mode not in ("exact", "euler"):
-        raise DomainError(f"unknown mode {mode!r}; use 'exact' or 'euler'")
     with np.errstate(over="ignore", invalid="ignore"):
-        if mode == "exact":
-            s = expm(dt * lind.matrix)
-        else:
-            s = np.eye(lind.dim**2, dtype=complex) + dt * lind.matrix
+        s = expm(dt * lind.matrix)
     if not np.all(np.isfinite(s)):
-        raise NumericalAccuracyError(f"{mode} step over dt = {dt:g} overflows to non-finite entries")
+        raise NumericalAccuracyError(f"exact step over dt = {dt:g} overflows to non-finite entries")
     return channel_from_matrix(s, lind.dim)
 
 
 def choi(op: SuperOperator) -> np.ndarray:
-    """Choi matrix (1/d) sum_jl T[E_jl] (x) E_jl, validated Hermitian."""
+    """Choi matrix (1/d) sum_jl T[E_jl] (x) E_jl, validated Hermitian.
+
+    Entry ((a, j), (b, l)) is T[E_jl][a, b] / d, the superoperator entry
+    ((a, b), (j, l)) / d, so the matrix is a reshuffle of the superoperator.
+    """
     d = op.dim
-    c = np.zeros((d**2, d**2), dtype=complex)
-    for j in range(d):
-        for l in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[j, l] = 1.0
-            c += np.kron(op.apply(e), e)
-    c /= d
+    c = op.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d) / d
     defect = float(np.max(np.abs(c - c.conj().T)))
     if defect > 1e-10:
         raise ChannelRepresentationError(f"Choi matrix Hermiticity defect {defect:.3e}")
@@ -314,18 +303,6 @@ class MonotoneKind(Enum):
     SLD = "sld"
     KMB = "kmb"
     WY = "wy"
-
-    def f(self, x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if self is MonotoneKind.SLD:
-            out = (1.0 + arr) / 2.0
-        elif self is MonotoneKind.WY:
-            out = ((1.0 + np.sqrt(arr)) / 2.0) ** 2
-        else:
-            out = np.ones_like(arr)
-            away = np.abs(arr - 1.0) >= 1e-12
-            out[away] = (arr[away] - 1.0) / np.log(arr[away])
-        return out if np.ndim(x) else float(out[0])
 
 
 def metric_kernel(kind: MonotoneKind, x, y) -> np.ndarray:
@@ -386,14 +363,12 @@ def diag_decomposition_check(rho, drho, kind: MonotoneKind = MonotoneKind.SLD) -
 
 
 def classical_action(op: SuperOperator) -> np.ndarray:
-    """Action induced on diagonal matrices: column j is diag(T[E_jj])."""
+    """Action induced on diagonal matrices: column j is diag(T[E_jj]).
+
+    Entry (i, j) is the superoperator entry ((i, i), (j, j)).
+    """
     d = op.dim
-    out = np.empty((d, d))
-    for j in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[j, j] = 1.0
-        out[:, j] = np.diag(op.apply(e)).real
-    return out
+    return np.einsum("iijj->ij", op.matrix.reshape(d, d, d, d)).real.copy()
 
 
 def semiclassical_lindbladian(rates, d: int) -> SuperOperator:
@@ -480,7 +455,7 @@ class SpecialPointReport:
         return max(abs(v - self.target) for v in self.values.values())
 
 
-def special_point_check(drho, kinds: Iterable[MonotoneKind] = tuple(MonotoneKind)) -> SpecialPointReport:
+def special_point_check(drho) -> SpecialPointReport:
     pert = hermitian_perturbation(drho)
     vals, vecs = np.linalg.eigh(pert)
     size = float(np.sum(np.abs(vals)))
@@ -491,7 +466,7 @@ def special_point_check(drho, kinds: Iterable[MonotoneKind] = tuple(MonotoneKind
     base_support = np.diag(np.abs(lam) / size)
     pert_support = np.diag(lam)
     values = {
-        kind: petz_metric(base_support, pert_support, pert_support, kind) for kind in kinds
+        kind: petz_metric(base_support, pert_support, pert_support, kind) for kind in MonotoneKind
     }
     base_full = vecs @ np.diag(np.abs(vals) / size) @ vecs.conj().T
     base_full.flags.writeable = False
@@ -515,7 +490,8 @@ class QuantumWitnessReport:
     transition generator whose (offender <- entangled) rate is negative,
     and the classical Fisher rate at the concentrated base is positive.
     ``scaled_rate`` is rate times eta squared, the regularization-free
-    figure used for stability comparison at halved eta.
+    figure used for stability comparison at halved eta. ``lifted`` is the
+    map extended by the identity on a copy of the system.
     """
 
     found: bool
@@ -533,6 +509,7 @@ class QuantumWitnessReport:
     direction: np.ndarray = field(repr=False)
     classical_generator: np.ndarray = field(repr=False)
     frame: np.ndarray = field(repr=False)
+    lifted: QuantumChannel = field(repr=False)
 
 
 def _witness_frame(d: int, choi_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -552,14 +529,14 @@ def _witness_frame(d: int, choi_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _diagonal_transition_generator(lifted: SuperOperator, frame: np.ndarray) -> np.ndarray:
+    """Entry (a, b) is <f_a| (T - Id)[|f_b><f_b|] |f_a> for the frame columns f_b."""
     total = lifted.dim
-    gen = np.empty((total, total))
-    for b in range(total):
-        col = frame[:, b]
-        projector = np.outer(col, col.conj())
-        moved = lifted.apply(projector) - projector
-        gen[:, b] = np.einsum("ia,ij,ja->a", frame.conj(), moved, frame).real
-    return gen
+    cols = frame.T
+    # the vectorized projectors |f_b><f_b| as a stack of column vectors, so the
+    # product runs one matrix-vector kernel per projector, as ``apply`` does
+    projectors = (cols[:, :, None] * cols.conj()[:, None, :]).reshape(total, total * total, 1)
+    moved = (lifted.matrix @ projectors - projectors).reshape(total, total, total)
+    return np.einsum("ia,bij,ja->ab", frame.conj(), moved, frame).real
 
 
 def _witness_rate(gen: np.ndarray, eta: float, eps: float) -> tuple[float, np.ndarray, np.ndarray]:
@@ -627,27 +604,21 @@ def quantum_dilation_witness(
         direction=direction,
         classical_generator=gen,
         frame=frame,
+        lifted=lifted,
     )
 
 
-def quantum_witness_fd_rate(
-    intermediate: QuantumChannel,
-    report: QuantumWitnessReport,
-    alpha: float | None = None,
-) -> float:
+def quantum_witness_fd_rate(report: QuantumWitnessReport) -> float:
     """Independent rate estimate: finite difference of the metric along the map.
 
-    The state pair is pushed a fraction ``alpha`` of the way through the
-    lifted map (a convex combination, so positivity is safe) and the
-    monotone metric of the displacement is differenced. Units match the
-    witness: one full application is one unit of time.
+    The state pair is pushed a fraction alpha of the way through the
+    witness's lifted map (a convex combination, so positivity is safe) and
+    the monotone metric of the displacement is differenced. alpha is
+    0.02 eta / (d^2 |Choi minimum|), at most 0.25. Units match the witness:
+    one full application is one unit of time.
     """
-    lifted = extend_with_identity(intermediate)
-    if alpha is None:
-        total = intermediate.dim ** 2
-        alpha = min(0.25, 0.02 * report.eta / (total * abs(report.choi_min_eigenvalue)))
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must be in (0, 1], got {alpha}")
+    lifted = report.lifted
+    alpha = min(0.25, 0.02 * report.eta / (lifted.dim * abs(report.choi_min_eigenvalue)))
     rho, drho = report.rho, report.drho
     rho_a = (1.0 - alpha) * rho + alpha * lifted.apply(rho)
     drho_a = (1.0 - alpha) * drho + alpha * lifted.apply(drho)

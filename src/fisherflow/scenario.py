@@ -130,6 +130,11 @@ def _rate_triples(value, where: str) -> tuple[tuple[int, int, float], ...]:
         if not isinstance(item, (list, tuple)) or len(item) != 3:
             raise ScenarioError(f"{where} entries must be [i, j, rate] triples")
         out.append((_integer(item[0], where), _integer(item[1], where), _number(item[2], where)))
+    seen = set()
+    for i, j, _ in out:
+        if (i, j) in seen:
+            raise ScenarioError(f"{where} repeats the pair [{i}, {j}]")
+        seen.add((i, j))
     return tuple(out)
 
 

@@ -40,7 +40,7 @@ NEGATIVE_CLAMP = 1e-12
 #: Column sums of stochastic matrices / generators must match to this.
 COLUMN_TOL = 1e-9
 
-#: Hard cap on the dimension produced by tensor constructions.
+#: Hard cap on the dimension of an extended generator.
 MAX_TENSOR_DIM = 4096
 
 
@@ -238,37 +238,6 @@ def is_markovian_generator(r, rate_tol: float = 1e-9) -> GeneratorCheck:
     return GeneratorCheck(markovian=not off, negative_rates=off)
 
 
-def _check_tensor_dim(total: int, max_dim: int) -> None:
-    if total > max_dim:
-        raise ResourceLimitError(f"tensor dimension {total} exceeds the limit {max_dim}")
-
-
-def tensor_state(p, q, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
-    """Product state on the composite space, first factor outermost."""
-    a = prob_vec(p)
-    b = prob_vec(q)
-    _check_tensor_dim(a.size * b.size, max_dim)
-    return _freeze(np.kron(a, b))
-
-
-def tensor_map(t, s, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
-    """Product of two column-stochastic maps acting factor-wise."""
-    a = stochastic_matrix(t)
-    b = stochastic_matrix(s)
-    _check_tensor_dim(a.shape[0] * b.shape[0], max_dim)
-    return _freeze(np.kron(a, b))
-
-
-def embed_extra_state(t) -> np.ndarray:
-    """Extend a map by one isolated state that neither feeds nor drains the rest."""
-    a = stochastic_matrix(t)
-    n = a.shape[0]
-    out = np.zeros((n + 1, n + 1))
-    out[:n, :n] = a
-    out[n, n] = 1.0
-    return _freeze(out)
-
-
 def extend_generator(r, copies: int = 1, ancilla_dim: int = 0, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
     """Generator of ``copies`` independent replicas plus an idle ancilla.
 
@@ -283,7 +252,8 @@ def extend_generator(r, copies: int = 1, ancilla_dim: int = 0, max_dim: int = MA
     if ancilla_dim < 0:
         raise DimensionMismatchError("ancilla_dim must be >= 0")
     total = n**copies * max(ancilla_dim, 1)
-    _check_tensor_dim(total, max_dim)
+    if total > max_dim:
+        raise ResourceLimitError(f"tensor dimension {total} exceeds the limit {max_dim}")
     dim_sys = n**copies
     out = np.zeros((dim_sys, dim_sys))
     for l in range(copies):

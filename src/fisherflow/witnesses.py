@@ -123,7 +123,6 @@ def _sample_interior(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def dilation_direction_search(
     r,
-    eps_ladder: Sequence[float] = EPS_LADDER,
     fallback_samples: int = FALLBACK_SAMPLES,
     seed: int = 0,
 ) -> WitnessReport:
@@ -144,7 +143,7 @@ def dilation_direction_search(
     offender, offender_rate = min_offdiag(m)
     i0, j0 = offender
 
-    for eps in eps_ladder:
+    for eps in EPS_LADDER:
         if (n - 1) * eps >= 1.0 - eps:
             continue
         base = np.full(n, eps)
@@ -245,14 +244,13 @@ def no_go_verify(
     r,
     copies: int = 1,
     ancilla_dim: int = 0,
-    ancilla_state=None,
     margin: float | None = None,
     rate_tol: float = 1e-9,
 ) -> NoGoReport:
     """Certify absence of Fisher dilation for replicas plus an idle ancilla.
 
-    The base point is the tensor power of ``pi`` with the ancilla in
-    ``ancilla_state`` (uniform by default). A failed precondition is
+    The base point is the tensor power of ``pi`` with the ancilla in the
+    uniform state. A failed precondition is
     reported through ``condition_met``, not raised: it means the instance
     is outside the certified family, not that the check broke.
     """
@@ -272,10 +270,7 @@ def no_go_verify(
     for _ in range(copies - 1):
         base = np.kron(base, base_pi)
     if ancilla_dim >= 2:
-        w = np.full(ancilla_dim, 1.0 / ancilla_dim) if ancilla_state is None else prob_vec(ancilla_state)
-        if w.shape[0] != ancilla_dim:
-            raise DimensionMismatchError("ancilla state dimension mismatch")
-        base = np.kron(base, w)
+        base = np.kron(base, np.full(ancilla_dim, 1.0 / ancilla_dim))
 
     sys_dim = n**copies
     full_form = contraction_form(base, r_ext)

@@ -351,11 +351,37 @@ def relaxation_retro_sq(delta: float, t: float) -> float:
     return 2.0 * delta**2 * (1.0 - np.exp(-4.0 * t)) ** 2
 
 
-def choi_by_reshape(superop: np.ndarray, d: int) -> np.ndarray:
-    """Choi matrix via pure index bookkeeping on the superoperator tensor."""
-    s4 = superop.reshape(d, d, d, d)
-    # C[(a,c),(b,e)] = S[(a,b),(c,e)] / d
-    return s4.transpose(0, 2, 1, 3).reshape(d * d, d * d) / d
+def _apply_superop(superop: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T[X] for a superoperator on row-major vectorizations."""
+    d = x.shape[0]
+    return (np.asarray(superop) @ x.reshape(-1)).reshape(d, d)
+
+
+def choi_by_basis_sum(superop: np.ndarray, d: int) -> np.ndarray:
+    """Choi matrix (1/d) sum_jl T[E_jl] (x) E_jl, one matrix unit E_jl at a time."""
+    c = np.zeros((d * d, d * d), dtype=complex)
+    for j in range(d):
+        for l in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[j, l] = 1.0
+            c += np.kron(_apply_superop(superop, e), e)
+    return c / d
+
+
+def transition_generator_by_column(superop: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Diagonal transition generator of T in an orthonormal frame, one column at a time.
+
+    Entry (a, b) is Re <f_a| T[|f_b><f_b|] - |f_b><f_b| |f_a> for the
+    columns f_b of ``frame``.
+    """
+    total = frame.shape[0]
+    gen = np.empty((total, total))
+    for b in range(total):
+        projector = np.outer(frame[:, b], frame[:, b].conj())
+        moved = _apply_superop(superop, projector) - projector
+        for a in range(total):
+            gen[a, b] = np.vdot(frame[:, a], moved @ frame[:, a]).real
+    return gen
 
 
 def kmb_kernel(x: float, y: float) -> float:

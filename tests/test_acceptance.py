@@ -292,7 +292,7 @@ def test_a7_quantum(capsys):
             r[i, j] = -float(rng.uniform(0.05, 0.5))
             np.fill_diagonal(r, 0.0)
             np.fill_diagonal(r, -r.sum(axis=0))
-        step = ff.channel_step(ff.semiclassical_lindbladian(r, d), 1e-3, mode="exact")
+        step = ff.channel_step(ff.semiclassical_lindbladian(r, d), 1e-3)
         report = ff.cp_check(step, tol=1e-10)
         if report.cp == markovian:
             classified += 1

@@ -1,0 +1,36 @@
+"""What ``tools/bytecheck.py`` records of one CLI run."""
+
+import importlib.util
+import os
+
+from fisherflow.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location("bytecheck", os.path.join(ROOT, "tools", "bytecheck.py"))
+bytecheck = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bytecheck)
+
+
+def _run(command, path, out, capsys):
+    # the runner captures file descriptors 1 and 2; pytest's own capture points
+    # sys.stdout and sys.stderr elsewhere, so suspend it as a run outside pytest
+    with capsys.disabled():
+        return bytecheck._run_one(main, command, path, out)
+
+
+def test_run_records_exit_output_and_file_digests(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    bundled = os.path.join(ROOT, "scenarios", "nonmarkovian_quantum.json")
+    ok = _run("quantum", bundled, out, capsys)
+    assert (ok["exit"], ok["stdout"], ok["stderr"], ok["warnings"]) == (0, "quantum: PASS (quantum.json)\n", "", [])
+    assert list(ok["files"]) == ["quantum.json"]
+    assert _run("quantum", bundled, out, capsys) == ok
+
+    overflow = os.path.join(ROOT, "scenarios", "edge", "quantum_extreme_rate.json")
+    failed = _run("quantum", overflow, out, capsys)
+    assert failed["exit"] == 2
+    assert failed["stdout"] == ""
+    assert failed["stderr"] == (
+        "fisherflow: numerical accuracy: exact step over dt = 0.001 overflows to non-finite entries\n"
+    )
+    assert failed["files"] == {}

@@ -294,8 +294,9 @@ class TestDivisibilityScan:
         assert not refinement_stable(dyn, ff.ScanResult(coarse.grid, coarse.rate_tol, (), (), invented))
 
     def test_failures_collected_not_raised(self):
-        # generator of a pure-mixing family without derivatives is unavailable;
-        # finite differences still work, so force a failure with a dead horizon
+        # contraction_to_target has closed-form derivatives, but at decay rate 50
+        # its mixing weight is within rounding of 1 from t = 0.625 on, which
+        # leaves no invertible part to extract a generator from
         dyn = ff.contraction_to_target([0.5, 0.5], decay_rate=50.0, horizon=1.0)
         result = ff.divisibility_scan(dyn, np.linspace(0.0, 1.0, 9))
         assert result.failures, "saturated mixing weight must be reported, not raised"

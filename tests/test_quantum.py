@@ -31,24 +31,23 @@ class TestChannelsAndChoi:
         assert np.allclose(c, np.eye(d * d) / d**2, atol=1e-14)
         assert ff.cp_check(ff.depolarizing_channel(d)).min_eigenvalue == pytest.approx(1.0 / d**2)
 
-    def test_choi_matches_reshape_oracle(self):
+    def test_choi_matches_basis_sum_oracle(self):
         rng = np.random.default_rng(3)
-        for d in (2, 3):
+        for d in (2, 3, 4):
             k = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             op = ff.SuperOperator(matrix=np.kron(k, k.conj()), dim=d)
             got = ff.choi(op)
-            want = oracles.choi_by_reshape(np.asarray(op.matrix), d)
-            assert np.allclose(got, want, atol=1e-12)
+            want = oracles.choi_by_basis_sum(np.asarray(op.matrix), d)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_euler_step_fails_cp_at_second_order(self):
-        # asymmetric rates: the euler Choi picks up a -O(dt^2) eigenvalue,
-        # so only the exact exponential step is safe to classify
+        # asymmetric rates: the Choi matrix of Id + dt L picks up a -O(dt^2)
+        # eigenvalue, so only the exact exponential step is safe to classify
         lind = ff.semiclassical_lindbladian({(0, 1): 0.5, (1, 0): 1.0}, 2)
         dt = 1e-3
-        euler = ff.channel_step(lind, dt, mode="euler")
-        exact = ff.channel_step(lind, dt, mode="exact")
+        euler = ff.channel_from_matrix(np.eye(4) + dt * lind.matrix, 2)
         assert not ff.cp_check(euler, tol=1e-10).cp
-        assert ff.cp_check(exact, tol=1e-10).cp
+        assert ff.cp_check(ff.channel_step(lind, dt), tol=1e-10).cp
 
     def test_negative_rate_shows_in_choi(self):
         # min Choi eigenvalue of Id + dt L tracks dt * a / d for one negative rate
@@ -56,18 +55,16 @@ class TestChannelsAndChoi:
         a = -0.5
         lind = ff.semiclassical_lindbladian({(0, 1): a, (1, 0): 1.0}, d)
         dt = 1e-5
-        euler = ff.channel_step(lind, dt, mode="euler")
+        euler = ff.channel_from_matrix(np.eye(4) + dt * lind.matrix, d)
         report = ff.cp_check(euler)
         assert not report.cp
         assert report.min_eigenvalue == pytest.approx(dt * a / d, rel=1e-3)
 
-    @pytest.mark.parametrize("mode", ["exact", "euler"])
-    def test_overflowing_step_is_an_accuracy_error(self, mode):
+    def test_overflowing_step_is_an_accuracy_error(self):
         # exp(dt L) overflows for this rate; no numpy warning may escape either
         lind = ff.semiclassical_lindbladian({(0, 1): -709784.0, (1, 0): 1.0}, 2)
-        dt = 1e-3 if mode == "exact" else 1e305
-        with pytest.raises(ff.NumericalAccuracyError, match=f"^{mode} step over dt = .* overflows"):
-            ff.channel_step(lind, dt, mode=mode)
+        with pytest.raises(ff.NumericalAccuracyError, match="^exact step over dt = 0.001 overflows"):
+            ff.channel_step(lind, 1e-3)
 
     def test_failed_choi_eigensolve_is_an_accuracy_error(self):
         op = ff.SuperOperator(matrix=np.full((4, 4), np.nan), dim=2)
@@ -87,6 +84,17 @@ class TestChannelsAndChoi:
         assert np.allclose(ff.compose(ch, ident).matrix, ch.matrix, atol=1e-14)
         lifted = ff.extend_with_identity(ch)
         assert lifted.dim == d * d
+        # T (x) Id on a product operator: T[X] (x) Y
+        rng = np.random.default_rng(2)
+        x, y = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(2))
+        assert np.allclose(lifted.apply(np.kron(x, y)), np.kron(ch.apply(x), y), atol=1e-14)
+
+    def test_choi_rejects_a_map_that_breaks_hermiticity(self):
+        # X -> A X with A not Hermitian has a non-Hermitian Choi matrix
+        a = np.array([[1.0, 2.0], [0.0, 1.0]])
+        op = ff.SuperOperator(matrix=np.kron(a, np.eye(2)), dim=2)
+        with pytest.raises(ff.ChannelRepresentationError, match="^Choi matrix Hermiticity defect"):
+            ff.choi(op)
 
 
 class TestPetzMetric:
@@ -182,6 +190,11 @@ class TestSemiclassicalGenerator:
         lind = ff.semiclassical_lindbladian(COUNTEREXAMPLE, 2)
         assert np.allclose(ff.classical_action(lind), COUNTEREXAMPLE, atol=1e-14)
 
+    def test_dephasing_channel_scales_coherences(self):
+        rho = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+        out = ff.dephasing_channel(2, keep=0.25).apply(rho)
+        assert np.allclose(out, [[0.6, 0.05 - 0.025j], [0.05 + 0.025j, 0.4]], atol=1e-15)
+
     def test_rate_map_input(self):
         lind = ff.semiclassical_lindbladian({(0, 1): -0.5, (1, 0): 1.0}, 2)
         assert np.allclose(ff.classical_action(lind), COUNTEREXAMPLE, atol=1e-14)
@@ -274,7 +287,7 @@ class TestSpecialPoint:
 class TestQuantumWitness:
     def _noncp_step(self, dt=1e-3):
         lind = ff.semiclassical_lindbladian({(0, 1): -0.5, (1, 0): 1.0}, 2)
-        return ff.channel_step(lind, dt, mode="exact")
+        return ff.channel_step(lind, dt)
 
     def test_witness_found_on_noncp_step(self):
         report = ff.quantum_dilation_witness(self._noncp_step())
@@ -285,14 +298,14 @@ class TestQuantumWitness:
 
     def test_cp_step_not_applicable(self):
         lind = ff.semiclassical_lindbladian({(0, 1): 0.5, (1, 0): 1.0}, 2)
-        step = ff.channel_step(lind, 1e-3, mode="exact")
+        step = ff.channel_step(lind, 1e-3)
         with pytest.raises(ff.WitnessNotApplicableError):
             ff.quantum_dilation_witness(step)
 
     def test_fd_estimate_agrees(self):
         step = self._noncp_step()
         report = ff.quantum_dilation_witness(step)
-        fd = ff.quantum_witness_fd_rate(step, report)
+        fd = ff.quantum_witness_fd_rate(report)
         assert abs(fd - report.rate_value) / abs(report.rate_value) <= 0.10
 
     def test_all_kinds_witness(self):
@@ -300,7 +313,7 @@ class TestQuantumWitness:
         for kind in ALL_KINDS:
             report = ff.quantum_dilation_witness(step, kind=kind)
             assert report.found
-            fd = ff.quantum_witness_fd_rate(step, report)
+            fd = ff.quantum_witness_fd_rate(report)
             assert abs(fd - report.rate_value) / abs(report.rate_value) <= 0.10
 
     def test_classical_generator_in_frame_has_negative_rate(self):
@@ -309,15 +322,31 @@ class TestQuantumWitness:
         assert gen[1, 0] < 0.0
         assert np.allclose(np.asarray(gen).sum(axis=0), 0.0, atol=1e-8)
 
-    def test_lifted_generator_built_once_for_both_etas(self, monkeypatch):
+    def test_classical_generator_matches_column_oracle(self):
+        for d in (2, 3, 4):
+            rates = {(i, (i + 1) % d): 0.7 for i in range(d)}
+            rates[(1, 0)] = -0.4
+            step = ff.channel_step(ff.semiclassical_lindbladian(rates, d), 1e-2)
+            report = ff.quantum_dilation_witness(step)
+            want = oracles.transition_generator_by_column(np.asarray(report.lifted.matrix), report.frame)
+            got = np.asarray(report.classical_generator)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_map_lifted_once_per_witness(self, monkeypatch):
         step = self._noncp_step()
         want = ff.quantum_dilation_witness(step)
+        want_fd = ff.quantum_witness_fd_rate(want)
         lifts = []
         real = ff.quantum.extend_with_identity
         monkeypatch.setattr(ff.quantum, "extend_with_identity", lambda op: lifts.append(op) or real(op))
         got = ff.quantum_dilation_witness(step)
+        got_fd = ff.quantum_witness_fd_rate(got)
         assert len(lifts) == 1
-        assert (got.rate_value, got.scaled_rate_half_eta) == (want.rate_value, want.scaled_rate_half_eta)
+        assert (got.rate_value, got.scaled_rate_half_eta, got_fd) == (
+            want.rate_value,
+            want.scaled_rate_half_eta,
+            want_fd,
+        )
 
     def test_eta_domain(self):
         with pytest.raises(ff.DomainError):
@@ -346,7 +375,7 @@ class TestCpClassification:
                 np.fill_diagonal(r, -r.sum(axis=0))
                 markovian = False
             lind = ff.semiclassical_lindbladian(r, d)
-            step = ff.channel_step(lind, 1e-3, mode="exact")
+            step = ff.channel_step(lind, 1e-3)
             assert ff.cp_check(step, tol=1e-10).cp == markovian
 
 

@@ -467,6 +467,21 @@ class TestCliRuns:
         report = json.loads((tmp_path / "quantum.json").read_text())
         assert report["checks"]["cp_matches_rate_sign"]["ok"] is True
 
+    def test_quantum_witness_uses_scenario_cp_tolerance(self, tmp_path):
+        # the Choi minimum, about -1e-11, is below the scenario's cp tolerance
+        # but above the witness's own default of -1e-10
+        scn = {
+            "dynamics": {"kind": "generator", "matrix": [[-1.0, 1.0], [1.0, -1.0]]},
+            "grid": {"t1": 1.0, "points": 2},
+            "analyses": {"quantum": {"rates": [[0, 1, -0.5], [1, 0, 1.0]], "dt": 4e-11}},
+            "tolerances": {"cp": 1e-14},
+        }
+        code = main(["quantum", "--scenario", _write(tmp_path, scn), "--out", str(tmp_path)])
+        assert code == 0
+        results = json.loads((tmp_path / "quantum.json").read_text())["results"]
+        assert results["cp"] is False
+        assert results["witness"]["found"] is True
+
 
 @pytest.fixture
 def cpus(monkeypatch):
@@ -519,6 +534,26 @@ class TestCliExitCodes:
         payload = dict(MINIMAL, analyses={"witnesss": {}})
         code = main(["witness", "--scenario", _write(tmp_path, payload), "--out", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (
+                {"dynamics": {"kind": "generator", "rates": [[0, 1, 0.5], [1, 0, 1.0], [0, 1, -0.5]], "dimension": 2}},
+                "dynamics.rates repeats the pair [0, 1]",
+            ),
+            (
+                {"analyses": {"quantum": {"rates": [[0, 1, 0.5], [0, 1, -0.5], [1, 0, 1.0]]}}},
+                "quantum.rates repeats the pair [0, 1]",
+            ),
+        ],
+        ids=["dynamics", "quantum"],
+    )
+    def test_repeated_rate_pair_maps_to_1(self, tmp_path, capsys, change, message):
+        path = _write(tmp_path, dict(MINIMAL, **change))
+        assert main(["quantum", "--scenario", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"fisherflow: invalid input: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_failed_tolerance_maps_to_2_and_report_is_written(self, tmp_path):
         scn = {

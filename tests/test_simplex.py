@@ -225,38 +225,6 @@ class TestMarkovianCheck:
         assert ff.validate_stochastic(step, tol=1e-9).passed
 
 
-class TestTensorTools:
-    def test_tensor_state_example(self):
-        out = ff.tensor_state([1.0, 0.0], [0.5, 0.5])
-        assert np.allclose(out, [0.5, 0.5, 0.0, 0.0])
-
-    def test_tensor_map_factorizes(self):
-        rng = np.random.default_rng(5)
-        t = expm(0.3 * random_markovian(rng, 2))
-        s = expm(0.3 * random_markovian(rng, 3))
-        p = ff.prob_vec(rng.dirichlet(np.ones(2)) + 0.05)
-        q = ff.prob_vec(rng.dirichlet(np.ones(3)) + 0.05)
-        lhs = ff.tensor_map(t, s) @ ff.tensor_state(p, q)
-        rhs = ff.tensor_state(t @ p, s @ q)
-        assert np.allclose(lhs, rhs, atol=1e-14)
-
-    def test_tensor_identity(self):
-        assert np.allclose(ff.tensor_map(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_embed_extra_state_blocks(self):
-        t = np.array([[0.9, 0.2], [0.1, 0.8]])
-        out = ff.embed_extra_state(t)
-        assert out.shape == (3, 3)
-        assert np.allclose(out[:2, :2], t)
-        assert out[2, 2] == 1.0
-        assert np.allclose(out[2, :2], 0.0)
-        assert np.allclose(out[:2, 2], 0.0)
-
-    def test_dimension_cap(self):
-        with pytest.raises(ff.ResourceLimitError):
-            ff.tensor_state(np.full(80, 1.0 / 80), np.full(80, 1.0 / 80), max_dim=4096)
-
-
 class TestExtendGenerator:
     def test_one_copy_is_identity_operation(self):
         assert np.allclose(ff.extend_generator(COUNTEREXAMPLE), COUNTEREXAMPLE)

@@ -1,0 +1,193 @@
+"""Check that this checkout's CLI writes the same bytes as another revision.
+
+Usage: ``python tools/bytecheck.py --against <rev>``
+
+The revision is checked out with ``git worktree add`` under the
+gitignored ``.bench_build/`` and removed again afterwards. Each tree runs
+``fisherflow.cli.main`` in a process of its own, with that tree's
+``src/`` on the path and the tree as the working directory, on:
+
+- the bundled scenarios, each with all seven commands;
+- the edge scenarios in ``scenarios/edge/``, each with all seven commands;
+- the ``scan``, ``retro`` and ``quantum`` inputs that ``bench/gen.py``
+  builds for the ``dynamics`` workload, for two seeds.
+
+Scenario paths are passed relative to the tree and every run writes into
+the same output path in both trees, so messages that name a path match.
+For every run the output files, exit code, stdout, stderr (both captured
+at the file descriptor, so forked writers are included) and warnings are
+compared. Outputs are held as digests in memory and the files are
+deleted; nothing is stored. The last line printed is a one-line summary,
+and the exit code is 0 when every run is identical, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import glob
+import hashlib
+import importlib.util
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import warnings
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COMMANDS = ("figure1", "scan", "witness", "nogo", "filter", "retro", "quantum")
+#: Seeds of the generated ``dynamics`` inputs.
+SEEDS = (1, 2)
+#: Commands of the generated ``dynamics`` inputs.
+GENERATED_COMMANDS = ("scan", "retro", "quantum")
+
+
+def _scenario_runs(tree: str) -> list[list[str]]:
+    """[group, command, path] for the bundled and edge scenarios, paths relative to ``tree``."""
+    runs = []
+    for group, pattern in (("bundled", "scenarios/*.json"), ("edge", "scenarios/edge/*.json")):
+        for path in sorted(os.path.relpath(p, tree) for p in glob.glob(os.path.join(tree, pattern))):
+            runs += [[group, command, path] for command in COMMANDS]
+    return runs
+
+
+def _generated_runs(inputs: str) -> list[list[str]]:
+    """Write ``bench/gen.py``'s ``dynamics`` inputs for each seed; [group, command, path] of each."""
+    spec = importlib.util.spec_from_file_location("bytecheck_gen", os.path.join(ROOT, "bench", "gen.py"))
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    runs = []
+    for seed in SEEDS:
+        manifest = gen.generate("dynamics", seed, inputs, f"seed{seed}")
+        for command, path, _ in manifest["cli"]:
+            if command in GENERATED_COMMANDS and path.startswith(manifest["input_dir"] + "/"):
+                runs.append(["generated", command, os.path.join(inputs, path)])
+    return runs
+
+
+@contextlib.contextmanager
+def _captured_fd(fd: int):
+    """Redirect file descriptor ``fd`` into a temporary file; yields a reader of what was written."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    saved = os.dup(fd)
+    with tempfile.TemporaryFile() as sink:
+        os.dup2(sink.fileno(), fd)
+        try:
+            yield lambda: (sink.seek(0), sink.read().decode("utf-8", "replace"))[1]
+        finally:
+            os.dup2(saved, fd)
+            os.close(saved)
+
+
+def _digests(outdir: str) -> dict[str, str]:
+    out = {}
+    for name in sorted(os.listdir(outdir)):
+        with open(os.path.join(outdir, name), "rb") as fh:
+            out[name] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def _run_one(main, command: str, path: str, outdir: str) -> dict:
+    shutil.rmtree(outdir, ignore_errors=True)
+    with _captured_fd(1) as out, _captured_fd(2) as err, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main([command, "--scenario", path, "--out", outdir])
+        except Exception as exc:  # noqa: BLE001 - a raising run is an outcome to compare
+            code = f"raised {type(exc).__name__}: {exc}"
+        sys.stdout.flush()
+        sys.stderr.flush()
+        stdout, stderr = out(), err()
+    return {
+        "exit": code,
+        "stdout": stdout,
+        "stderr": stderr,
+        "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+        "files": _digests(outdir) if os.path.isdir(outdir) else None,
+    }
+
+
+def _worker(outdir: str) -> None:
+    """Run the runs read as JSON from stdin in this process; write their outcomes as JSON to stdout."""
+    from fisherflow.cli import main
+
+    runs = json.load(sys.stdin)
+    results = [_run_one(main, command, path, outdir) for _, command, path in runs]
+    shutil.rmtree(outdir, ignore_errors=True)
+    json.dump(results, sys.stdout)
+
+
+def _run_tree(tree: str, runs: list[list[str]], outdir: str) -> list[dict]:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    done = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--worker", outdir],
+        input=json.dumps(runs),
+        capture_output=True,
+        text=True,
+        cwd=tree,
+        env=env,
+        check=False,
+    )
+    if done.returncode != 0:
+        raise SystemExit(f"bytecheck: runner in {tree} failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", help="git revision to compare this checkout with")
+    parser.add_argument("--worker", metavar="OUTDIR", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        _worker(args.worker)
+        return 0
+    if not args.against:
+        parser.error("--against is required")
+
+    rev = subprocess.run(
+        ["git", "rev-parse", "--short", f"{args.against}^{{commit}}"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    build = os.path.join(ROOT, ".bench_build")
+    other = os.path.join(build, f"bytecheck-{rev}")
+    os.makedirs(build, exist_ok=True)
+    if os.path.exists(other):
+        subprocess.run(["git", "worktree", "remove", "--force", other], cwd=ROOT, check=False)
+        shutil.rmtree(other, ignore_errors=True)
+    subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=True)
+    subprocess.run(
+        ["git", "worktree", "add", "--detach", "--quiet", other, rev], cwd=ROOT, check=True
+    )
+    try:
+        with tempfile.TemporaryDirectory(prefix="bytecheck-") as tmp:
+            generated = _generated_runs(os.path.join(tmp, "inputs"))
+            outdir = os.path.join(tmp, "out")
+            # a scenario present in only one tree shows up as a run the other tree fails
+            runs = sorted({tuple(r) for r in _scenario_runs(ROOT) + _scenario_runs(other)}) + generated
+            mine = _run_tree(ROOT, runs, outdir)
+            theirs = _run_tree(other, runs, outdir)
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", other], cwd=ROOT, check=False)
+        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=False)
+
+    groups: dict[str, int] = {}
+    differing = 0
+    for (group, command, path), a, b in zip(runs, mine, theirs):
+        groups[group] = groups.get(group, 0) + 1
+        keys = [key for key in a if a[key] != b[key]]
+        if keys:
+            differing += 1
+            print(f"differs: {command} {path}: {', '.join(keys)}")
+    made_up = ", ".join(f"{n} {g}" for g, n in groups.items())
+    if differing:
+        print(f"bytecheck: {differing} of {len(runs)} runs differ from {rev} ({made_up})")
+        return 1
+    print(f"bytecheck: {len(runs)} runs identical to {rev} ({made_up})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
