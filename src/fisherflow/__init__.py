@@ -61,8 +61,6 @@ from .propagation import (
     generator_of,
     intermediate_map,
     propagate,
-    propagator_at,
-    scan_refinement_check,
     trace_scaling_check,
 )
 from .quantum import (

@@ -710,7 +710,7 @@ def cmd_quantum(scn: Scenario, outdir: str, seed: int):
     checks = {"cp_matches_rate_sign": _check_true(cp.cp == markovian)}
     if not cp.cp:
         witness = quantum_dilation_witness(
-            step, eta=block.eta, eps=block.eps, kind=MonotoneKind(block.kind), cp_tol=cp.tol
+            step, cp, eta=block.eta, eps=block.eps, kind=MonotoneKind(block.kind)
         )
         fd = quantum_witness_fd_rate(witness)
         agreement = abs(fd - witness.rate_value) / abs(witness.rate_value)

@@ -14,10 +14,12 @@ Supported dynamics:
 * ``case_study_dynamics()`` - a fixed three-state mixing family with an
   oscillating target, bundled because several commands and tests drive it.
 
-``generator_grid`` evaluates the generator on a time grid as one stack,
-falling back to a per-point loop for families without a grid form.
-``divisibility_scan`` classifies that stack and reports every transition
-whose rate dips below ``-rate_tol``; an empty report certifies
+Each family defines ``propagators_at``, its exact propagators from time 0
+(None when only the integrator gives them), and ``_generator_grid``, its
+generators on a time grid with per-point failures (by default central
+differences of the exact propagators); ``generator_of`` is the one-point
+grid. ``divisibility_scan`` classifies the grid and reports every
+transition whose rate dips below ``-rate_tol``; an empty report certifies
 divisibility into stochastic pieces on that grid resolution.
 """
 
@@ -48,7 +50,6 @@ __all__ = [
     "contraction_to_target",
     "Trajectory",
     "propagate",
-    "propagator_at",
     "intermediate_map",
     "generator_of",
     "GeneratorGrid",
@@ -58,7 +59,6 @@ __all__ = [
     "ScanResult",
     "divisibility_scan",
     "refinement_stable",
-    "scan_refinement_check",
     "trace_scaling_check",
 ]
 
@@ -95,34 +95,49 @@ class Dynamics:
         self.dimension = int(dimension)
         self.horizon = float(horizon)
 
-    def generator_at(self, t: float) -> np.ndarray | None:
-        """Closed-form generator when available, else None."""
-        stack = self.generators_at(np.array([t], dtype=float))
-        return None if stack is None else stack[0]
-
-    def propagator_at(self, t: float) -> np.ndarray | None:
-        """Closed-form propagator from time 0 when available, else None."""
-        stack = self.propagators_at(np.array([t], dtype=float))
-        return None if stack is None else stack[0]
-
-    def generators_at(self, times) -> np.ndarray | None:
-        """Closed-form generators on an array of times as one ``(T, n, n)`` stack, else None.
-
-        Raises the error of the earliest time at which the generator is undefined.
-        """
-        grid = self._generator_grid(np.asarray(times, dtype=float))
-        if grid is None:
-            return None
-        if grid.errors:
-            raise grid.errors[min(grid.errors)]
-        return grid.generators
-
     def propagators_at(self, times) -> np.ndarray | None:
         """Closed-form propagators from time 0 on an array of times as one stack, else None."""
         return None
 
-    def _generator_grid(self, times: np.ndarray) -> GeneratorGrid | None:
-        return None
+    def _generator_grid(self, times: np.ndarray) -> GeneratorGrid:
+        """``dT/dt(t) T(t)^{-1}`` by central differences of ``propagators_at``, step 1e-6 clipped at 0."""
+        lo = np.maximum(times - 1e-6, 0.0)
+        hi = times + 1e-6
+        t_lo, t_hi, t_mid = np.split(self.propagators_at(np.concatenate([lo, hi, times])), 3)
+        deriv = (t_hi - t_lo) / (hi - lo)[:, None, None]
+
+        def solve(k):
+            _guard_condition(t_mid[k])
+            return np.linalg.solve(t_mid[k].T, deriv[k].T).T
+
+        return _grid_by_point(times, self.dimension, solve)
+
+
+def _grid_by_point(times: np.ndarray, n: int, at: Callable[[int], np.ndarray]) -> GeneratorGrid:
+    """Generator grid built one point at a time from ``at(k)``.
+
+    Library errors and singular solves at a point become entries of
+    ``errors``; any other exception, such as a bug in a callable
+    generator, propagates.
+    """
+    stack = np.full(times.shape + (n, n), np.nan)
+    errors: dict[int, Exception] = {}
+    for k in range(times.size):
+        try:
+            stack[k] = at(k)
+        except (FisherflowError, np.linalg.LinAlgError) as exc:
+            errors[k] = exc
+    stack.flags.writeable = False
+    return GeneratorGrid(times, stack, errors)
+
+
+def _called(rate: Callable[[float], np.ndarray], t: float, n: int) -> np.ndarray:
+    """``rate(t)`` as a float array, failing unless it has shape ``(n, n)``."""
+    value = np.asarray(rate(t), dtype=float)
+    if value.shape != (n, n):
+        rate_matrix(value)  # a malformed return gets the per-matrix check's own error
+        raise DimensionMismatchError(f"generator at t = {t:.6g} has shape {value.shape}, expected ({n}, {n})")
+    return value
 
 
 class GeneratorDynamics(Dynamics):
@@ -143,13 +158,8 @@ class GeneratorDynamics(Dynamics):
             n = self._constant.shape[0]
         super().__init__(n, horizon)
 
-    def generator_at(self, t: float) -> np.ndarray:
-        if self._constant is not None:
-            return self._constant
-        return rate_matrix(self._rate_fn(t))
-
     def _rate_stack(self, times: np.ndarray) -> np.ndarray:
-        """The generator on an array of times as one validated ``(T, n, n)`` stack.
+        """The generator at RK4's nodes as one validated ``(T, n, n)`` stack.
 
         A callable is called once per time, in order, and each return is
         copied before the next call. The stack is validated at once and
@@ -162,34 +172,20 @@ class GeneratorDynamics(Dynamics):
         stack = np.empty(times.shape + (n, n))
         for k, t in enumerate(times.tolist()):
             try:
-                value = np.asarray(self._rate_fn(t), dtype=float)
-                if value.shape != (n, n):
-                    rate_matrix(value)  # a malformed return gets the per-matrix check's own error
-                    raise DimensionMismatchError(
-                        f"generator at t = {t:.6g} has shape {value.shape}, expected ({n}, {n})"
-                    )
-                stack[k] = value
+                stack[k] = _called(self._rate_fn, t, n)
             except Exception:
                 rate_matrix(stack[:k], stack=True)
                 raise
         return rate_matrix(stack, stack=True)
 
-    def _generator_grid(self, times: np.ndarray) -> GeneratorGrid | None:
-        if self._constant is None:
-            return None
-        stack = np.broadcast_to(self._constant, times.shape + self._constant.shape)
-        return GeneratorGrid(times, stack, {})
-
-    def closed_form_propagator(self, t) -> np.ndarray | None:
-        """Matrix exponential for constant rates; None for time-dependent ones.
-
-        An array of times gives a ``(T, n, n)`` stack. Deliberately not
-        wired into ``propagator_at``: ``propagate`` must exercise the
-        integrator, while analysis code may want the exact map.
-        """
-        if self._constant is None:
-            return None
-        return expm(np.multiply.outer(np.asarray(t, dtype=float), self._constant))
+    def _generator_grid(self, times: np.ndarray) -> GeneratorGrid:
+        """A constant broadcast over ``times``, or the callable validated at each time."""
+        if self._constant is not None:
+            return GeneratorGrid(times, self._rate_stack(times), {})
+        t_list = times.tolist()
+        return _grid_by_point(
+            times, self.dimension, lambda k: rate_matrix(_called(self._rate_fn, t_list[k], self.dimension))
+        )
 
 
 class MixingDynamics(Dynamics):
@@ -198,9 +194,11 @@ class MixingDynamics(Dynamics):
     ``s, sdot, m, mdot`` must accept an array of times and broadcast over
     it: ``s`` and ``sdot`` return shape ``(T,)``, ``m`` and ``mdot`` shape
     ``(T, n)`` (and a scalar time gives a scalar or an ``(n,)`` vector).
-    Propagators and generators on a grid come from one evaluation of each.
-    ``s`` must start at zero and stay in [0, 1); ``m(t)`` must be a state.
-    These are checked on a sample grid at construction time.
+    Propagators and generators on a grid come from one evaluation of each;
+    without ``sdot`` and ``mdot`` the generator is differenced from the
+    propagators. ``s`` must start at zero and stay in [0, 1); ``m(t)`` must
+    be a state. These are checked on 65 points of ``[0, horizon]`` (of
+    ``[0, 1]`` for an infinite horizon) at construction time.
     """
 
     kind = "mixing"
@@ -213,7 +211,6 @@ class MixingDynamics(Dynamics):
         mdot: Callable[[np.ndarray], np.ndarray] | None = None,
         dimension: int | None = None,
         horizon: float = np.inf,
-        check_points: int = 65,
     ):
         m0 = np.asarray(m(0.0), dtype=float)
         n = m0.shape[0] if dimension is None else dimension
@@ -222,13 +219,10 @@ class MixingDynamics(Dynamics):
         self.m = m
         self.sdot = sdot
         self.mdot = mdot
-        self._validate(check_points)
-
-    def _validate(self, check_points: int) -> None:
         if abs(self.s(0.0)) > 1e-12:
             raise InvalidStateError(f"mixing weight must start at 0, got s(0) = {self.s(0.0):.3e}")
         t_hi = self.horizon if np.isfinite(self.horizon) else 1.0
-        grid = np.linspace(0.0, t_hi, check_points)
+        grid = np.linspace(0.0, t_hi, 65)
         values = {}
         for name in ("s", "sdot", "m", "mdot"):
             fn = getattr(self, name)
@@ -248,9 +242,9 @@ class MixingDynamics(Dynamics):
         target = np.asarray(self.m(t), dtype=float)[:, :, None]
         return (1.0 - w) * np.eye(self.dimension) + w * target
 
-    def _generator_grid(self, times: np.ndarray) -> GeneratorGrid | None:
+    def _generator_grid(self, times: np.ndarray) -> GeneratorGrid:
         if self.sdot is None or self.mdot is None:
-            return None
+            return super()._generator_grid(times)
         n = self.dimension
         w = np.asarray(self.s(times), dtype=float)
         dead = w > MIXING_CEILING
@@ -350,6 +344,14 @@ def nearest_index(grid: np.ndarray, times):
     return upper - (t - grid[upper - 1] <= grid[upper] - t)
 
 
+def snap_index(grid: np.ndarray, t: float, name: str) -> int:
+    """:func:`nearest_index` of one time, warning when it lies more than 1e-9 off ``name``."""
+    idx = int(nearest_index(grid, t))
+    if abs(float(grid[idx]) - t) > 1e-9:
+        warnings.warn(f"time {t:.6g} off {name}; snapping to {grid[idx]:.6g}", stacklevel=3)
+    return idx
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Propagators (and optionally states) of one dynamics on a time grid."""
@@ -364,15 +366,8 @@ class Trajectory:
     def dimension(self) -> int:
         return self.propagators.shape[1]
 
-    def index_of(self, t: float, snap_tol: float = 1e-9) -> int:
-        idx = int(nearest_index(self.times, t))
-        gap = abs(float(self.times[idx]) - t)
-        if gap > snap_tol:
-            warnings.warn(
-                f"time {t:.6g} off the grid; snapping to {self.times[idx]:.6g}",
-                stacklevel=2,
-            )
-        return idx
+    def index_of(self, t: float) -> int:
+        return snap_index(self.times, t, "the grid")
 
 
 def _with_midpoints(grid: np.ndarray) -> np.ndarray:
@@ -460,23 +455,15 @@ def propagate(
 def exact_propagators(dyn: Dynamics, times) -> np.ndarray | None:
     """Exact propagators from time 0 on an array of times as one stack, else None.
 
-    Closed-form families evaluate their formula; constant generators take
-    the matrix exponential. Families that need the integrator give None.
+    Closed-form families evaluate their formula; a constant generator takes
+    the matrix exponential. Time-dependent generators need the integrator
+    and give None. ``propagate`` integrates constant generators too, so
+    that it always exercises RK4.
     """
-    stack = dyn.propagators_at(times)
-    if stack is None and isinstance(dyn, GeneratorDynamics):
-        return dyn.closed_form_propagator(np.asarray(times, dtype=float))
-    return stack
-
-
-def propagator_at(dyn: Dynamics, t: float, steps: int = 256) -> np.ndarray:
-    """Single propagator from time 0, exact when the family allows it."""
-    closed = dyn.propagator_at(t)
-    if closed is not None:
-        return closed
-    if t == 0.0:
-        return np.eye(dyn.dimension)
-    return propagate(dyn, 0.0, t, steps=steps).propagators[-1]
+    times = np.asarray(times, dtype=float)
+    if isinstance(dyn, GeneratorDynamics) and dyn._constant is not None:
+        return expm(np.multiply.outer(times, dyn._constant))
+    return dyn.propagators_at(times)
 
 
 def _guard_condition(mat: np.ndarray, limit: float = COND_LIMIT) -> None:
@@ -504,25 +491,12 @@ def intermediate_map(traj: Trajectory, s: float, t: float) -> tuple[np.ndarray, 
     return x, validate_stochastic(x)
 
 
-def generator_of(dyn: Dynamics, t: float, h: float = 1e-6, force_finite_difference: bool = False) -> np.ndarray:
-    """Generator of ``dyn`` at time ``t``.
-
-    Uses the closed form when the family provides one; otherwise (or when
-    forced) estimates ``dT/dt(t) T(t)^{-1}`` by central differences of the
-    propagator.
-    """
-    if not force_finite_difference:
-        closed = dyn.generator_at(t)
-        if closed is not None:
-            return closed
-    lo = max(t - h, 0.0)
-    hi = t + h
-    t_lo = propagator_at(dyn, lo)
-    t_hi = propagator_at(dyn, hi)
-    t_mid = propagator_at(dyn, t)
-    _guard_condition(t_mid)
-    deriv = (t_hi - t_lo) / (hi - lo)
-    return np.linalg.solve(t_mid.T, deriv.T).T
+def generator_of(dyn: Dynamics, t: float) -> np.ndarray:
+    """Generator of ``dyn`` at time ``t``: the one-point :func:`generator_grid`, raising its failure."""
+    grid = dyn._generator_grid(np.array([t], dtype=float))
+    if grid.errors:
+        raise grid.errors[0]
+    return grid.generators[0]
 
 
 @dataclass(frozen=True)
@@ -587,26 +561,8 @@ def _scan_rates(gens: GeneratorGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def generator_grid(dyn: Dynamics, times) -> GeneratorGrid:
-    """Generators of ``dyn`` on ``times`` as one stack, with per-point failures.
-
-    Families with a grid form evaluate it once; the others extract each
-    point with :func:`generator_of`. Library errors and singular solves at
-    a point become entries of ``errors``; any other exception, such as a
-    bug in a callable generator, propagates.
-    """
-    times = np.asarray(times, dtype=float)
-    grid = dyn._generator_grid(times)
-    if grid is not None:
-        return grid
-    n = dyn.dimension
-    stack = np.full(times.shape + (n, n), np.nan)
-    errors: dict[int, Exception] = {}
-    for k, t in enumerate(times.tolist()):
-        try:
-            stack[k] = generator_of(dyn, t)
-        except (FisherflowError, np.linalg.LinAlgError) as exc:
-            errors[k] = exc
-    return GeneratorGrid(times, stack, errors)
+    """Generators of ``dyn`` on ``times`` as one stack, with per-point failures."""
+    return dyn._generator_grid(np.asarray(times, dtype=float))
 
 
 def divisibility_scan(
@@ -638,20 +594,15 @@ def divisibility_scan(
     )
 
 
-def refinement_stable(dyn: Dynamics, coarse: ScanResult, factor: int = 2) -> bool:
-    """True when rescanning ``coarse.grid`` refined by ``factor`` preserves every violation window."""
+def refinement_stable(dyn: Dynamics, coarse: ScanResult) -> bool:
+    """True when rescanning ``coarse.grid`` with every step halved preserves every violation window."""
     times = coarse.grid
-    fine = np.linspace(times[0], times[-1], factor * (times.size - 1) + 1)
+    fine = np.linspace(times[0], times[-1], 2 * times.size - 1)
     # only the refined grid's windows are compared, so no scan points are built for it
     fine_windows = _windows(fine, _scan_rates(generator_grid(dyn, fine))[1], coarse.rate_tol)
     return all(
         any(flo <= hi and lo <= fhi for flo, fhi in fine_windows) for lo, hi in coarse.windows()
     )
-
-
-def scan_refinement_check(dyn: Dynamics, grid, rate_tol: float = 1e-9, factor: int = 2) -> bool:
-    """True when refining the grid by ``factor`` preserves every violation window."""
-    return refinement_stable(dyn, divisibility_scan(dyn, grid, rate_tol), factor)
 
 
 def trace_scaling_check(dyn: MixingDynamics, p0, q0, grid) -> float:

@@ -551,22 +551,22 @@ def _witness_rate(gen: np.ndarray, eta: float, eps: float) -> tuple[float, np.nd
 
 def quantum_dilation_witness(
     intermediate: QuantumChannel,
+    report: CpReport,
     eta: float = 1e-6,
     eps: float = 1e-3,
     kind: MonotoneKind = MonotoneKind.SLD,
-    cp_tol: float = 1e-10,
 ) -> QuantumWitnessReport:
     """Dilation witness for a non-completely-positive intermediate map.
 
-    Raises a witness-not-applicable error when the map passes the Choi
-    test. Otherwise builds the regularized entangled state and the
-    perturbation toward the offending direction, reduces the lifted map to
-    a classical transition generator in that frame, and reports the
-    classical Fisher rate (positive exactly because the offending rate is
-    negative and the base is concentrated). One application of the map
-    counts as one unit of time.
+    ``report`` is the caller's :func:`cp_check` of ``intermediate``; a
+    witness-not-applicable error is raised when the map passed it.
+    Otherwise builds the regularized entangled state and the perturbation
+    toward the offending direction, reduces the lifted map to a classical
+    transition generator in that frame, and reports the classical Fisher
+    rate (positive exactly because the offending rate is negative and the
+    base is concentrated). One application of the map counts as one unit
+    of time.
     """
-    report = cp_check(intermediate, cp_tol)
     if report.cp:
         raise WitnessNotApplicableError(
             f"map is completely positive (Choi minimum {report.min_eigenvalue:.3e})"

@@ -32,7 +32,15 @@ from .errors import (
     SingularBaseError,
     UndefinedPosteriorError,
 )
-from .propagation import Dynamics, Trajectory, exact_propagators, generator_of, nearest_index, propagate
+from .propagation import (
+    Dynamics,
+    Trajectory,
+    exact_propagators,
+    generator_of,
+    nearest_index,
+    propagate,
+    snap_index,
+)
 from .simplex import is_interior, prob_vec, stochastic_matrix, tangent_vec
 
 __all__ = [
@@ -120,14 +128,8 @@ class RetrodictionContext:
     def dimension(self) -> int:
         return self.prior.shape[0]
 
-    def index_of(self, t: float, snap_tol: float = 1e-9) -> int:
-        idx = int(nearest_index(self.grid, t))
-        if abs(float(self.grid[idx]) - t) > snap_tol:
-            warnings.warn(
-                f"time {t:.6g} off the retrodiction grid; snapping to {self.grid[idx]:.6g}",
-                stacklevel=2,
-            )
-        return idx
+    def index_of(self, t: float) -> int:
+        return snap_index(self.grid, t, "the retrodiction grid")
 
     def indices_of(self, times) -> np.ndarray:
         """Grid indices of an array of times, each as :meth:`index_of` gives it.

@@ -93,14 +93,14 @@ def _raise_first_failure(m: np.ndarray, name: str, *rules) -> None:
             raise error(k)
 
 
-def prob_vec(entries, clamp: float = NEGATIVE_CLAMP) -> np.ndarray:
+def prob_vec(entries) -> np.ndarray:
     """Validate and renormalize a probability vector.
 
-    Entries more negative than ``-clamp`` are rejected; tiny negatives are
-    clamped to zero before renormalization.
+    Entries more negative than ``-NEGATIVE_CLAMP`` are rejected; tiny
+    negatives are clamped to zero before renormalization.
     """
     p = _as_vector(entries, "state")
-    if np.min(p) < -clamp:
+    if np.min(p) < -NEGATIVE_CLAMP:
         raise InvalidStateError(f"state has a negative entry {np.min(p):.3e}")
     p = np.where(p < 0.0, 0.0, p)
     total = p.sum()
@@ -114,17 +114,15 @@ def is_interior(p: np.ndarray, floor: float = INTERIOR_FLOOR) -> bool:
     return bool(np.min(p) >= floor)
 
 
-def tangent_vec(entries, sum_tol: float = 1e-12) -> np.ndarray:
-    """Validate a zero-sum displacement on the simplex."""
+def tangent_vec(entries) -> np.ndarray:
+    """Validate a displacement on the simplex: its entries sum to zero within 1e-12."""
     d = _as_vector(entries, "tangent vector")
-    if abs(d.sum()) > sum_tol:
-        raise InvalidTangentError(f"entries sum to {d.sum():.3e}, expected 0 within {sum_tol:.0e}")
+    if abs(d.sum()) > 1e-12:
+        raise InvalidTangentError(f"entries sum to {d.sum():.3e}, expected 0 within 1e-12")
     return _freeze(d)
 
 
-def stochastic_matrix(
-    entries, col_tol: float = COLUMN_TOL, clamp: float = NEGATIVE_CLAMP, *, stack: bool = False
-) -> np.ndarray:
+def stochastic_matrix(entries, *, stack: bool = False) -> np.ndarray:
     """Validate a column-stochastic matrix, clamping float-noise negatives.
 
     With ``stack`` a ``(T, n, n)`` stack is validated as well, each matrix
@@ -134,12 +132,14 @@ def stochastic_matrix(
 
     def entries_in_window(s):
         low = s.min(axis=(-2, -1))
-        return low < -clamp, lambda k: InvalidStochasticMatrixError(f"entry {low[k]:.3e} below the clamp window")
+        return low < -NEGATIVE_CLAMP, lambda k: InvalidStochasticMatrixError(
+            f"entry {low[k]:.3e} below the clamp window"
+        )
 
     def column_sums(s):
         dev = np.abs(np.where(s < 0.0, 0.0, s).sum(axis=-2) - 1.0).max(axis=-1)
-        return dev > col_tol, lambda k: InvalidStochasticMatrixError(
-            f"column sums off by {dev[k]:.3e} (tolerance {col_tol:.0e})"
+        return dev > COLUMN_TOL, lambda k: InvalidStochasticMatrixError(
+            f"column sums off by {dev[k]:.3e} (tolerance {COLUMN_TOL:.0e})"
         )
 
     _raise_first_failure(m, "stochastic matrix", entries_in_window, column_sums)
@@ -207,9 +207,9 @@ def validate_stochastic(t, tol: float = COLUMN_TOL) -> StochasticityReport:
     )
 
 
-def rates_of(r, col_tol: float = COLUMN_TOL) -> dict[tuple[int, int], float]:
+def rates_of(r) -> dict[tuple[int, int], float]:
     """Return the complete off-diagonal rate map {(i, j): rate from j into i}."""
-    m = rate_matrix(r, col_tol)
+    m = rate_matrix(r)
     n = m.shape[0]
     return {(i, j): float(m[i, j]) for i in range(n) for j in range(n) if i != j}
 

@@ -50,7 +50,6 @@ from .simplex import (
     min_offdiag,
     prob_vec,
     rate_matrix,
-    rates_of,
     stochastic_matrix,
     tangent_vec,
     zero_sum_basis,
@@ -222,8 +221,9 @@ class NoGoReport:
         return self.nonmarkovian and self.condition_met and self.lambda_max_on_image <= -self.margin
 
 
-def _single_offender_condition(pi: np.ndarray, m: np.ndarray, rate_tol: float) -> tuple[bool, str, tuple[int, int] | None, float | None]:
-    negatives = {k: v for k, v in rates_of(m).items() if v < -rate_tol}
+def _single_offender_condition(
+    pi: np.ndarray, m: np.ndarray, negatives: dict[tuple[int, int], float]
+) -> tuple[bool, str, tuple[int, int] | None, float | None]:
     if len(negatives) != 1:
         return False, f"need exactly one negative rate, found {len(negatives)}", None, None
     ((i0, j0), a_neg), = negatives.items()
@@ -245,7 +245,6 @@ def no_go_verify(
     copies: int = 1,
     ancilla_dim: int = 0,
     margin: float | None = None,
-    rate_tol: float = 1e-9,
 ) -> NoGoReport:
     """Certify absence of Fisher dilation for replicas plus an idle ancilla.
 
@@ -262,8 +261,11 @@ def no_go_verify(
     if copies < 1 or ancilla_dim < 0 or ancilla_dim == 1:
         raise DimensionMismatchError("need copies >= 1 and ancilla_dim 0 or >= 2")
 
-    condition_met, detail, offender, offender_rate = _single_offender_condition(base_pi, m, rate_tol)
-    nonmarkovian = not is_markovian_generator(m, rate_tol).markovian
+    check = is_markovian_generator(m)
+    condition_met, detail, offender, offender_rate = _single_offender_condition(
+        base_pi, m, check.negative_rates
+    )
+    nonmarkovian = not check.markovian
 
     r_ext = extend_generator(m, copies=copies, ancilla_dim=ancilla_dim)
     base = base_pi
@@ -335,11 +337,11 @@ def filter_map(pi, eps: float) -> np.ndarray:
     return stochastic_matrix(eps * np.eye(n) + (1.0 - eps) * np.outer(target, np.ones(n)))
 
 
-def regularize_direction(d, r, floor_scale: float = REGULARIZE_SCALE) -> tuple[np.ndarray, tuple[int, ...]]:
+def regularize_direction(d, r) -> tuple[np.ndarray, tuple[int, ...]]:
     """Replace zero components of ``d`` by tiny values aligned with their velocity.
 
-    The floor is ``floor_scale`` times the trace size of ``d`` and the sign
-    matches (r d)_i, so the forward growth carried by components that are
+    The floor is ``REGULARIZE_SCALE`` times the trace size of ``d`` and the
+    sign matches (r d)_i, so the forward growth carried by components that are
     zero now but moving is preserved. Mass is rebalanced across the
     nonzero components to keep the total at zero. Returns the new vector
     and the indices touched.
@@ -353,7 +355,7 @@ def regularize_direction(d, r, floor_scale: float = REGULARIZE_SCALE) -> tuple[n
     if not zero_mask.any():
         return vec, ()
     velocity = m @ vec
-    floor = floor_scale * total
+    floor = REGULARIZE_SCALE * total
     signs = np.sign(velocity[zero_mask])
     signs[signs == 0.0] = 1.0
     out = vec.copy()

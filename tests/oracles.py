@@ -108,6 +108,15 @@ def mixing_propagator_point(s, m, t: float) -> np.ndarray:
     return (1.0 - w) * np.eye(n) + w * np.outer(target, np.ones(n))
 
 
+def fd_generator_point(propagator, t: float, h: float = 1e-6) -> np.ndarray:
+    """Generator dT/dt T^{-1} at one time by a central difference of ``propagator``, clipped at 0."""
+    lo = max(t - h, 0.0)
+    hi = t + h
+    deriv = (propagator(hi) - propagator(lo)) / (hi - lo)
+    t_mid = propagator(t)
+    return np.linalg.solve(t_mid.T, deriv.T).T
+
+
 def scan_loop(generator_at, grid, rate_tol: float, errors):
     """Divisibility scan one grid point at a time.
 

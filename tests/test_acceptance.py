@@ -47,8 +47,8 @@ def test_a1_figure_sweep(capsys):
     trace_defect = 0.0
     max_rates = np.empty(times.shape[0])
     for k, t in enumerate(times):
-        prop = dyn.propagator_at(float(t))
-        gen = dyn.generator_at(float(t))
+        prop = dyn.propagators_at([float(t)])[0]
+        gen = ff.generator_of(dyn, float(t))
         base = prop @ p0
         disp = dirs0 @ prop.T
         tr = np.abs(disp).sum(axis=1)
@@ -298,7 +298,7 @@ def test_a7_quantum(capsys):
             classified += 1
         if not report.cp:
             noncp_total += 1
-            witness = ff.quantum_dilation_witness(step)
+            witness = ff.quantum_dilation_witness(step, report)
             if witness.found and witness.rate_value > 0.0:
                 witnessed += 1
     ok_classify = classified == 100

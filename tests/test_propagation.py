@@ -1,5 +1,7 @@
 """Time evolution: integrator, closed forms, intermediate maps, rate scans."""
 
+import functools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -28,7 +30,7 @@ class TestPropagate:
         np.fill_diagonal(r, -r.sum(axis=0))
         dyn = ff.GeneratorDynamics(r)
         traj = ff.propagate(dyn, 0.0, 1.0, steps=256)
-        exact = dyn.closed_form_propagator(1.0)
+        exact = ff.exact_propagators(dyn, [1.0])[0]
         assert np.allclose(traj.propagators[-1], exact, atol=1e-8)
 
     def test_zero_generator_is_identity(self):
@@ -39,15 +41,16 @@ class TestPropagate:
         dyn = ff.case_study_dynamics()
         traj = ff.propagate(dyn, 0.0, np.pi, steps=64)
         for k, t in enumerate(traj.times):
-            assert np.allclose(traj.propagators[k], dyn.propagator_at(float(t)), atol=1e-14)
+            want = oracles.mixing_propagator_point(dyn.s, dyn.m, float(t))
+            assert np.allclose(traj.propagators[k], want, atol=1e-14)
 
     def test_case_study_matches_integrator(self):
         # mixing closed form against RK4 on the generator, two independent routes
         dyn = ff.case_study_dynamics()
         rk = ff.propagate(
-            ff.GeneratorDynamics(dyn.generator_at, dimension=3), 0.0, 0.3, steps=512
+            ff.GeneratorDynamics(functools.partial(ff.generator_of, dyn), dimension=3), 0.0, 0.3, steps=512
         )
-        assert np.allclose(rk.propagators[-1], dyn.propagator_at(0.3), atol=1e-8)
+        assert np.allclose(rk.propagators[-1], dyn.propagators_at([0.3])[0], atol=1e-8)
 
     def test_states_carried_along(self):
         dyn = ff.GeneratorDynamics(SYM)
@@ -170,9 +173,9 @@ class TestPropagate:
         want = ff.propagate(ff.GeneratorDynamics(fresh, dimension=2), 0.0, 1.0, steps=8)
         assert np.array_equal(got.propagators, want.propagators)
 
-    def test_propagator_at_exact_when_available(self):
+    def test_endpoint_exact_when_available(self):
         dyn = ff.case_study_dynamics()
-        assert np.allclose(ff.propagator_at(dyn, 0.7), dyn.propagator_at(0.7), atol=1e-14)
+        assert _bitwise_equal(ff.propagate(dyn, 0.0, 0.7).propagators[-1], dyn.propagators_at([0.7])[0])
 
 
 class TestIntermediateMap:
@@ -227,7 +230,7 @@ class TestGeneratorOf:
         dyn = ff.case_study_dynamics()
         t = 0.37
         closed = ff.generator_of(dyn, t)
-        fd = ff.generator_of(dyn, t, force_finite_difference=True)
+        fd = ff.generator_of(_derivative_free(dyn), t)
         assert np.allclose(fd, closed, atol=1e-5)
 
     def test_case_study_rates_match_oracle(self):
@@ -268,7 +271,7 @@ class TestDivisibilityScan:
 
     def test_refinement_keeps_windows(self):
         dyn = ff.case_study_dynamics()
-        assert ff.scan_refinement_check(dyn, np.linspace(0.0, np.pi, 257))
+        assert refinement_stable(dyn, ff.divisibility_scan(dyn, np.linspace(0.0, np.pi, 257)))
 
     @pytest.mark.parametrize(
         "make, t1, points",
@@ -282,7 +285,7 @@ class TestDivisibilityScan:
         dyn = make()
         coarse = ff.divisibility_scan(dyn, np.linspace(0.0, t1, points))
         fine = np.linspace(0.0, t1, 2 * points - 1)
-        _, _, _, fine_windows = oracles.scan_loop(dyn.generator_at, fine, 1e-9, ff.FisherflowError)
+        _, _, _, fine_windows = oracles.scan_loop(functools.partial(ff.generator_of, dyn), fine, 1e-9, ff.FisherflowError)
         want = all(any(flo <= hi and lo <= fhi for flo, fhi in fine_windows) for lo, hi in coarse.windows())
         assert refinement_stable(dyn, coarse) == want
 
@@ -302,6 +305,17 @@ class TestDivisibilityScan:
         assert result.failures, "saturated mixing weight must be reported, not raised"
         assert all(np.isfinite(t) for t, _ in result.failures)
 
+    def test_wrong_shaped_callable_return_fails_its_point(self):
+        dyn = ff.GeneratorDynamics(lambda t: SYM if t < 0.5 else np.zeros((3, 3)), dimension=2)
+        result = ff.divisibility_scan(dyn, np.linspace(0.0, 1.0, 5))
+        message = "DimensionMismatchError: generator at t = {} has shape (3, 3), expected (2, 2)"
+        want = [(0.5, "0.5"), (0.75, "0.75"), (1.0, "1")]
+        assert result.failures == tuple((t, message.format(text)) for t, text in want)
+        assert np.array_equal(np.isnan(result.min_rates), [False, False, True, True, True])
+        # the integrator names the same node with the same message
+        with pytest.raises(ff.DimensionMismatchError, match=r"^generator at t = 0.5 has shape \(3, 3\)"):
+            ff.propagate(dyn, 0.0, 1.0, steps=8)
+
     def test_programming_errors_propagate(self):
         def broken(t):
             raise TypeError("bad generator")
@@ -316,9 +330,21 @@ def _bitwise_equal(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _derivative_free(dyn):
+    """The same mixing family without ``sdot`` and ``mdot``, so its generator is differenced."""
+    return ff.MixingDynamics(dyn.s, dyn.m, dimension=dyn.dimension, horizon=dyn.horizon)
+
+
 GRID_FAMILIES = {
     "case_study": ff.case_study_dynamics,
     "contraction": lambda: ff.contraction_to_target([0.2, 0.3, 0.5], decay_rate=1.7),
+}
+
+SCALAR_FAMILIES = {
+    **GRID_FAMILIES,
+    "constant": lambda: ff.GeneratorDynamics(SYM),
+    "callable": lambda: ff.GeneratorDynamics(lambda t: (1.0 + 0.5 * np.sin(3.0 * t)) * SYM, dimension=2),
+    "derivative_free": lambda: _derivative_free(ff.case_study_dynamics()),
 }
 
 
@@ -328,23 +354,49 @@ class TestGridEvaluation:
     def test_stacks_bitwise_equal_per_point_formulas(self, family, points):
         dyn = GRID_FAMILIES[family]()
         grid = np.linspace(0.0, np.pi, points)
-        gens = dyn.generators_at(grid)
+        gens = ff.generator_grid(dyn, grid)
         props = dyn.propagators_at(grid)
-        assert gens.shape == props.shape == (points, 3, 3)
+        assert not gens.errors
+        assert gens.generators.shape == props.shape == (points, 3, 3)
         want_gens = np.stack(
             [oracles.mixing_generator_point(dyn.s, dyn.sdot, dyn.m, dyn.mdot, float(t)) for t in grid]
         )
         want_props = np.stack([oracles.mixing_propagator_point(dyn.s, dyn.m, float(t)) for t in grid])
-        assert _bitwise_equal(gens, want_gens)
+        assert _bitwise_equal(gens.generators, want_gens)
         assert _bitwise_equal(props, want_props)
-        # the per-point methods are the length-1 case of the batched ones
+        # a scalar call is the length-1 case of the grid
         for k in (0, points // 3, points - 1):
-            assert _bitwise_equal(dyn.generator_at(float(grid[k])), want_gens[k])
-            assert _bitwise_equal(dyn.propagator_at(float(grid[k])), want_props[k])
+            assert _bitwise_equal(ff.generator_of(dyn, float(grid[k])), want_gens[k])
+            assert _bitwise_equal(dyn.propagators_at([float(grid[k])])[0], want_props[k])
+
+    @pytest.mark.parametrize("family", sorted(SCALAR_FAMILIES))
+    def test_generator_of_is_the_one_point_grid(self, family):
+        dyn = SCALAR_FAMILIES[family]()
+        grid = ff.generator_grid(dyn, np.linspace(0.0, np.pi, 257))
+        assert not grid.errors
+        for k in (0, 1, 85, 256):
+            t = float(grid.times[k])
+            got = ff.generator_of(dyn, t)
+            assert _bitwise_equal(got, ff.generator_grid(dyn, [t]).generators[0])
+            assert _bitwise_equal(got, grid.generators[k])
+
+    @pytest.mark.parametrize("family", sorted(GRID_FAMILIES))
+    def test_difference_quotient_bitwise_equal_oracle(self, family):
+        dyn = GRID_FAMILIES[family]()
+        grid = np.linspace(0.0, np.pi, 1024)
+        got = ff.generator_grid(_derivative_free(dyn), grid)
+        want = np.stack(
+            [
+                oracles.fd_generator_point(lambda t: oracles.mixing_propagator_point(dyn.s, dyn.m, t), float(t))
+                for t in grid
+            ]
+        )
+        assert not got.errors
+        assert _bitwise_equal(got.generators, want)
 
     def test_constant_generator_broadcasts(self):
         dyn = ff.GeneratorDynamics(SYM)
-        stack = dyn.generators_at(np.linspace(0.0, 1.0, 5))
+        stack = ff.generator_grid(dyn, np.linspace(0.0, 1.0, 5)).generators
         assert stack.shape == (5, 2, 2)
         assert np.array_equal(stack, np.broadcast_to(SYM, (5, 2, 2)))
 
@@ -355,17 +407,17 @@ class TestGridEvaluation:
         assert _bitwise_equal(stack, np.stack([expm(float(t) * r) for t in grid]))
         assert ff.exact_propagators(ff.GeneratorDynamics(lambda t: r, dimension=2), grid) is None
 
-    def test_callable_generator_has_no_grid_form(self):
+    def test_callable_generator_called_per_point(self):
         dyn = ff.GeneratorDynamics(lambda t: (1.0 + t) * SYM, dimension=2)
-        assert dyn.generators_at(np.linspace(0.0, 1.0, 5)) is None
         grid = ff.generator_grid(dyn, np.linspace(0.0, 1.0, 5))
         assert not grid.errors
         assert np.array_equal(grid.generators[4], 2.0 * SYM)
 
-    def test_batched_generators_raise_first_failure(self):
+    def test_one_point_grid_raises_its_failure(self):
         dyn = ff.contraction_to_target([0.5, 0.5], decay_rate=50.0, horizon=1.0)
+        assert min(ff.generator_grid(dyn, np.linspace(0.0, 1.0, 9)).errors) == 5
         with pytest.raises(ff.DomainError, match="at t = 0.625$"):
-            dyn.generators_at(np.linspace(0.0, 1.0, 9))
+            ff.generator_of(dyn, 0.625)
 
     def test_non_broadcasting_callable_rejected(self):
         with pytest.raises(ff.DimensionMismatchError, match="broadcast"):
@@ -388,7 +440,7 @@ class TestGridEvaluation:
         grid = np.linspace(0.0, t1, points)
         result = ff.divisibility_scan(dyn, grid)
         min_rates, violations, failures, windows = oracles.scan_loop(
-            dyn.generator_at, grid, 1e-9, (ff.FisherflowError, np.linalg.LinAlgError)
+            functools.partial(ff.generator_of, dyn), grid, 1e-9, (ff.FisherflowError, np.linalg.LinAlgError)
         )
         assert failures, "the mixing weight must cross the ceiling on this grid"
         assert list(result.failures) == failures
@@ -403,7 +455,7 @@ class TestGridEvaluation:
         dyn = ff.case_study_dynamics()
         for points in (257, 1024, 4097):
             grid = np.linspace(0.0, np.pi, points)
-            _, _, _, windows = oracles.scan_loop(dyn.generator_at, grid, 1e-9, ff.FisherflowError)
+            _, _, _, windows = oracles.scan_loop(functools.partial(ff.generator_of, dyn), grid, 1e-9, ff.FisherflowError)
             assert windows and ff.divisibility_scan(dyn, grid).windows() == windows
 
 

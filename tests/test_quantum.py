@@ -290,7 +290,8 @@ class TestQuantumWitness:
         return ff.channel_step(lind, dt)
 
     def test_witness_found_on_noncp_step(self):
-        report = ff.quantum_dilation_witness(self._noncp_step())
+        step = self._noncp_step()
+        report = ff.quantum_dilation_witness(step, ff.cp_check(step))
         assert report.found
         assert report.rate_value > 0.0
         assert report.stable
@@ -300,24 +301,25 @@ class TestQuantumWitness:
         lind = ff.semiclassical_lindbladian({(0, 1): 0.5, (1, 0): 1.0}, 2)
         step = ff.channel_step(lind, 1e-3)
         with pytest.raises(ff.WitnessNotApplicableError):
-            ff.quantum_dilation_witness(step)
+            ff.quantum_dilation_witness(step, ff.cp_check(step))
 
     def test_fd_estimate_agrees(self):
         step = self._noncp_step()
-        report = ff.quantum_dilation_witness(step)
+        report = ff.quantum_dilation_witness(step, ff.cp_check(step))
         fd = ff.quantum_witness_fd_rate(report)
         assert abs(fd - report.rate_value) / abs(report.rate_value) <= 0.10
 
     def test_all_kinds_witness(self):
         step = self._noncp_step()
         for kind in ALL_KINDS:
-            report = ff.quantum_dilation_witness(step, kind=kind)
+            report = ff.quantum_dilation_witness(step, ff.cp_check(step), kind=kind)
             assert report.found
             fd = ff.quantum_witness_fd_rate(report)
             assert abs(fd - report.rate_value) / abs(report.rate_value) <= 0.10
 
     def test_classical_generator_in_frame_has_negative_rate(self):
-        report = ff.quantum_dilation_witness(self._noncp_step())
+        step = self._noncp_step()
+        report = ff.quantum_dilation_witness(step, ff.cp_check(step))
         gen = report.classical_generator
         assert gen[1, 0] < 0.0
         assert np.allclose(np.asarray(gen).sum(axis=0), 0.0, atol=1e-8)
@@ -327,19 +329,19 @@ class TestQuantumWitness:
             rates = {(i, (i + 1) % d): 0.7 for i in range(d)}
             rates[(1, 0)] = -0.4
             step = ff.channel_step(ff.semiclassical_lindbladian(rates, d), 1e-2)
-            report = ff.quantum_dilation_witness(step)
+            report = ff.quantum_dilation_witness(step, ff.cp_check(step))
             want = oracles.transition_generator_by_column(np.asarray(report.lifted.matrix), report.frame)
             got = np.asarray(report.classical_generator)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_map_lifted_once_per_witness(self, monkeypatch):
         step = self._noncp_step()
-        want = ff.quantum_dilation_witness(step)
+        want = ff.quantum_dilation_witness(step, ff.cp_check(step))
         want_fd = ff.quantum_witness_fd_rate(want)
         lifts = []
         real = ff.quantum.extend_with_identity
         monkeypatch.setattr(ff.quantum, "extend_with_identity", lambda op: lifts.append(op) or real(op))
-        got = ff.quantum_dilation_witness(step)
+        got = ff.quantum_dilation_witness(step, ff.cp_check(step))
         got_fd = ff.quantum_witness_fd_rate(got)
         assert len(lifts) == 1
         assert (got.rate_value, got.scaled_rate_half_eta, got_fd) == (
@@ -349,11 +351,13 @@ class TestQuantumWitness:
         )
 
     def test_eta_domain(self):
+        step = self._noncp_step()
         with pytest.raises(ff.DomainError):
-            ff.quantum_dilation_witness(self._noncp_step(), eta=0.7)
+            ff.quantum_dilation_witness(step, ff.cp_check(step), eta=0.7)
 
     def test_scaled_rate_stability(self):
-        report = ff.quantum_dilation_witness(self._noncp_step())
+        step = self._noncp_step()
+        report = ff.quantum_dilation_witness(step, ff.cp_check(step))
         assert report.scaled_rate_half_eta == pytest.approx(report.scaled_rate, rel=0.2)
 
 

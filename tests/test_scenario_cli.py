@@ -467,6 +467,22 @@ class TestCliRuns:
         report = json.loads((tmp_path / "quantum.json").read_text())
         assert report["checks"]["cp_matches_rate_sign"]["ok"] is True
 
+    def test_quantum_checks_complete_positivity_once(self, tmp_path, monkeypatch):
+        # the witness takes the command's CP report instead of solving the Choi spectrum again
+        calls = []
+        real = fisherflow.quantum.cp_check
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fisherflow.cli, "cp_check", counted)
+        monkeypatch.setattr(fisherflow.quantum, "cp_check", counted)
+        code = main(["quantum", "--scenario", _scenario("nonmarkovian_quantum.json"), "--out", str(tmp_path)])
+        assert code == 0
+        assert json.loads((tmp_path / "quantum.json").read_text())["results"]["cp"] is False
+        assert len(calls) == 1
+
     def test_quantum_witness_uses_scenario_cp_tolerance(self, tmp_path):
         # the Choi minimum, about -1e-11, is below the scenario's cp tolerance
         # but above the witness's own default of -1e-10
