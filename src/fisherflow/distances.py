@@ -44,7 +44,7 @@ from .errors import (
     InvalidIndexError,
     SingularBaseError,
 )
-from .simplex import INTERIOR_FLOOR, is_interior, prob_vec, rate_matrix, tangent_vec, zero_sum_basis
+from .simplex import INTERIOR_FLOOR, is_interior, prob_vec, rate_matrix, zero_sum_basis
 
 __all__ = [
     "trace_distance",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 

@@ -1,6 +1,7 @@
 """Time evolution: integrator, closed forms, intermediate maps, rate scans."""
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,19 @@ from fisherflow.propagation import refinement_stable
 import oracles
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
+
+
+def _oscillating(n: int, amplitude: float):
+    """Generator ``S + amplitude sin(6 t) O`` on ``n`` states, with fixed random ``S`` and ``O``."""
+    rng = np.random.default_rng(n)
+    parts = []
+    for scale in (1.0, amplitude):
+        r = rng.uniform(0.0, scale, size=(n, n))
+        np.fill_diagonal(r, 0.0)
+        np.fill_diagonal(r, -r.sum(axis=0))
+        parts.append(r)
+    steady, oscillating = parts
+    return lambda t: steady + np.sin(6.0 * t) * oscillating
 
 
 class TestPropagate:
@@ -80,19 +94,37 @@ class TestPropagate:
         traj = ff.propagate(ff.GeneratorDynamics(rate, dimension=2), 0.0, 1.0, steps=8)
         assert len(times) == 2 * 16 + 1
         assert times == sorted(times)
+        assert np.allclose(traj.propagators, oracles.rk4_loop(rate, traj.times), rtol=0.0, atol=1e-13)
 
-        # same arithmetic as four evaluations per step, so bitwise equal
-        grid = np.linspace(0.0, 1.0, 9)
-        t_mat = np.eye(2)
-        for t0, t1 in zip(grid[:-1], grid[1:]):
-            h = t1 - t0
-            k1 = rate(t0) @ t_mat
-            k2 = rate(t0 + 0.5 * h) @ (t_mat + 0.5 * h * k1)
-            k3 = rate(t0 + 0.5 * h) @ (t_mat + 0.5 * h * k2)
-            k4 = rate(t1) @ (t_mat + h * k3)
-            t_mat = t_mat + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t_mat = t_mat - (t_mat.sum(axis=0) - 1.0)[None, :] / 2
-        assert np.array_equal(traj.propagators[-1], t_mat)
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    @pytest.mark.parametrize("kind", ["constant", "callable"])
+    @pytest.mark.parametrize("t0, t1, steps", [(0.0, 1.0, 64), (0.3, 1.7, 128)])
+    def test_step_matrix_product_matches_per_step_loop(self, n, kind, t0, t1, steps):
+        rate = _oscillating(n, amplitude=0.0 if kind == "constant" else 0.3)
+        dyn = ff.GeneratorDynamics(rate(0.0)) if kind == "constant" else ff.GeneratorDynamics(rate, dimension=n)
+        traj = ff.propagate(dyn, t0, t1, steps=steps)
+        assert np.allclose(traj.propagators, oracles.rk4_loop(rate, traj.times), rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_column_drift_is_that_of_the_uncorrected_product(self, n):
+        # the same step matrices applied one step at a time give the same bits
+        rate = _oscillating(n, amplitude=0.3)
+        traj = ff.propagate(ff.GeneratorDynamics(rate, dimension=n), 0.3, 1.7, steps=128)
+        assert traj.max_column_drift > 0.0
+        assert traj.max_column_drift == oracles.rk4_product_drift(rate, traj.times)
+        assert np.abs(traj.propagators.sum(axis=1) - 1.0).max() <= 1e-15
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan)])
+    def test_rejects_non_finite_interval(self, t0, t1):
+        with pytest.raises(ff.DomainError, match="finite"):
+            ff.propagate(ff.GeneratorDynamics(SYM), t0, t1, steps=4)
+
+    def test_overflowing_sweep_raises_without_warnings(self):
+        # a step of 2.5e307 overflows the step matrices; the NaN gap must not pass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ff.IntegrationAccuracyError, match="nan"):
+                ff.propagate(ff.GeneratorDynamics(SYM), 0.0, 1e308, steps=4)
 
     @pytest.mark.parametrize(
         "bump, error, message",
