@@ -132,7 +132,6 @@ from .witnesses import (
     WitnessReport,
     dilation_direction_search,
     filter_map,
-    filter_witness,
     filter_witness_rate,
     no_go_verify,
     regularize_direction,

@@ -74,9 +74,10 @@ from .simplex import (
 )
 from .witnesses import (
     dilation_direction_search,
-    filter_witness,
     filter_witness_rate,
     no_go_verify,
+    regularize_direction,
+    special_base_point,
     trace_ancilla_witness,
 )
 
@@ -519,10 +520,7 @@ def cmd_nogo(scn: Scenario, outdir: str, seed: int):
         no_go_verify(pi, r, copies=copies, ancilla_dim=m, margin=block.margin)
         for copies in block.copies
         for m in block.ancilla_dims
-        if m != 1
     ]
-    if not reports:
-        raise ScenarioError("no_go produced no cases; check copies/ancilla_dims")
     if not all(rep.condition_met for rep in reports):
         raise WitnessNotApplicableError(
             "generator does not satisfy the single-offender condition at this base"
@@ -566,7 +564,7 @@ def cmd_filter(scn: Scenario, outdir: str, seed: int):
     verdict = is_markovian_generator(r)
     if verdict.markovian:
         raise WitnessNotApplicableError("filter witness needs a negative rate")
-    offender = min(verdict.negative_rates, key=verdict.negative_rates.get)
+    offender, offender_rate = verdict.offender
     source = offender[1]
 
     extended = extend_generator(r, copies=1, ancilla_dim=block.ancilla_dim)
@@ -575,8 +573,8 @@ def cmd_filter(scn: Scenario, outdir: str, seed: int):
     unit[source] = 1.0
     direction = np.kron(unit, anc)
 
-    report = filter_witness(extended, direction, epsilons=block.epsilons)
-    rates = {eps: filter_witness_rate(report.base, direction, extended, eps) for eps in block.epsilons}
+    base = special_base_point(regularize_direction(direction, extended)[0])
+    rates = {eps: filter_witness_rate(base, direction, extended, eps) for eps in block.epsilons}
     ratios = {eps: rate / eps**2 for eps, rate in rates.items()}
     strength = float(np.abs(direction).sum())
     reference = 2.0 * strength * forward_trace_rate(direction, extended)
@@ -587,10 +585,10 @@ def cmd_filter(scn: Scenario, outdir: str, seed: int):
     max_ratio_error = max(abs(v / reference - 1.0) for v in ratios.values())
     results = {
         "offender": offender,
-        "offender_rate": verdict.negative_rates[offender],
+        "offender_rate": offender_rate,
         "ancilla_dim": block.ancilla_dim,
         "direction": direction,
-        "base": report.base,
+        "base": base,
         "epsilon_rates": rates,
         "epsilon_ratios": ratios,
         "limit_reference": reference,
@@ -600,7 +598,7 @@ def cmd_filter(scn: Scenario, outdir: str, seed: int):
         },
     }
     checks = {
-        "witness_found": _check_true(report.found),
+        "witness_found": _check_true(rates[min(block.epsilons)] > 0.0),
         "ratio_converges": _check_max(max_ratio_error, scn.tolerance("filter_ratio")),
         "trace_witnesses_positive": _check_true(
             ancilla_rep.rate_value > 0.0 and extra_rep.rate_value > 0.0

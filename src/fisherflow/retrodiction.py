@@ -142,11 +142,6 @@ class RetrodictionContext:
             self.index_of(float(t[k]))
         return idx
 
-    def round_trip_matrix(self, t: float) -> np.ndarray:
-        """Round trip at grid time ``t`` projected on the prior-orthonormal basis."""
-        a = self.round_trips[self.index_of(t)]
-        return self._project(a)
-
     def _project(self, a: np.ndarray) -> np.ndarray:
         """Round trip ``a``, or a stack of them, on the prior-orthonormal basis."""
         weighted = self.basis / (2.0 * self.prior)[:, None]
@@ -307,35 +302,33 @@ def _curvature_matrix(ctx: RetrodictionContext, lo: np.ndarray, hi: np.ndarray, 
 def retrodiction_equivalence_check(
     ctx: RetrodictionContext,
     t: float,
-    h: float | None = None,
     band: float = INDETERMINATE_BAND,
     accuracy_tol: float = 1e-4,
 ) -> EquivalenceReport:
     """Compare recovery-quality decay against the Fisher contraction form.
 
     The first reading differentiates the round trip A by central
-    differences (step ``h``, defaulting to a tiny step when exact
-    propagators exist and to one grid step otherwise) and symmetrizes in
-    the prior inner product. The second evaluates the contraction form at
-    the evolved prior under the instantaneous generator. Outside the
-    indeterminate ``band`` the two must agree in sign: some negative
-    curvature exactly when some direction dilates. For every negative
-    curvature direction the finite-difference rate of the retrodiction
-    distance is reported as well (expected negative: recovery improving).
+    differences (a tiny step when exact propagators exist, one grid step
+    otherwise) and symmetrizes in the prior inner product. The second
+    evaluates the contraction form at the evolved prior under the
+    instantaneous generator. Outside the indeterminate ``band`` the two
+    must agree in sign: some negative curvature exactly when some
+    direction dilates. For every negative curvature direction the
+    finite-difference rate of the retrodiction distance is reported as
+    well (expected negative: recovery improving).
     """
     # families without exact propagators give None at once, without
     # evaluating any, and are differenced on the grid instead
-    ends = _stencil(t, CLOSED_FORM_STEP if h is None else h)
+    h = CLOSED_FORM_STEP
+    ends = _stencil(t, h)
     exact = exact_propagators(ctx.dynamics, ends)
     if exact is None:
-        if h is None:
-            h = float(ctx.grid[1] - ctx.grid[0])
-            ends = _stencil(t, h)
+        h = float(ctx.grid[1] - ctx.grid[0])
+        ends = _stencil(t, h)
         if t - h < 0.0:
             raise DomainError("t must sit at least one step inside the grid")
         trips = ctx.round_trips[ctx.indices_of(ends)]
     else:
-        h = CLOSED_FORM_STEP if h is None else h
         trips = _recovery_maps(stochastic_matrix(exact, stack=True), ctx.prior) @ exact
     lo, hi, lo_2h, hi_2h = trips
     span = ends[1] - ends[0]

@@ -225,6 +225,12 @@ class WitnessSpec:
     time: float = 0.0
     fallback_samples: int = FALLBACK_SAMPLES
 
+    def __post_init__(self) -> None:
+        if self.time < 0.0:
+            raise ScenarioError("witness.time must be at least 0: every dynamics starts at time 0")
+        if self.fallback_samples < 0:
+            raise ScenarioError("witness.fallback_samples must be at least 0")
+
 
 @dataclass(frozen=True)
 class NoGoSpec:
@@ -232,6 +238,15 @@ class NoGoSpec:
     copies: tuple[int, ...] = (1, 2)
     ancilla_dims: tuple[int, ...] = (0, 2, 4)
     margin: float | None = None
+
+    def __post_init__(self) -> None:
+        if not self.copies or min(self.copies) < 1:
+            raise ScenarioError("no_go.copies must be a non-empty list of integers >= 1")
+        # 0 means no ancilla; a one-state ancilla would be a second way to say so
+        if not self.ancilla_dims or any(m < 0 or m == 1 for m in self.ancilla_dims):
+            raise ScenarioError("no_go.ancilla_dims must be a non-empty list of 0 or integers >= 2")
+        if self.margin is not None and self.margin < 0.0:
+            raise ScenarioError("no_go.margin must be at least 0")
 
 
 @dataclass(frozen=True)

@@ -214,17 +214,17 @@ def rates_of(r) -> dict[tuple[int, int], float]:
     return {(i, j): float(m[i, j]) for i in range(n) for j in range(n) if i != j}
 
 
-def min_offdiag(r: np.ndarray) -> tuple[tuple[int, int], float]:
-    """Smallest off-diagonal entry of ``r`` and its index, first in row-major order on ties."""
-    off = np.array(r, dtype=float)
-    np.fill_diagonal(off, np.inf)
-    idx = divmod(int(np.argmin(off)), off.shape[0])
-    return idx, float(off[idx])
-
-
 class GeneratorCheck(NamedTuple):
     markovian: bool
     negative_rates: dict[tuple[int, int], float]
+
+    @property
+    def offender(self) -> tuple[tuple[int, int], float] | None:
+        """Index and value of the most negative rate, first in row-major order on ties; None if Markovian."""
+        if self.markovian:
+            return None
+        idx = min(self.negative_rates, key=self.negative_rates.get)
+        return idx, self.negative_rates[idx]
 
 
 def is_markovian_generator(r, rate_tol: float = 1e-9) -> GeneratorCheck:

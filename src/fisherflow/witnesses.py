@@ -28,7 +28,6 @@ distance (that derivative is base-independent).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -46,8 +45,8 @@ from .errors import (
     WitnessNotFoundError,
 )
 from .simplex import (
+    GeneratorCheck,
     is_markovian_generator,
-    min_offdiag,
     prob_vec,
     rate_matrix,
     stochastic_matrix,
@@ -66,7 +65,6 @@ __all__ = [
     "filter_map",
     "regularize_direction",
     "filter_witness_rate",
-    "filter_witness",
     "trace_ancilla_witness",
 ]
 
@@ -100,7 +98,6 @@ class WitnessReport:
     epsilon_used: float | None = None
     offender: tuple[int, int] | None = None
     offender_rate: float | None = None
-    seed: int | None = None
     generator: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def recompute_rate(self) -> float:
@@ -108,16 +105,9 @@ class WitnessReport:
             raise WitnessNotApplicableError("no witness to re-evaluate")
         if self.method in ("ladder", "form-spectral"):
             return fisher_rate(self.base, self.direction, self.generator)
-        if self.method == "filter":
-            return filter_witness_rate(self.base, self.direction, self.generator, self.epsilon_used)
         if self.method == "trace-ancilla":
             return forward_trace_rate(self.direction, self.generator)
         raise WitnessNotApplicableError(f"unknown method {self.method!r}")
-
-
-def _sample_interior(rng: np.random.Generator, n: int) -> np.ndarray:
-    raw = rng.dirichlet(np.ones(n))
-    return 0.9 * raw + 0.1 / n
 
 
 def dilation_direction_search(
@@ -138,8 +128,8 @@ def dilation_direction_search(
     n = m.shape[0]
     check = is_markovian_generator(m)
     if check.markovian:
-        return WitnessReport(found=False, method="ladder", generator=m, seed=seed)
-    offender, offender_rate = min_offdiag(m)
+        return WitnessReport(found=False, method="ladder", generator=m)
+    offender, offender_rate = check.offender
     i0, j0 = offender
 
     for eps in EPS_LADDER:
@@ -161,14 +151,13 @@ def dilation_direction_search(
                 epsilon_used=float(eps),
                 offender=offender,
                 offender_rate=offender_rate,
-                seed=seed,
                 generator=m,
             )
 
     rng = np.random.default_rng(seed)
     best: tuple[float, np.ndarray, ContractionForm] | None = None
     for _ in range(fallback_samples):
-        base = _sample_interior(rng, n)
+        base = 0.9 * rng.dirichlet(np.ones(n)) + 0.1 / n
         form = contraction_form(base, m)
         if best is None or form.lambda_max > best[0]:
             best = (form.lambda_max, base, form)
@@ -184,7 +173,6 @@ def dilation_direction_search(
             rate_value=rate,
             offender=offender,
             offender_rate=offender_rate,
-            seed=seed,
             generator=m,
         )
     raise WitnessNotFoundError(
@@ -213,7 +201,6 @@ class NoGoReport:
     lambda_max_on_image: float
     lambda_max_full: float
     margin: float
-    base: np.ndarray = field(repr=False)
     condition_detail: str = ""
 
     @property
@@ -221,22 +208,18 @@ class NoGoReport:
         return self.nonmarkovian and self.condition_met and self.lambda_max_on_image <= -self.margin
 
 
-def _single_offender_condition(
-    pi: np.ndarray, m: np.ndarray, negatives: dict[tuple[int, int], float]
-) -> tuple[bool, str, tuple[int, int] | None, float | None]:
-    if len(negatives) != 1:
-        return False, f"need exactly one negative rate, found {len(negatives)}", None, None
-    ((i0, j0), a_neg), = negatives.items()
+def _single_offender_condition(pi: np.ndarray, m: np.ndarray, check: GeneratorCheck) -> tuple[bool, str]:
+    """Whether ``m`` has one negative rate, outweighed at ``pi`` by its reverse rate; if not, why not."""
+    if len(check.negative_rates) != 1:
+        return False, f"need exactly one negative rate, found {len(check.negative_rates)}"
+    (i0, j0), a_neg = check.offender
     reverse = float(m[j0, i0])
-    if reverse * pi[i0] <= abs(a_neg) * pi[j0]:
-        return (
-            False,
-            f"reverse rate too weak: rate({j0}<-{i0})*pi[{i0}] = {reverse * pi[i0]:.6g} "
-            f"must exceed |rate({i0}<-{j0})|*pi[{j0}] = {abs(a_neg) * pi[j0]:.6g}",
-            (i0, j0),
-            float(a_neg),
-        )
-    return True, "", (i0, j0), float(a_neg)
+    if reverse * pi[i0] > abs(a_neg) * pi[j0]:
+        return True, ""
+    return False, (
+        f"reverse rate too weak: rate({j0}<-{i0})*pi[{i0}] = {reverse * pi[i0]:.6g} "
+        f"must exceed |rate({i0}<-{j0})|*pi[{j0}] = {abs(a_neg) * pi[j0]:.6g}"
+    )
 
 
 def no_go_verify(
@@ -249,9 +232,9 @@ def no_go_verify(
     """Certify absence of Fisher dilation for replicas plus an idle ancilla.
 
     The base point is the tensor power of ``pi`` with the ancilla in the
-    uniform state. A failed precondition is
-    reported through ``condition_met``, not raised: it means the instance
-    is outside the certified family, not that the check broke.
+    uniform state. A failed precondition is reported through
+    ``condition_met``, not raised: it means the instance is outside the
+    certified family, not that the check broke.
     """
     base_pi = prob_vec(pi)
     m = rate_matrix(r)
@@ -262,10 +245,8 @@ def no_go_verify(
         raise DimensionMismatchError("need copies >= 1 and ancilla_dim 0 or >= 2")
 
     check = is_markovian_generator(m)
-    condition_met, detail, offender, offender_rate = _single_offender_condition(
-        base_pi, m, check.negative_rates
-    )
-    nonmarkovian = not check.markovian
+    condition_met, detail = _single_offender_condition(base_pi, m, check)
+    offender, offender_rate = check.offender if len(check.negative_rates) == 1 else (None, None)
 
     r_ext = extend_generator(m, copies=copies, ancilla_dim=ancilla_dim)
     base = base_pi
@@ -274,18 +255,15 @@ def no_go_verify(
     if ancilla_dim >= 2:
         base = np.kron(base, np.full(ancilla_dim, 1.0 / ancilla_dim))
 
-    sys_dim = n**copies
-    full_form = contraction_form(base, r_ext)
+    full_form = image_form = contraction_form(base, r_ext)
     if ancilla_dim >= 2:
-        image_basis = np.kron(zero_sum_basis(sys_dim), np.eye(ancilla_dim))
+        image_basis = np.kron(zero_sum_basis(n**copies), np.eye(ancilla_dim))
         image_form = contraction_form(base, r_ext, basis=image_basis)
-    else:
-        image_form = full_form
 
     if margin is None:
         margin = 1e-6 * float(np.max(np.abs(m)))
     return NoGoReport(
-        nonmarkovian=nonmarkovian,
+        nonmarkovian=not check.markovian,
         condition_met=condition_met,
         offender=offender,
         offender_rate=offender_rate,
@@ -294,7 +272,6 @@ def no_go_verify(
         lambda_max_on_image=image_form.lambda_max,
         lambda_max_full=full_form.lambda_max,
         margin=float(margin),
-        base=base,
         condition_detail=detail,
     )
 
@@ -366,7 +343,7 @@ def regularize_direction(d, r) -> tuple[np.ndarray, tuple[int, ...]]:
     return tangent_vec(out), tuple(int(k) for k in np.flatnonzero(zero_mask))
 
 
-def filter_witness_rate(p, d, r, eps: float, freeze_base: bool = True) -> float:
+def filter_witness_rate(p, d, r, eps: float) -> float:
     """Growth rate of the filtered displacement, in trace-square calibration.
 
     The filter contracts toward the special base point of ``d`` with
@@ -389,39 +366,8 @@ def filter_witness_rate(p, d, r, eps: float, freeze_base: bool = True) -> float:
     filtered = (1.0 - eps) * anchor + eps * base
     p_dot = m @ base
     d_dot = m @ vec
-    value = 2.0 * eps**2 * float(np.sum(vec * d_dot / filtered))
-    if freeze_base:
-        value -= eps**3 * float(np.sum(vec**2 * p_dot / filtered**2))
-    else:
-        total = float(np.sum(np.abs(vec)))
-        total_dot = float(np.sum(np.sign(vec) * d_dot))
-        anchor_dot = (np.sign(vec) * d_dot * total - np.abs(vec) * total_dot) / total**2
-        f_dot = (1.0 - eps) * anchor_dot + eps * p_dot
-        value -= eps**2 * float(np.sum(vec**2 * f_dot / filtered**2))
-    return value
-
-
-def filter_witness(r, d, base=None, epsilons: Sequence[float] = FILTER_EPSILONS) -> WitnessReport:
-    """Witness report built from the filter construction at the smallest eps.
-
-    By default the state sits at the special base point of the regularized
-    displacement, which makes the filtered state independent of eps.
-    """
-    m = rate_matrix(r)
-    vec, _ = regularize_direction(tangent_vec(d), m)
-    anchor = special_base_point(vec)
-    state = anchor if base is None else prob_vec(base)
-    eps = float(min(epsilons))
-    rate = filter_witness_rate(state, vec, m, eps)
-    return WitnessReport(
-        found=rate > 0.0,
-        method="filter",
-        base=state,
-        direction=vec,
-        rate_value=rate,
-        epsilon_used=eps,
-        generator=m,
-    )
+    growth = 2.0 * eps**2 * float(np.sum(vec * d_dot / filtered))
+    return growth - eps**3 * float(np.sum(vec**2 * p_dot / filtered**2))
 
 
 def trace_ancilla_witness(r, mode: str = "ancilla-M2") -> WitnessReport:
@@ -431,25 +377,25 @@ def trace_ancilla_witness(r, mode: str = "ancilla-M2") -> WitnessReport:
     yield the forward rate 2 * sum of |rate(i <- j0)| over the negative
     entries of that column.
     """
+    if mode not in ("ancilla-M2", "extra-state"):
+        raise DomainError(f"unknown mode {mode!r}; use 'ancilla-M2' or 'extra-state'")
     m = rate_matrix(r)
     n = m.shape[0]
     check = is_markovian_generator(m)
     if check.markovian:
         return WitnessReport(found=False, method="trace-ancilla", generator=m)
-    offender, offender_rate = min_offdiag(m)
+    offender, offender_rate = check.offender
     _, j0 = offender
 
     if mode == "ancilla-M2":
         r_ext = extend_generator(m, copies=1, ancilla_dim=2)
         direction = np.kron(np.eye(n)[j0], np.array([0.5, -0.5]))
-    elif mode == "extra-state":
+    else:
         r_ext = np.zeros((n + 1, n + 1))
         r_ext[:n, :n] = m
         direction = np.zeros(n + 1)
         direction[j0] = 1.0
         direction[n] = -1.0
-    else:
-        raise DomainError(f"unknown mode {mode!r}; use 'ancilla-M2' or 'extra-state'")
 
     rate = forward_trace_rate(direction, r_ext)
     dim = r_ext.shape[0]

@@ -327,6 +327,14 @@ def first_nonfinite(report, where: str = "") -> str | None:
     return None
 
 
+def min_offdiag(r) -> tuple[tuple[int, int], float]:
+    """Smallest off-diagonal entry of ``r`` and its index, first in row-major order on ties."""
+    off = np.array(r, dtype=float)
+    np.fill_diagonal(off, np.inf)
+    idx = divmod(int(np.argmin(off)), off.shape[0])
+    return idx, float(off[idx])
+
+
 def filter_rate_direct(d, r, eps: float) -> float:
     """Doubled derivative of the filtered squared Fisher distance, frozen base.
 

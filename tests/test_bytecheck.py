@@ -34,3 +34,13 @@ def test_run_records_exit_output_and_file_digests(tmp_path, capsys):
         "fisherflow: numerical accuracy: exact step over dt = 0.001 overflows to non-finite entries\n"
     )
     assert failed["files"] == {}
+
+
+def test_generated_group_runs_each_command(tmp_path):
+    runs = bytecheck._generated_runs(str(tmp_path))
+    counts = {}
+    for group, command, path in runs:
+        assert group == "generated" and os.path.isfile(path)
+        counts[command] = counts.get(command, 0) + 1
+    # per seed: one scan, four retro and four quantum inputs; 40 planted and 2 no-go generators
+    assert counts == {"scan": 2, "retro": 8, "quantum": 8, "witness": 80, "nogo": 4, "filter": 4}

@@ -18,9 +18,11 @@ EXIT_CODES = {
     "case_study_to_t40.json": "1211110",
     "decay_rate_1e9.json": "1201110",
     "filter_tiny_epsilon.json": "1111111",
+    "filter_zero_ancilla_entry.json": "1000010",
     "grid_from_t0_half.json": "1001110",
     "infinite_grid_end.json": "1111111",
     "nan_tolerance.json": "1111111",
+    "nogo_ancilla_dim_one.json": "1111111",
     "quantum_extreme_rate.json": "1000012",
     "retro_boundary_prior.json": "1001110",
     "retro_negative_trials.json": "1001100",
@@ -28,6 +30,7 @@ EXIT_CODES = {
     "retro_stiff_block.json": "1001110",
     "retro_zero_trials.json": "1001100",
     "saturated_mixing_weight.json": "1211110",
+    "witness_negative_time.json": "1111111",
     "zero_generator.json": "1001100",
 }
 
@@ -48,6 +51,16 @@ STDERR = {
         ("filter_tiny_epsilon.json", command): (
             "filter.epsilons[0] = 1.1125369292536007e-308 is too small: its square underflows"
         )
+        for command in COMMANDS
+    },
+    # nogo would skip the one-state ancilla without a word
+    **{
+        ("nogo_ancilla_dim_one.json", command): "no_go.ancilla_dims must be a non-empty list of 0 or integers >= 2"
+        for command in COMMANDS
+    },
+    # the case study's generator before the dynamics starts
+    **{
+        ("witness_negative_time.json", command): "witness.time must be at least 0: every dynamics starts at time 0"
         for command in COMMANDS
     },
 }

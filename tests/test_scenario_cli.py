@@ -149,6 +149,15 @@ class TestScenarioParsing:
             {"analyses": {"figure1": {"points": 4}}},
             {"dynamics": {"kind": "contraction"}},
             {"dynamics": {"kind": "case_study", "target": [0.5, 0.5]}},
+            # no_go and witness values that the commands would drop or misuse
+            {"analyses": {"no_go": {"ancilla_dims": [0, 1, 2]}}},
+            {"analyses": {"no_go": {"ancilla_dims": [-2]}}},
+            {"analyses": {"no_go": {"ancilla_dims": []}}},
+            {"analyses": {"no_go": {"copies": []}}},
+            {"analyses": {"no_go": {"copies": [1, 0]}}},
+            {"analyses": {"no_go": {"margin": -1e-3}}},
+            {"analyses": {"witness": {"time": -1.0}}},
+            {"analyses": {"witness": {"fallback_samples": -1}}},
         ],
     )
     def test_malformed_fields_rejected(self, change):

@@ -205,11 +205,28 @@ class TestMarkovianCheck:
         check = ff.is_markovian_generator([[-1.0, 0.5], [1.0, -0.5]])
         assert check.markovian
         assert check.negative_rates == {}
+        assert check.offender is None
 
     def test_counterexample_offender(self):
         check = ff.is_markovian_generator(COUNTEREXAMPLE)
         assert not check.markovian
         assert check.negative_rates == {(0, 1): -0.5}
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_offender_is_smallest_offdiagonal_entry(self, seed):
+        # several negative rates, two or more of them tied at the minimum
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        r = random_markovian(rng, n)
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        chosen = rng.choice(len(pairs), size=int(rng.integers(2, len(pairs) + 1)), replace=False)
+        worst = -float(rng.uniform(0.1, 1.0))
+        for rank, k in enumerate(chosen):
+            tied = rank < 2 or rng.random() < 0.3
+            r[pairs[k]] = worst if tied else worst * float(rng.uniform(0.1, 0.9))
+        np.fill_diagonal(r, 0.0)
+        np.fill_diagonal(r, -r.sum(axis=0))
+        assert ff.is_markovian_generator(r).offender == oracles.min_offdiag(r)
 
     def test_tolerance_absorbs_noise(self):
         r = ff.rate_matrix_from_rates({(0, 1): -1e-12, (1, 0): 1.0}, 2)

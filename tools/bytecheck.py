@@ -9,8 +9,12 @@ gitignored ``.bench_build/`` and removed again afterwards. Each tree runs
 
 - the bundled scenarios, each with all seven commands;
 - the edge scenarios in ``scenarios/edge/``, each with all seven commands;
-- the ``scan``, ``retro`` and ``quantum`` inputs that ``bench/gen.py``
-  builds for the ``dynamics`` workload, for two seeds.
+- generated input from ``bench/gen.py``, for two seeds: the ``scan``,
+  ``retro`` and ``quantum`` inputs of the ``dynamics`` workload, and
+  scenarios written from the ``forms`` workload's ``forms.json``: a
+  ``witness`` scenario per planted generator, seeded with its search
+  seed, and one scenario per no-go generator, with its base and the
+  sweep's copies and ancilla dimensions, run with ``nogo`` and ``filter``.
 
 Scenario paths are passed relative to the tree and every run writes into
 the same output path in both trees, so messages that name a path match.
@@ -38,10 +42,12 @@ import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = ("figure1", "scan", "witness", "nogo", "filter", "retro", "quantum")
-#: Seeds of the generated ``dynamics`` inputs.
+#: Seeds of the generated inputs.
 SEEDS = (1, 2)
 #: Commands of the generated ``dynamics`` inputs.
 GENERATED_COMMANDS = ("scan", "retro", "quantum")
+#: Grid of the scenarios written from the ``forms`` inputs; their commands read the generator at t = 0.
+FORMS_GRID = {"t0": 0.0, "t1": 1.0, "points": 2}
 
 
 def _scenario_runs(tree: str) -> list[list[str]]:
@@ -54,7 +60,7 @@ def _scenario_runs(tree: str) -> list[list[str]]:
 
 
 def _generated_runs(inputs: str) -> list[list[str]]:
-    """Write ``bench/gen.py``'s ``dynamics`` inputs for each seed; [group, command, path] of each."""
+    """Write ``bench/gen.py``'s inputs, and scenarios built from them, per seed; [group, command, path] of each."""
     spec = importlib.util.spec_from_file_location("bytecheck_gen", os.path.join(ROOT, "bench", "gen.py"))
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
@@ -64,6 +70,32 @@ def _generated_runs(inputs: str) -> list[list[str]]:
         for command, path, _ in manifest["cli"]:
             if command in GENERATED_COMMANDS and path.startswith(manifest["input_dir"] + "/"):
                 runs.append(["generated", command, os.path.join(inputs, path)])
+        runs += _forms_runs(gen, seed, inputs)
+    return runs
+
+
+def _forms_runs(gen, seed: int, inputs: str) -> list[list[str]]:
+    """Write the ``forms`` inputs of ``seed`` and scenarios built from them; [group, command, path] of each."""
+    manifest = gen.generate("forms", seed, inputs, f"seed{seed}-forms")
+    directory = os.path.join(inputs, manifest["input_dir"])
+    with open(os.path.join(directory, "forms.json"), encoding="utf-8") as fh:
+        forms = json.load(fh)
+
+    def write(name: str, matrix, analyses: dict, **extra) -> str:
+        path = os.path.join(directory, name)
+        scenario = {"dynamics": {"kind": "generator", "matrix": matrix}, "grid": FORMS_GRID, "analyses": analyses}
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(dict(scenario, **extra), fh)
+        return path
+
+    runs = []
+    for k, planted in enumerate(forms["planted"]):
+        path = write(f"witness_{k:02d}.json", planted["generator"], {"witness": {}}, seed=planted["search_seed"])
+        runs.append(["generated", "witness", path])
+    sweep = {key: manifest["nogo"][key] for key in ("copies", "ancilla_dims")}
+    for k, case in enumerate(forms["nogo"]):
+        path = write(f"nogo_{k}.json", case["generator"], {"no_go": dict(sweep, base=case["base"])})
+        runs += [["generated", "nogo", path], ["generated", "filter", path]]
     return runs
 
 
