@@ -140,4 +140,9 @@ from .witnesses import (
     trace_ancilla_witness,
 )
 
+from . import _blas
+
+# numpy and scipy.linalg are loaded by now: run their OpenBLAS on one thread
+_blas.pin_openblas_threads()
+
 __version__ = "0.1.0"

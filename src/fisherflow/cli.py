@@ -335,10 +335,12 @@ def _write_figure1_csv(path, times, thetas, values, min_rates):
     is formatted here, each other one in a child process (see
     ``_atomic_write``); the bytes do not depend on the number of writers.
 
-    Forking is safe although numpy's BLAS may have started threads: the
-    children only format floats that are already computed, run no BLAS,
-    and leave with ``os._exit``. (Python 3.12 and later warn with a
-    ``DeprecationWarning`` when a process with threads forks.)
+    Forking is safe although numpy's and scipy's OpenBLAS started their
+    worker threads when they loaded (importing fisherflow runs BLAS on one
+    thread, but the idle workers stay): the children only format floats
+    that are already computed, run no BLAS, and leave with ``os._exit``.
+    (Python 3.12 and later warn with a ``DeprecationWarning`` when a
+    process with threads forks.)
     """
     writers = 1
     # splicing needs os.fork and a file-to-file os.sendfile, which only Linux has
@@ -579,8 +581,8 @@ def cmd_filter(scn: Scenario, outdir: str, seed: int):
     strength = float(np.abs(direction).sum())
     reference = 2.0 * strength * forward_trace_rate(direction, extended)
 
-    ancilla_rep = trace_ancilla_witness(r, mode="ancilla-M2")
-    extra_rep = trace_ancilla_witness(r, mode="extra-state")
+    ancilla_rep = trace_ancilla_witness(r, verdict, mode="ancilla-M2")
+    extra_rep = trace_ancilla_witness(r, verdict, mode="extra-state")
 
     max_ratio_error = max(abs(v / reference - 1.0) for v in ratios.values())
     results = {

@@ -370,18 +370,18 @@ def filter_witness_rate(p, d, r, eps: float) -> float:
     return growth - eps**3 * float(np.sum(vec**2 * p_dot / filtered**2))
 
 
-def trace_ancilla_witness(r, mode: str = "ancilla-M2") -> WitnessReport:
+def trace_ancilla_witness(r, check: GeneratorCheck, mode: str = "ancilla-M2") -> WitnessReport:
     """Trace-distance growth from a two-level ancilla or one extra inert state.
 
-    Both modes target the source column j0 of the most negative rate and
-    yield the forward rate 2 * sum of |rate(i <- j0)| over the negative
-    entries of that column.
+    ``check`` is the caller's :func:`is_markovian_generator` of ``r``. Both
+    modes target the source column j0 of its most negative rate and yield
+    the forward rate 2 * sum of |rate(i <- j0)| over the negative entries
+    of that column.
     """
     if mode not in ("ancilla-M2", "extra-state"):
         raise DomainError(f"unknown mode {mode!r}; use 'ancilla-M2' or 'extra-state'")
     m = rate_matrix(r)
     n = m.shape[0]
-    check = is_markovian_generator(m)
     if check.markovian:
         return WitnessReport(found=False, method="trace-ancilla", generator=m)
     offender, offender_rate = check.offender

@@ -169,7 +169,8 @@ def test_a5_trace_blindness(capsys):
         d = random_zero_sum(rng, 2, scale=1.0)
         worst = max(worst, ff.trace_rate(d, COUNTEREXAMPLE).value)
     ok_blind = worst <= 0.0
-    report = ff.trace_ancilla_witness(COUNTEREXAMPLE, mode="ancilla-M2")
+    check = ff.is_markovian_generator(COUNTEREXAMPLE)
+    report = ff.trace_ancilla_witness(COUNTEREXAMPLE, check, mode="ancilla-M2")
     ok_lift = report.found and report.rate_value > 0.0
     ok = ok_blind and ok_lift
     _announce(

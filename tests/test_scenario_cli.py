@@ -460,6 +460,22 @@ class TestCliRuns:
         # one rate per epsilon; each ratio is derived from it
         assert len(calls) == len(set(calls)) == len(report["results"]["epsilon_rates"])
 
+    def test_filter_checks_its_generator_once(self, tmp_path, monkeypatch):
+        # both trace witnesses take the command's GeneratorCheck instead of deciding it again
+        calls = []
+        real = fisherflow.simplex.is_markovian_generator
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fisherflow.cli, "is_markovian_generator", counted)
+        monkeypatch.setattr(fisherflow.witnesses, "is_markovian_generator", counted)
+        code = main(["filter", "--scenario", _scenario("counterexample_filter.json"), "--out", str(tmp_path)])
+        assert code == 0
+        assert json.loads((tmp_path / "filter.json").read_text())["checks"]["trace_witnesses_positive"]["ok"] is True
+        assert len(calls) == 1
+
     def test_retro_command(self, tmp_path):
         code = main(
             ["retro", "--scenario", _scenario("relaxation_retro.json"), "--out", str(tmp_path)]

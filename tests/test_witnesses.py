@@ -230,25 +230,29 @@ class TestFilterWitness:
 
 
 class TestTraceAncillaWitness:
+    @staticmethod
+    def _witness(r, mode="ancilla-M2"):
+        return ff.trace_ancilla_witness(r, ff.is_markovian_generator(r), mode=mode)
+
     def test_ancilla_mode_rate(self):
-        report = ff.trace_ancilla_witness(COUNTEREXAMPLE, mode="ancilla-M2")
+        report = self._witness(COUNTEREXAMPLE, mode="ancilla-M2")
         assert report.found
         assert report.rate_value == pytest.approx(1.0)
         assert report.offender == (0, 1)
         assert report.recompute_rate() == pytest.approx(1.0)
 
     def test_extra_state_mode_rate(self):
-        report = ff.trace_ancilla_witness(COUNTEREXAMPLE, mode="extra-state")
+        report = self._witness(COUNTEREXAMPLE, mode="extra-state")
         assert report.found
         assert report.rate_value == pytest.approx(1.0)
 
     def test_markovian_yields_nothing(self):
-        report = ff.trace_ancilla_witness([[-1.0, 0.5], [1.0, -0.5]])
+        report = self._witness([[-1.0, 0.5], [1.0, -0.5]])
         assert not report.found
 
     def test_unknown_mode(self):
         with pytest.raises(ff.DomainError):
-            ff.trace_ancilla_witness(COUNTEREXAMPLE, mode="diagonal")
+            self._witness(COUNTEREXAMPLE, mode="diagonal")
         # the mode is checked before the generator, so a Markovian one cannot hide it
         with pytest.raises(ff.DomainError):
-            ff.trace_ancilla_witness([[-1.0, 0.5], [1.0, -0.5]], mode="bogus")
+            self._witness([[-1.0, 0.5], [1.0, -0.5]], mode="bogus")
