@@ -11,7 +11,6 @@ factor outermost.
 from .distances import (
     ContractionForm,
     TraceRate,
-    bhattacharyya,
     contraction_form,
     fisher_flow,
     fisher_inner,
@@ -19,9 +18,6 @@ from .distances import (
     fisher_rate,
     fisher_rates,
     forward_trace_rate,
-    hellinger,
-    param_fisher_information,
-    trace_distance,
     trace_rate,
 )
 from .errors import (
@@ -59,9 +55,7 @@ from .propagation import (
     exact_propagators,
     generator_grid,
     generator_of,
-    intermediate_map,
     propagate,
-    trace_scaling_check,
 )
 from .quantum import (
     CpReport,
@@ -78,15 +72,11 @@ from .quantum import (
     compose,
     cp_check,
     dephasing_channel,
-    dephasing_filter_reduction_check,
-    depolarizing_channel,
     density_matrix,
     diag_decomposition,
     diag_decomposition_check,
     extend_with_identity,
-    filter_channel,
     hermitian_perturbation,
-    identity_channel,
     metric_kernel,
     petz_metric,
     quantum_dilation_witness,
@@ -107,7 +97,6 @@ from .retrodiction import (
 from .scenario import (
     Scenario,
     build_dynamics,
-    dump_scenario,
     load_scenario,
     parse_scenario,
     scenario_to_dict,

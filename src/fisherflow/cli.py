@@ -618,6 +618,13 @@ def cmd_retro(scn: Scenario, outdir: str, seed: int):
     block = scn.analyses.retrodiction
     if block is None:
         raise ScenarioError("retro needs an analyses.retrodiction block")
+    for t in block.equivalence_times or ():
+        # a NaN fails the comparison too
+        if not scn.grid.t0 <= t <= scn.grid.t1:
+            raise ScenarioError(
+                f"analyses.retrodiction.equivalence_times entry {t!r} lies outside the grid "
+                f"[{scn.grid.t0!r}, {scn.grid.t1!r}]"
+            )
     dyn = build_dynamics(scn.dynamics)
     grid = scn.grid.times()
     ctx = retrodiction_context(block.prior, dyn, grid)
@@ -645,17 +652,18 @@ def cmd_retro(scn: Scenario, outdir: str, seed: int):
         eq_times = sorted(
             {float(grid[int(f * (grid.shape[0] - 1))]) for f in (0.25, 0.5, 0.75)} - {float(grid[0])}
         )
+    band = scn.tolerance("equivalence_band")
     equivalence = []
     verdicts_ok = True
     for t in eq_times:
-        rep = retrodiction_equivalence_check(ctx, t, band=scn.tolerance("equivalence_band"))
+        rep = retrodiction_equivalence_check(ctx, t, band=band)
         verdicts_ok = verdicts_ok and rep.verdict != "inconsistent"
         equivalence.append(
             {
                 "t": t,
                 "lambda_max": rep.lambda_max,
                 "curvature_min": rep.curvature_min,
-                "band": rep.band,
+                "band": band,
                 "verdict": rep.verdict,
             }
         )

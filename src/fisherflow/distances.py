@@ -25,33 +25,28 @@ basis ``B`` the contraction form is therefore ``-1/2 (P^-1 B)^T L (P^-1 B)``
 with ``P = diag(p)``. A Laplacian with non-negative weights is positive
 semidefinite, so a Markovian generator never has a positive form.
 
-The trace distance ``sum_i |p_i - q_i|`` and the Bhattacharyya angle and
-Hellinger distance are provided for comparison; only the Fisher rate admits
-the edge-flow decomposition above.
+The trace-distance rates are provided for comparison; only the Fisher
+rate admits the edge-flow decomposition above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    DomainError,
     InvalidIndexError,
     SingularBaseError,
 )
 from .simplex import INTERIOR_FLOOR, is_interior, prob_vec, rate_matrix, zero_sum_basis
 
 __all__ = [
-    "trace_distance",
     "fisher_inner",
     "fisher_local_sq",
-    "bhattacharyya",
-    "hellinger",
     "fisher_flow",
     "fisher_rate",
     "fisher_rates",
@@ -60,7 +55,6 @@ __all__ = [
     "forward_trace_rate",
     "ContractionForm",
     "contraction_form",
-    "param_fisher_information",
 ]
 
 
@@ -82,14 +76,6 @@ def _require_interior(p: np.ndarray, floor: float = INTERIOR_FLOOR) -> None:
         )
 
 
-def trace_distance(p, q) -> float:
-    """Total variation style distance ``sum_i |p_i - q_i|`` (no 1/2 factor)."""
-    a = np.asarray(p, dtype=float)
-    b = np.asarray(q, dtype=float)
-    _check_same_dim(a, b)
-    return float(np.sum(np.abs(a - b)))
-
-
 def fisher_inner(a, b, p) -> float:
     """Fisher inner product of two tangent vectors at an interior base point."""
     x = np.asarray(a, dtype=float)
@@ -103,24 +89,6 @@ def fisher_inner(a, b, p) -> float:
 def fisher_local_sq(p, d) -> float:
     """Squared Fisher distance between ``p`` and ``p + d`` in the local quadratic form."""
     return fisher_inner(d, d, p)
-
-
-def bhattacharyya(p, q) -> float:
-    """Geodesic angle ``sqrt(2) * arccos(sum_i sqrt(p_i q_i))``."""
-    a = np.asarray(p, dtype=float)
-    b = np.asarray(q, dtype=float)
-    _check_same_dim(a, b)
-    overlap = float(np.sum(np.sqrt(np.clip(a, 0.0, None) * np.clip(b, 0.0, None))))
-    return float(np.sqrt(2.0) * np.arccos(np.clip(overlap, -1.0, 1.0)))
-
-
-def hellinger(p, q) -> float:
-    """Chordal companion of the Bhattacharyya angle, ``2 sqrt(1 - overlap)``."""
-    a = np.asarray(p, dtype=float)
-    b = np.asarray(q, dtype=float)
-    _check_same_dim(a, b)
-    overlap = float(np.sum(np.sqrt(np.clip(a, 0.0, None) * np.clip(b, 0.0, None))))
-    return float(2.0 * np.sqrt(max(1.0 - overlap, 0.0)))
 
 
 def fisher_flow(p, d, i: int, j: int) -> float:
@@ -267,7 +235,14 @@ def contraction_form(p, r, basis: np.ndarray | None = None) -> ContractionForm:
     ``L`` is the edge Laplacian described in the module docstring and
     ``P = diag(p)``. ``basis`` defaults to an orthonormal basis of the full
     zero-sum subspace; passing a smaller orthonormal zero-sum basis
-    restricts the form to that sector.
+    restricts the form to that sector. A zero-sum basis ``B`` that is not
+    orthonormal gives the congruent form ``G^T M G``, where ``M`` is the
+    form on an orthonormal basis ``U`` of the same span and ``G = U^T B``:
+    ``c^T (G^T M G) c`` is still the rate of ``B c``, and for ``B`` of full
+    rank the eigenvalues keep their signs (Sylvester's law of inertia) but
+    not their values. The retrodiction check relies on this: its recovery
+    curvature is the negated form at ``T pi`` on the basis ``T B_pi``,
+    computed as ``G^T M G`` from the orthonormal form.
     """
     base = prob_vec(p)
     gen = rate_matrix(r)
@@ -282,28 +257,3 @@ def contraction_form(p, r, basis: np.ndarray | None = None) -> ContractionForm:
     m = 0.5 * (m + m.T)
     return ContractionForm(base=base, generator=gen, basis=b, matrix=m)
 
-
-def param_fisher_information(
-    curve: Callable[[float], np.ndarray],
-    theta: float,
-    h: float = 1e-5,
-    method: str = "gradient",
-) -> float:
-    """Fisher information of a one-parameter family of distributions.
-
-    ``method="gradient"`` uses the central-difference derivative in
-    ``sum_i (dp_i/dtheta)^2 / p_i``; ``method="distance"`` estimates the
-    same quantity as ``2 * D2(p(theta), p(theta + h)) / h^2``. The two
-    agree in the small-``h`` limit and serve as mutual cross-checks.
-    """
-    p0 = prob_vec(curve(theta))
-    _require_interior(p0)
-    if method == "gradient":
-        plus = prob_vec(curve(theta + h))
-        minus = prob_vec(curve(theta - h))
-        grad = (plus - minus) / (2.0 * h)
-        return float(np.sum(grad**2 / p0))
-    if method == "distance":
-        plus = prob_vec(curve(theta + h))
-        return float(2.0 * fisher_local_sq(p0, plus - p0) / h**2)
-    raise DomainError(f"unknown method {method!r}")

@@ -42,7 +42,7 @@ from .errors import (
     InvalidStateError,
     NearSingularError,
 )
-from .simplex import COLUMN_TOL, StochasticityReport, prob_vec, rate_matrix, validate_stochastic
+from .simplex import COLUMN_TOL, prob_vec, rate_matrix
 
 __all__ = [
     "Dynamics",
@@ -52,7 +52,6 @@ __all__ = [
     "contraction_to_target",
     "Trajectory",
     "propagate",
-    "intermediate_map",
     "generator_of",
     "GeneratorGrid",
     "generator_grid",
@@ -61,10 +60,9 @@ __all__ = [
     "ScanResult",
     "divisibility_scan",
     "refinement_stable",
-    "trace_scaling_check",
 ]
 
-#: Condition numbers beyond this make the intermediate map unreliable.
+#: Condition numbers beyond this make a propagator too near singular to divide out.
 COND_LIMIT = 1e12
 
 #: Richardson disagreement beyond this aborts an integration.
@@ -479,25 +477,6 @@ def _guard_condition(mat: np.ndarray, limit: float = COND_LIMIT) -> None:
         raise NearSingularError(f"condition number {cond:.3e} beyond {limit:.0e}")
 
 
-def intermediate_map(traj: Trajectory, s: float, t: float) -> tuple[np.ndarray, StochasticityReport]:
-    """Map carrying the state at grid time ``s`` to grid time ``t``.
-
-    Solves ``X T(s) = T(t)`` by LU factorization with partial pivoting and
-    returns the matrix together with a stochasticity report; the map is a
-    genuine stochastic matrix only where the dynamics is divisible, so the
-    report is informative, not an error.
-    """
-    i = traj.index_of(s)
-    j = traj.index_of(t)
-    if j < i:
-        raise DomainError(f"need t >= s, got s = {s:.6g}, t = {t:.6g}")
-    t_s = traj.propagators[i]
-    t_t = traj.propagators[j]
-    _guard_condition(t_s)
-    x = np.linalg.solve(t_s.T, t_t.T).T
-    return x, validate_stochastic(x)
-
-
 def generator_of(dyn: Dynamics, t: float) -> np.ndarray:
     """Generator of ``dyn`` at time ``t``: the one-point :func:`generator_grid`, raising its failure."""
     grid = dyn._generator_grid(np.array([t], dtype=float))
@@ -604,20 +583,3 @@ def refinement_stable(dyn: Dynamics, coarse: ScanResult) -> bool:
         any(flo <= hi and lo <= fhi for flo, fhi in fine_windows) for lo, hi in coarse.windows()
     )
 
-
-def trace_scaling_check(dyn: MixingDynamics, p0, q0, grid) -> float:
-    """Largest deviation from the exact trace-distance scaling of a mixing family.
-
-    For ``T(t) = (1 - s) Id + s m 1^T`` the trace distance between any two
-    evolved states is ``(1 - s(t))`` times the initial one; the return value
-    is the max absolute mismatch over the grid.
-    """
-    if not isinstance(dyn, MixingDynamics):
-        raise DomainError("trace scaling holds only for mixing families")
-    p = prob_vec(p0)
-    q = prob_vec(q0)
-    d0 = float(np.sum(np.abs(p - q)))
-    times = np.asarray(grid, dtype=float)
-    mats = dyn.propagators_at(times)
-    d_t = np.abs(mats @ p - mats @ q).sum(axis=1)
-    return float(np.max(np.abs(d_t - (1.0 - dyn.s(times)) * d0), initial=0.0))

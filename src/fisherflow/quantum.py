@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy.linalg import expm
 
-from .distances import contraction_form, fisher_rate
+from .distances import fisher_rate
 from .errors import (
     ChannelRepresentationError,
     DimensionMismatchError,
@@ -37,8 +37,7 @@ from .errors import (
     SingularBaseError,
     WitnessNotApplicableError,
 )
-from .simplex import prob_vec, rate_matrix, rates_of
-from .witnesses import filter_map
+from .simplex import rate_matrix, rates_of
 
 __all__ = [
     "MAX_QUANTUM_DIM",
@@ -49,10 +48,7 @@ __all__ = [
     "QuantumChannel",
     "channel_from_matrix",
     "channel_from_kraus",
-    "identity_channel",
-    "depolarizing_channel",
     "dephasing_channel",
-    "filter_channel",
     "compose",
     "extend_with_identity",
     "channel_step",
@@ -71,8 +67,6 @@ __all__ = [
     "QuantumWitnessReport",
     "quantum_dilation_witness",
     "quantum_witness_fd_rate",
-    "ReductionReport",
-    "dephasing_filter_reduction_check",
 ]
 
 MAX_QUANTUM_DIM = 16
@@ -187,20 +181,6 @@ def channel_from_kraus(kraus: Iterable) -> QuantumChannel:
     return QuantumChannel(matrix=s, dim=d, kraus=ops)
 
 
-def identity_channel(d: int) -> QuantumChannel:
-    return channel_from_kraus([np.eye(d)])
-
-
-def depolarizing_channel(d: int, strength: float = 1.0) -> QuantumChannel:
-    """Mixes the input with the maximally mixed state; strength 1 erases it."""
-    if not 0.0 <= strength <= 1.0:
-        raise DomainError(f"strength must be in [0, 1], got {strength}")
-    eye_vec = np.eye(d).reshape(-1).astype(complex)
-    s = (1.0 - strength) * np.eye(d**2, dtype=complex)
-    s += strength * np.outer(eye_vec / d, eye_vec)
-    return channel_from_matrix(s, d)
-
-
 def dephasing_channel(d: int, keep: float) -> QuantumChannel:
     """Shrinks every off-diagonal element by ``keep``, fixing the diagonal."""
     if not 0.0 <= keep <= 1.0:
@@ -208,17 +188,6 @@ def dephasing_channel(d: int, keep: float) -> QuantumChannel:
     s = keep * np.eye(d**2, dtype=complex)
     diagonal = np.arange(d) * (d + 1)  # row-major position of E_ii
     s[diagonal, diagonal] += 1.0 - keep
-    return channel_from_matrix(s, d)
-
-
-def filter_channel(pi, eps: float) -> QuantumChannel:
-    """Quantum analog of the classical filter: eps rho + (1 - eps) pi tr(rho)."""
-    target = density_matrix(pi)
-    if not 0.0 < eps <= 1.0:
-        raise DomainError(f"filter strength must be in (0, 1], got {eps}")
-    d = target.shape[0]
-    eye_vec = np.eye(d).reshape(-1).astype(complex)
-    s = eps * np.eye(d**2, dtype=complex) + (1.0 - eps) * np.outer(target.reshape(-1), eye_vec)
     return channel_from_matrix(s, d)
 
 
@@ -626,28 +595,3 @@ def quantum_witness_fd_rate(report: QuantumWitnessReport) -> float:
     k1 = petz_metric(rho_a, drho_a, drho_a, report.kind)
     return (k1 - k0) / alpha
 
-
-@dataclass(frozen=True)
-class ReductionReport:
-    """Diagonal-sector reduction of the dephasing-filter post-processing."""
-
-    action_defect: float
-    lambda_max_diagonal_sector: float
-
-
-def dephasing_filter_reduction_check(pi, r, eps1: float, eps2: float) -> ReductionReport:
-    """Check that dephasing-then-filter reduces to the classical filter story.
-
-    The composite channel acts on diagonal states exactly as the classical
-    filter toward ``pi``; the first figure is the worst deviation from
-    that. The second is the top of the classical contraction form at
-    ``pi`` under the classical generator ``r``, the quantity whose
-    nonpositivity transfers the classical no-go to this family.
-    """
-    prior = prob_vec(pi)
-    d = prior.shape[0]
-    composed = compose(dephasing_channel(d, eps2), filter_channel(np.diag(prior), eps1))
-    induced = classical_action(composed)
-    defect = float(np.max(np.abs(induced - filter_map(prior, eps1))))
-    lam = contraction_form(prior, rate_matrix(r)).lambda_max
-    return ReductionReport(action_defect=defect, lambda_max_diagonal_sector=lam)

@@ -10,10 +10,14 @@ in a pi-orthonormal basis.
 The central quantitative fact checked here: the quadratic form
 <d, A d>_pi equals <T d, T d>_{T pi} identically, which ties the decay of
 recovery quality to the contraction of the Fisher metric under ``T``.
-``retrodiction_equivalence_check`` tests the differential version on a
-trajectory: the symmetrized -dA/dt is positive semidefinite exactly when
-the Fisher contraction form at the evolved prior has no positive
-direction.
+Differentiating it with dT/dt = L T gives <d, dA/dt d>_pi as the rate of
+the squared Fisher distance of T d at T pi under L: the symmetrized
+-dA/dt on the pi-orthonormal basis is the contraction form at the evolved
+prior, pulled back by ``T`` and negated. ``retrodiction_equivalence_check``
+reads it off that form in closed form; by Sylvester's law of inertia its
+signs are the negated signs of the form's eigenvalues wherever ``T`` is
+invertible on zero-sum vectors, so recovery quality improves along some
+direction exactly when some direction dilates.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .distances import _require_interior, contraction_form, fisher_inner
 from .errors import (
     DimensionMismatchError,
     DomainError,
-    IntegrationAccuracyError,
     SingularBaseError,
     UndefinedPosteriorError,
 )
@@ -40,7 +43,7 @@ from .propagation import (
     propagate,
     snap_index,
 )
-from .simplex import is_interior, prob_vec, stochastic_matrix, tangent_vec
+from .simplex import is_interior, prob_vec, stochastic_matrix
 
 __all__ = [
     "bayes_inverse",
@@ -55,9 +58,6 @@ __all__ = [
 
 #: Magnitude below which a sign is not trusted in the equivalence check.
 INDETERMINATE_BAND = 1e-8
-
-#: Finite-difference step used when exact propagators are available.
-CLOSED_FORM_STEP = 3e-6
 
 
 def bayes_inverse(t, pi) -> np.ndarray:
@@ -261,7 +261,7 @@ def adjoint_identity_check(ctx: RetrodictionContext, t, trials: int = 100, seed:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Two independent readings of local Fisher expansivity at one time.
+    """Two readings of local Fisher expansivity at one grid time.
 
     ``recovery_curvature`` holds the eigenvalues of the symmetrized
     -dA/dt on zero-sum directions; ``lambda_max`` is the top of the
@@ -272,9 +272,6 @@ class EquivalenceReport:
     time: float
     recovery_curvature: np.ndarray
     lambda_max: float
-    band: float
-    fd_step: float
-    richardson_estimate: float
     retro_rates_along_negative: tuple[float, ...]
     verdict: str
 
@@ -289,70 +286,35 @@ class EquivalenceReport:
         return self.verdict == "consistent"
 
 
-def _stencil(t: float, h: float) -> list[float]:
-    """The central-difference ends at ``t`` for steps ``h`` and ``2 h``, clipped at 0: lo, hi, lo, hi."""
-    return [max(t - h, 0.0), t + h, max(t - 2.0 * h, 0.0), t + 2.0 * h]
-
-
-def _curvature_matrix(ctx: RetrodictionContext, lo: np.ndarray, hi: np.ndarray, span: float) -> np.ndarray:
-    a_dot = ctx._project((hi - lo) / span)
-    return -0.5 * (a_dot + a_dot.T)
-
-
 def retrodiction_equivalence_check(
-    ctx: RetrodictionContext,
-    t: float,
-    band: float = INDETERMINATE_BAND,
-    accuracy_tol: float = 1e-4,
+    ctx: RetrodictionContext, t: float, band: float = INDETERMINATE_BAND
 ) -> EquivalenceReport:
     """Compare recovery-quality decay against the Fisher contraction form.
 
-    The first reading differentiates the round trip A by central
-    differences (a tiny step when exact propagators exist, one grid step
-    otherwise) and symmetrizes in the prior inner product. The second
-    evaluates the contraction form at the evolved prior under the
-    instantaneous generator. Outside the indeterminate ``band`` the two
-    must agree in sign: some negative curvature exactly when some
-    direction dilates. For every negative curvature direction the
-    finite-difference rate of the retrodiction distance is reported as
-    well (expected negative: recovery improving).
+    ``t`` snaps to the context grid. The contraction form at the evolved
+    prior under the generator there gives ``lambda_max``; pulled back by
+    the forward map onto the prior-orthonormal basis and negated, the same
+    form is the symmetrized -dA/dt, whose eigenvalues are the recovery
+    curvature. Outside the indeterminate ``band`` the two must agree in
+    sign: some negative curvature exactly when some direction dilates.
+    For every curvature ``mu`` below ``-band``, with unit eigenvector
+    ``e`` on that basis, the rate of the squared retrodiction residual
+    along that direction is reported as well: ``-2 <(I - A) d, dA/dt d>``,
+    which is ``2 mu (1 - e^T A e)`` because dA/dt is self-adjoint in the
+    prior inner product; it is expected negative (recovery improving).
     """
-    # families without exact propagators give None at once, without
-    # evaluating any, and are differenced on the grid instead
-    h = CLOSED_FORM_STEP
-    ends = _stencil(t, h)
-    exact = exact_propagators(ctx.dynamics, ends)
-    if exact is None:
-        h = float(ctx.grid[1] - ctx.grid[0])
-        ends = _stencil(t, h)
-        if t - h < 0.0:
-            raise DomainError("t must sit at least one step inside the grid")
-        trips = ctx.round_trips[ctx.indices_of(ends)]
-    else:
-        trips = _recovery_maps(stochastic_matrix(exact, stack=True), ctx.prior) @ exact
-    lo, hi, lo_2h, hi_2h = trips
-    span = ends[1] - ends[0]
-
-    curv = _curvature_matrix(ctx, lo, hi, span)
-    curv_2h = _curvature_matrix(ctx, lo_2h, hi_2h, ends[3] - ends[2])
-    richardson = float(np.max(np.abs(curv - curv_2h))) / 3.0
-    if richardson > accuracy_tol:
-        raise IntegrationAccuracyError(
-            f"curvature differentiation unstable: step-halving estimate {richardson:.3e}"
-        )
-    band = max(band, 3.0 * richardson)
-
-    eigvals, eigvecs = np.linalg.eigh(curv)
-    evolved = prob_vec(ctx.forward_maps[ctx.index_of(t)] @ ctx.prior)
-    gen = generator_of(ctx.dynamics, t)
-    lam = contraction_form(evolved, gen).lambda_max
-
-    retro_rates = []
-    for k in np.flatnonzero(eigvals < -band):
-        direction = tangent_vec(ctx.basis @ eigvecs[:, k])
-        q_lo = _quadratic_residual(ctx, lo, direction)
-        q_hi = _quadratic_residual(ctx, hi, direction)
-        retro_rates.append((q_hi - q_lo) / span)
+    k = ctx.index_of(t)
+    time = float(ctx.grid[k])
+    fwd = ctx.forward_maps[k]
+    form = contraction_form(prob_vec(fwd @ ctx.prior), generator_of(ctx.dynamics, time))
+    lam = form.lambda_max
+    pull = form.basis.T @ fwd @ ctx.basis
+    eigvals, eigvecs = np.linalg.eigh(-(pull.T @ form.matrix @ pull))
+    trip = ctx._project(ctx.round_trips[k])
+    retro_rates = tuple(
+        2.0 * float(eigvals[j]) * (1.0 - float(eigvecs[:, j] @ trip @ eigvecs[:, j]))
+        for j in np.flatnonzero(eigvals < -band)
+    )
 
     neg_curv = float(eigvals.min()) < -band
     pos_curv_only = float(eigvals.min()) > band
@@ -365,17 +327,9 @@ def retrodiction_equivalence_check(
     else:
         verdict = "inconsistent"
     return EquivalenceReport(
-        time=float(t),
+        time=time,
         recovery_curvature=eigvals,
         lambda_max=lam,
-        band=band,
-        fd_step=float(h),
-        richardson_estimate=richardson,
-        retro_rates_along_negative=tuple(retro_rates),
+        retro_rates_along_negative=retro_rates,
         verdict=verdict,
     )
-
-
-def _quadratic_residual(ctx: RetrodictionContext, a: np.ndarray, d: np.ndarray) -> float:
-    residual = d - a @ d
-    return fisher_inner(residual, residual, ctx.prior)

@@ -41,7 +41,6 @@ __all__ = [
     "parse_scenario",
     "scenario_to_dict",
     "load_scenario",
-    "dump_scenario",
     "build_dynamics",
 ]
 
@@ -438,6 +437,3 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     return parse_scenario(raw)
 
-
-def dump_scenario(s: Scenario) -> str:
-    return json.dumps(scenario_to_dict(s), indent=2, sort_keys=True) + "\n"

@@ -108,6 +108,40 @@ def mixing_propagator_point(s, m, t: float) -> np.ndarray:
     return (1.0 - w) * np.eye(n) + w * np.outer(target, np.ones(n))
 
 
+def intermediate_map(traj, s: float, t: float) -> np.ndarray:
+    """Map X with ``X T(s) = T(t)`` between two grid times of ``traj``, by one linear solve.
+
+    X is a stochastic matrix only where the dynamics is divisible on
+    [s, t], so it reads divisibility off the propagators alone, a second
+    route to the generator scan.
+    """
+    i = traj.index_of(s)
+    j = traj.index_of(t)
+    if j < i:
+        raise ValueError(f"need t >= s, got s = {s:.6g}, t = {t:.6g}")
+    return np.linalg.solve(traj.propagators[i].T, traj.propagators[j].T).T
+
+
+def trace_scaling_check(dyn, p0, q0, grid) -> float:
+    """Largest deviation from the exact trace-distance law of a mixing family, one time at a time.
+
+    For ``T(t) = (1 - s) Id + s m 1^T`` the trace distance between two
+    evolved states is ``(1 - s(t))`` times the initial one; each propagator
+    comes from :func:`mixing_propagator_point`.
+    """
+    if not hasattr(dyn, "s"):
+        raise ValueError("trace scaling holds only for mixing families")
+    p = np.asarray(p0, dtype=float)
+    q = np.asarray(q0, dtype=float)
+    d0 = float(np.sum(np.abs(p - q)))
+    worst = 0.0
+    for t in grid:
+        mat = mixing_propagator_point(dyn.s, dyn.m, float(t))
+        d_t = float(np.sum(np.abs(mat @ p - mat @ q)))
+        worst = max(worst, abs(d_t - (1.0 - float(dyn.s(float(t)))) * d0))
+    return worst
+
+
 def fd_generator_point(propagator, t: float, h: float = 1e-6) -> np.ndarray:
     """Generator dT/dt T^{-1} at one time by a central difference of ``propagator``, clipped at 0."""
     lo = max(t - h, 0.0)
@@ -236,38 +270,40 @@ def recovery_spectrum_loop(round_trips, pi, basis) -> np.ndarray:
 
 
 def curvature_loop(round_trip_at, pi, basis, t: float, h: float, band: float):
-    """Both readings of the recovery curvature at ``t``, one round trip per ``round_trip_at`` call.
+    """Richardson-extrapolated central differences of the recovery curvature at ``t``.
 
-    Central differences of A over [max(t - s, 0), t + s] for s = h and 2 h,
-    projected as in :func:`recovery_spectrum_loop` and negated, give the
-    symmetrized -dA/dt; the result is its eigenvalues (from ``eigh``), the
-    step-halving estimate |C_h - C_2h|_max / 3, and the rate of the squared
-    residual of each direction whose eigenvalue is below -max(band, 3 estimate).
+    For s = h and 2 h, the central difference of A over [t - s, t + s] (one
+    round trip per ``round_trip_at`` call), projected as in
+    :func:`recovery_spectrum_loop` and negated, gives the symmetrized -dA/dt
+    as C_s. The result is the eigenvalues (from ``eigh``) of
+    (4 C_h - C_2h) / 3 with the step-halving estimate |C_h - C_2h|_max / 3,
+    and for each eigenvalue below -``band`` the central-difference rate r_s
+    of the squared residual |d - A d|_pi^2 along its eigenvector, as the
+    pair ((4 r_h - r_2h) / 3, |r_h - r_2h| / 3).
     """
     pi = np.asarray(pi, dtype=float)
     weighted = basis / (2.0 * pi)[:, None]
 
-    def ends(step):
-        return max(t - step, 0.0), t + step
-
     def curvature(step):
-        lo, hi = ends(step)
-        a_dot = weighted.T @ ((round_trip_at(hi) - round_trip_at(lo)) / (hi - lo)) @ basis
+        a_dot = weighted.T @ ((round_trip_at(t + step) - round_trip_at(t - step)) / (2.0 * step)) @ basis
         return -0.5 * (a_dot + a_dot.T)
 
-    curv = curvature(h)
-    estimate = float(np.max(np.abs(curv - curvature(2.0 * h)))) / 3.0
-    eigvals, eigvecs = np.linalg.eigh(curv)
-    lo, hi = ends(h)
-    rates = []
-    for k in np.flatnonzero(eigvals < -max(band, 3.0 * estimate)):
-        d = basis @ eigvecs[:, k]
+    def rate(d, step):
         q = []
-        for end in (lo, hi):
+        for end in (t - step, t + step):
             residual = d - round_trip_at(end) @ d
             q.append(float(np.sum(residual * residual / (2.0 * pi))))
-        rates.append((q[1] - q[0]) / (hi - lo))
-    return eigvals, estimate, tuple(rates)
+        return (q[1] - q[0]) / (2.0 * step)
+
+    curv_h, curv_2h = curvature(h), curvature(2.0 * h)
+    estimate = float(np.max(np.abs(curv_h - curv_2h))) / 3.0
+    eigvals, eigvecs = np.linalg.eigh((4.0 * curv_h - curv_2h) / 3.0)
+    rates = []
+    for k in np.flatnonzero(eigvals < -band):
+        d = basis @ eigvecs[:, k]
+        r_h, r_2h = rate(d, h), rate(d, 2.0 * h)
+        rates.append(((4.0 * r_h - r_2h) / 3.0, abs(r_h - r_2h) / 3.0))
+    return eigvals, estimate, rates
 
 
 def bayes_direct(t_mat, pi):

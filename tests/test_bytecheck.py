@@ -44,3 +44,12 @@ def test_generated_group_runs_each_command(tmp_path):
         counts[command] = counts.get(command, 0) + 1
     # per seed: one scan, four retro and four quantum inputs; 40 planted and 2 no-go generators
     assert counts == {"scan": 2, "retro": 8, "quantum": 8, "witness": 80, "nogo": 4, "filter": 4}
+
+
+def test_a_differing_run_names_the_files_whose_digests_differ():
+    run = {"exit": 0, "stdout": "", "stderr": "", "warnings": [], "files": {"a.csv": "1", "b.json": "2"}}
+    assert bytecheck._differences(run, dict(run)) == []
+    moved = dict(run, files={"a.csv": "1", "b.json": "3", "c.json": "4"})
+    assert bytecheck._differences(run, moved) == ["files: b.json c.json"]
+    failed = dict(run, exit=1, files=None)
+    assert bytecheck._differences(run, failed) == ["exit", "files"]

@@ -18,26 +18,6 @@ SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
 COUNTEREXAMPLE = np.array([[-1.0, -0.5], [1.0, 0.5]])
 
 
-class TestTraceDistance:
-    def test_coincident(self):
-        assert ff.trace_distance([0.5, 0.5], [0.5, 0.5]) == 0.0
-
-    def test_disjoint_masses(self):
-        assert ff.trace_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(2.0)
-
-    def test_three_state_example(self):
-        val = ff.trace_distance([0.2, 0.4, 0.4], [0.4, 0.3, 0.3])
-        assert val == pytest.approx(0.4)
-
-    @given(st.integers(0, 2**32 - 1))
-    def test_triangle_and_symmetry(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 6))
-        p, q, r = (random_interior(rng, n) for _ in range(3))
-        assert ff.trace_distance(p, q) == pytest.approx(ff.trace_distance(q, p))
-        assert ff.trace_distance(p, r) <= ff.trace_distance(p, q) + ff.trace_distance(q, r) + 1e-12
-
-
 class TestFisherInner:
     def test_two_state_value(self):
         val = ff.fisher_inner([0.01, -0.01], [0.01, -0.01], [0.5, 0.5])
@@ -75,24 +55,6 @@ class TestFisherLocalSq:
         p = random_interior(rng, 4)
         d = random_zero_sum(rng, 4)
         assert ff.fisher_local_sq(p, d) == pytest.approx(ff.fisher_inner(d, d, p))
-
-
-class TestCurvedDistances:
-    def test_coincident(self):
-        assert ff.bhattacharyya([0.5, 0.5], [0.5, 0.5]) == pytest.approx(0.0, abs=1e-7)
-        assert ff.hellinger([0.5, 0.5], [0.5, 0.5]) == pytest.approx(0.0, abs=1e-7)
-
-    def test_disjoint_masses(self):
-        assert ff.bhattacharyya([1.0, 0.0], [0.0, 1.0]) == pytest.approx(np.sqrt(2.0) * np.pi / 2.0)
-        assert ff.hellinger([1.0, 0.0], [0.0, 1.0]) == pytest.approx(2.0)
-
-    @pytest.mark.parametrize("dist", [ff.bhattacharyya, ff.hellinger])
-    def test_small_displacement_limit(self, dist):
-        # squared curved distances approach the local quadratic form
-        p = np.array([0.4, 0.35, 0.25])
-        d = 1e-3 * np.array([1.0, -0.4, -0.6])
-        ratio = dist(p, p + d) ** 2 / ff.fisher_local_sq(p, d)
-        assert ratio == pytest.approx(1.0, rel=0.01)
 
 
 class TestFisherFlow:
@@ -285,23 +247,3 @@ class TestContractionForm:
         assert full.lambda_max == pytest.approx(0.0, abs=1e-12)
         assert image.lambda_max < -0.5
 
-
-class TestParamFisherInformation:
-    def test_binomial_curve(self):
-        curve = lambda th: np.array([th, 1.0 - th])
-        val = ff.param_fisher_information(curve, 0.5)
-        assert val == pytest.approx(4.0, abs=1e-6)
-
-    def test_constant_curve(self):
-        curve = lambda th: np.array([0.5, 0.5])
-        assert ff.param_fisher_information(curve, 0.3) == pytest.approx(0.0, abs=1e-12)
-
-    def test_two_estimators_agree(self):
-        curve = lambda th: np.array([th, 0.5 - th / 2.0, 0.5 - th / 2.0])
-        grad = ff.param_fisher_information(curve, 0.3, method="gradient")
-        dist = ff.param_fisher_information(curve, 0.3, method="distance")
-        assert grad == pytest.approx(dist, rel=1e-4)
-
-    def test_unknown_method(self):
-        with pytest.raises(ff.DomainError):
-            ff.param_fisher_information(lambda th: np.array([th, 1 - th]), 0.5, method="secant")

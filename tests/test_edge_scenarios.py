@@ -28,6 +28,7 @@ EXIT_CODES = {
     "retro_negative_trials.json": "1001100",
     "retro_nonmarkovian_generator.json": "1000010",
     "retro_stiff_block.json": "1001110",
+    "retro_time_outside_grid.json": "1001110",
     "retro_zero_trials.json": "1001100",
     "saturated_mixing_weight.json": "1211110",
     "witness_negative_time.json": "1111111",
@@ -39,6 +40,10 @@ STDERR = {
     # the first failing grid time's entry, not the most negative entry of the whole grid
     ("retro_nonmarkovian_generator.json", "retro"): "entry -1.242e-02 below the clamp window",
     ("boundary_retro_target.json", "retro"): "output 0 has zero probability under the prior; posterior undefined",
+    # an equivalence time past t1 would snap to the grid end without a word in the report
+    ("retro_time_outside_grid.json", "retro"): (
+        "analyses.retrodiction.equivalence_times entry 2.0 lies outside the grid [0.0, 1.5]"
+    ),
     # exp(dt L) overflows: an error, not numpy warnings and an eigensolver traceback
     ("quantum_extreme_rate.json", "quantum"): "exact step over dt = 0.001 overflows to non-finite entries",
     **{

@@ -210,32 +210,7 @@ class TestPropagate:
         assert _bitwise_equal(ff.propagate(dyn, 0.0, 0.7).propagators[-1], dyn.propagators_at([0.7])[0])
 
 
-class TestIntermediateMap:
-    def test_composition_recovers_endpoint(self):
-        dyn = ff.GeneratorDynamics(SYM)
-        traj = ff.propagate(dyn, 0.0, 1.0, steps=64)
-        x, report = ff.intermediate_map(traj, 0.5, 1.0)
-        t_half = traj.propagators[traj.index_of(0.5)]
-        assert np.allclose(x @ t_half, traj.propagators[-1], atol=1e-8)
-        assert report.passed
-
-    def test_markovian_pieces_are_stochastic(self):
-        dyn = ff.GeneratorDynamics(SYM)
-        traj = ff.propagate(dyn, 0.0, 1.0, steps=64)
-        _, report = ff.intermediate_map(traj, 0.25, 0.75)
-        assert report.passed
-
-    def test_nonmarkovian_piece_fails_validation(self):
-        dyn = ff.case_study_dynamics()
-        traj = ff.propagate(dyn, 0.0, np.pi, steps=1024)
-        # pi/20 sits inside the first negative-rate window
-        with pytest.warns(UserWarning, match="snapping"):
-            lo = traj.times[traj.index_of(np.pi / 20.0)]
-            hi = traj.times[traj.index_of(np.pi / 20.0) + 2]
-        x, report = ff.intermediate_map(traj, float(lo), float(hi))
-        assert not report.passed
-        assert report.most_negative_entry < 0.0
-
+class TestTrajectoryIndex:
     @pytest.mark.parametrize(
         "t, want, snap", [(1e20, 1, "1.5"), (2.0, 1, "1.5"), (-1e20, 0, "0"), (0.75, 0, "0")]
     )
@@ -246,11 +221,6 @@ class TestIntermediateMap:
         )
         with pytest.warns(UserWarning, match=f"off the grid; snapping to {snap}$"):
             assert traj.index_of(t) == want
-
-    def test_backward_request_rejected(self):
-        traj = ff.propagate(ff.GeneratorDynamics(SYM), 0.0, 1.0, steps=8)
-        with pytest.raises(ff.DomainError):
-            ff.intermediate_map(traj, 0.5, 0.25)
 
 
 class TestGeneratorOf:
@@ -491,19 +461,70 @@ class TestGridEvaluation:
             assert windows and ff.divisibility_scan(dyn, grid).windows() == windows
 
 
+
+class TestIntermediateMap:
+    """The map between two grid times, from the propagators alone: a second route to the divisibility scan."""
+
+    def test_composition_recovers_endpoint(self):
+        dyn = ff.GeneratorDynamics(SYM)
+        traj = ff.propagate(dyn, 0.0, 1.0, steps=64)
+        x = oracles.intermediate_map(traj, 0.5, 1.0)
+        t_half = traj.propagators[traj.index_of(0.5)]
+        assert np.allclose(x @ t_half, traj.propagators[-1], atol=1e-8)
+        assert ff.validate_stochastic(x).passed
+
+    def test_markovian_pieces_are_stochastic(self):
+        dyn = ff.GeneratorDynamics(SYM)
+        traj = ff.propagate(dyn, 0.0, 1.0, steps=64)
+        assert ff.validate_stochastic(oracles.intermediate_map(traj, 0.25, 0.75)).passed
+
+    def test_nonmarkovian_piece_fails_validation(self):
+        dyn = ff.case_study_dynamics()
+        traj = ff.propagate(dyn, 0.0, np.pi, steps=1024)
+        # pi/20 sits inside the first negative-rate window
+        with pytest.warns(UserWarning, match="snapping"):
+            lo = traj.times[traj.index_of(np.pi / 20.0)]
+            hi = traj.times[traj.index_of(np.pi / 20.0) + 2]
+        report = ff.validate_stochastic(oracles.intermediate_map(traj, float(lo), float(hi)))
+        assert not report.passed
+        assert report.most_negative_entry < 0.0
+
+    def test_backward_request_rejected(self):
+        traj = ff.propagate(ff.GeneratorDynamics(SYM), 0.0, 1.0, steps=8)
+        with pytest.raises(ValueError, match="need t >= s"):
+            oracles.intermediate_map(traj, 0.5, 0.25)
+
+    @pytest.mark.parametrize("family", sorted(SCALAR_FAMILIES))
+    def test_step_maps_agree_with_the_scan(self, family):
+        # a step whose two ends have rates of one sign is stochastic exactly when that sign is positive
+        dyn = SCALAR_FAMILIES[family]()
+        traj = ff.propagate(dyn, 0.0, np.pi, steps=256)
+        scan = ff.divisibility_scan(dyn, traj.times)
+        rates = scan.min_rates
+        signed = 0
+        for k in range(256):
+            lo, hi = sorted((rates[k], rates[k + 1]))
+            if lo > 0.0 or hi < 0.0:
+                x = oracles.intermediate_map(traj, float(traj.times[k]), float(traj.times[k + 1]))
+                assert ff.validate_stochastic(x).passed == (lo > 0.0), k
+                signed += 1
+        assert signed >= 200
+        assert bool(scan.windows()) == bool(np.any(rates < 0.0))
+
+
 class TestTraceScaling:
+    """The trace-distance law of a mixing family, one propagator per time."""
+
     def test_case_study_scaling_exact(self):
         dyn = ff.case_study_dynamics()
-        dev = ff.trace_scaling_check(
-            dyn, [0.2, 0.4, 0.4], [0.4, 0.3, 0.3], np.linspace(0.0, np.pi, 33)
-        )
+        dev = oracles.trace_scaling_check(dyn, [0.2, 0.4, 0.4], [0.4, 0.3, 0.3], np.linspace(0.0, np.pi, 33))
         assert dev <= 1e-8
 
     def test_contraction_scaling_exact(self):
         dyn = ff.contraction_to_target([0.25, 0.75], decay_rate=2.0)
-        dev = ff.trace_scaling_check(dyn, [0.9, 0.1], [0.1, 0.9], np.linspace(0.0, 1.0, 17))
+        dev = oracles.trace_scaling_check(dyn, [0.9, 0.1], [0.1, 0.9], np.linspace(0.0, 1.0, 17))
         assert dev <= 1e-8
 
     def test_rejects_generator_dynamics(self):
-        with pytest.raises(ff.DomainError):
-            ff.trace_scaling_check(ff.GeneratorDynamics(SYM), [0.5, 0.5], [0.9, 0.1], [0.0, 1.0])
+        with pytest.raises(ValueError, match="only for mixing families"):
+            oracles.trace_scaling_check(ff.GeneratorDynamics(SYM), [0.5, 0.5], [0.9, 0.1], [0.0, 1.0])

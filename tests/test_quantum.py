@@ -20,16 +20,18 @@ ALL_KINDS = (MonotoneKind.SLD, MonotoneKind.KMB, MonotoneKind.WY)
 
 class TestChannelsAndChoi:
     def test_identity_choi_is_entangled_projector(self):
-        c = ff.choi(ff.identity_channel(2))
+        c = ff.choi(ff.channel_from_matrix(np.eye(4), 2))
         psi = np.eye(2).reshape(-1) / np.sqrt(2.0)
         assert np.allclose(c, np.outer(psi, psi.conj()), atol=1e-14)
         assert np.linalg.eigvalsh(c)[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_depolarizing_choi_is_maximally_mixed(self):
+        # the channel that erases its input: X -> tr(X) Id / d
         d = 3
-        c = ff.choi(ff.depolarizing_channel(d, strength=1.0))
-        assert np.allclose(c, np.eye(d * d) / d**2, atol=1e-14)
-        assert ff.cp_check(ff.depolarizing_channel(d)).min_eigenvalue == pytest.approx(1.0 / d**2)
+        eye_vec = np.eye(d).reshape(-1)
+        erase = ff.channel_from_matrix(np.outer(eye_vec / d, eye_vec), d)
+        assert np.allclose(ff.choi(erase), np.eye(d * d) / d**2, atol=1e-14)
+        assert ff.cp_check(erase).min_eigenvalue == pytest.approx(1.0 / d**2)
 
     def test_choi_matches_basis_sum_oracle(self):
         rng = np.random.default_rng(3)
@@ -80,7 +82,7 @@ class TestChannelsAndChoi:
     def test_compose_and_extend(self):
         d = 2
         ch = ff.dephasing_channel(d, keep=0.5)
-        ident = ff.identity_channel(d)
+        ident = ff.channel_from_matrix(np.eye(d * d), d)
         assert np.allclose(ff.compose(ch, ident).matrix, ch.matrix, atol=1e-14)
         lifted = ff.extend_with_identity(ch)
         assert lifted.dim == d * d
@@ -382,10 +384,3 @@ class TestCpClassification:
             step = ff.channel_step(lind, 1e-3)
             assert ff.cp_check(step, tol=1e-10).cp == markovian
 
-
-class TestDephasingFilterReduction:
-    def test_diagonal_action_reduces_to_classical_filter(self):
-        pi, r = ff.single_negative_rate_example()
-        report = ff.dephasing_filter_reduction_check(pi, r, eps1=0.1, eps2=0.3)
-        assert report.action_defect <= 1e-12
-        assert report.lambda_max_diagonal_sector < 0.0

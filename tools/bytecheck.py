@@ -20,7 +20,8 @@ Scenario paths are passed relative to the tree and every run writes into
 the same output path in both trees, so messages that name a path match.
 For every run the output files, exit code, stdout, stderr (both captured
 at the file descriptor, so forked writers are included) and warnings are
-compared. Outputs are held as digests in memory and the files are
+compared; a differing run prints one ``differs:`` line naming what
+differs, and for output files the names of those whose digests differ. Outputs are held as digests in memory and the files are
 deleted; nothing is stored. The last line printed is a one-line summary,
 and the exit code is 0 when every run is identical, 1 otherwise.
 """
@@ -142,6 +143,20 @@ def _run_one(main, command: str, path: str, outdir: str) -> dict:
     }
 
 
+def _differences(a: dict, b: dict) -> list[str]:
+    """The outcome keys on which two runs differ; ``files`` names the output files whose digests differ."""
+    out = []
+    for key in a:
+        if a[key] == b[key]:
+            continue
+        if key == "files" and a[key] is not None and b[key] is not None:
+            names = sorted(name for name in a[key].keys() | b[key].keys() if a[key].get(name) != b[key].get(name))
+            out.append(f"files: {' '.join(names)}")
+        else:
+            out.append(key)
+    return out
+
+
 def _worker(outdir: str) -> None:
     """Run the runs read as JSON from stdin in this process; write their outcomes as JSON to stdout."""
     from fisherflow.cli import main
@@ -209,7 +224,7 @@ def main(argv=None) -> int:
     differing = 0
     for (group, command, path), a, b in zip(runs, mine, theirs):
         groups[group] = groups.get(group, 0) + 1
-        keys = [key for key in a if a[key] != b[key]]
+        keys = _differences(a, b)
         if keys:
             differing += 1
             print(f"differs: {command} {path}: {', '.join(keys)}")
