@@ -12,9 +12,7 @@ from .distances import (
     ContractionForm,
     TraceRate,
     contraction_form,
-    fisher_flow,
     fisher_inner,
-    fisher_local_sq,
     fisher_rate,
     fisher_rates,
     forward_trace_rate,
@@ -27,7 +25,6 @@ from .errors import (
     FisherflowError,
     IntegrationAccuracyError,
     InvalidGeneratorError,
-    InvalidIndexError,
     InvalidInputError,
     InvalidStateError,
     InvalidStochasticMatrixError,
@@ -63,15 +60,12 @@ from .quantum import (
     QuantumChannel,
     QuantumWitnessReport,
     SuperOperator,
-    channel_from_kraus,
     channel_from_matrix,
     channel_step,
     choi,
     classical_action,
     commuting_reduction_rate_check,
-    compose,
     cp_check,
-    dephasing_channel,
     density_matrix,
     diag_decomposition,
     diag_decomposition_check,
@@ -103,7 +97,6 @@ from .scenario import (
 )
 from .simplex import (
     GeneratorCheck,
-    StochasticityReport,
     extend_generator,
     is_interior,
     is_markovian_generator,
@@ -113,14 +106,12 @@ from .simplex import (
     rates_of,
     stochastic_matrix,
     tangent_vec,
-    validate_stochastic,
     zero_sum_basis,
 )
 from .witnesses import (
     NoGoReport,
     WitnessReport,
     dilation_direction_search,
-    filter_map,
     filter_witness_rate,
     no_go_verify,
     regularize_direction,

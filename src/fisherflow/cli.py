@@ -660,7 +660,7 @@ def cmd_retro(scn: Scenario, outdir: str, seed: int):
         verdicts_ok = verdicts_ok and rep.verdict != "inconsistent"
         equivalence.append(
             {
-                "t": t,
+                "t": rep.time,
                 "lambda_max": rep.lambda_max,
                 "curvature_min": rep.curvature_min,
                 "band": band,

@@ -37,17 +37,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidIndexError,
-    SingularBaseError,
-)
+from .errors import DimensionMismatchError, SingularBaseError
 from .simplex import INTERIOR_FLOOR, is_interior, prob_vec, rate_matrix, zero_sum_basis
 
 __all__ = [
     "fisher_inner",
-    "fisher_local_sq",
-    "fisher_flow",
     "fisher_rate",
     "fisher_rates",
     "TraceRate",
@@ -86,22 +80,6 @@ def fisher_inner(a, b, p) -> float:
     return float(np.sum(x * y / (2.0 * base)))
 
 
-def fisher_local_sq(p, d) -> float:
-    """Squared Fisher distance between ``p`` and ``p + d`` in the local quadratic form."""
-    return fisher_inner(d, d, p)
-
-
-def fisher_flow(p, d, i: int, j: int) -> float:
-    """Non-negative Fisher flow carried by the edge ``j -> i`` for displacement ``d``."""
-    base = np.asarray(p, dtype=float)
-    disp = np.asarray(d, dtype=float)
-    n = _check_same_dim(base, disp)
-    if not (0 <= i < n and 0 <= j < n) or i == j:
-        raise InvalidIndexError(f"need distinct indices in range, got ({i}, {j}) for dimension {n}")
-    _require_interior(base)
-    return float(0.5 * (disp[i] / base[i] - disp[j] / base[j]) ** 2 * base[j])
-
-
 def _edge_laplacian(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     # Laplacian of S = W + W^T with W[i, j] = r[i, j] p[j] off the diagonal;
     # the rate of d at p is -1/2 u^T L u with u = d / p. Leading axes of p
@@ -119,7 +97,8 @@ def fisher_rate(p, d, r) -> float:
     """Time derivative of the squared Fisher distance between ``p`` and ``p + d``.
 
     Both the base point and the displacement evolve under the generator
-    ``r``. Equal to ``- sum_{i != j} r[i, j] * fisher_flow(p, d, i, j)``.
+    ``r``. Equal to ``- sum_{i != j} r[i, j] * flow(i <- j)`` with the
+    per-edge flows of the module docstring.
     """
     base = np.asarray(p, dtype=float)
     disp = np.asarray(d, dtype=float)
@@ -190,10 +169,10 @@ def fisher_rates(p, dirs, r) -> np.ndarray:
 class ContractionForm:
     """Quadratic form giving the squared-Fisher-distance rate at a base point.
 
-    ``matrix`` represents the form on the orthonormal basis ``basis`` of the
-    zero-sum subspace (or of a chosen subspace of it): for any displacement
-    ``d`` in the span, ``evaluate(d) == fisher_rate(base, d, generator)``.
-    A positive top eigenvalue certifies a direction along which the squared
+    ``matrix`` represents the form on the basis ``basis`` of the zero-sum
+    subspace (or of a chosen subspace of it): for coordinates ``c``,
+    ``c @ matrix @ c == fisher_rate(base, basis @ c, generator)``. A
+    positive top eigenvalue certifies a direction along which the squared
     Fisher distance grows.
     """
 
@@ -201,10 +180,6 @@ class ContractionForm:
     generator: np.ndarray
     basis: np.ndarray
     matrix: np.ndarray
-
-    def evaluate(self, d) -> float:
-        coeffs = self.basis.T @ np.asarray(d, dtype=float)
-        return float(coeffs @ self.matrix @ coeffs)
 
     @cached_property
     def _eig(self) -> tuple[np.ndarray, np.ndarray]:

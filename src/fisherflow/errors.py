@@ -34,10 +34,6 @@ class InvalidTangentError(InvalidInputError):
     """Vector entries do not sum to zero."""
 
 
-class InvalidIndexError(InvalidInputError):
-    """Index pair out of range, or a diagonal pair where off-diagonal is required."""
-
-
 class SingularBaseError(InvalidInputError):
     """Base distribution touches the simplex boundary where the metric diverges."""
 

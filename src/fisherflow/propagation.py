@@ -1,4 +1,4 @@
-"""Time evolution of column-stochastic maps and generator extraction.
+"""Time evolution of column-stochastic maps and their generators.
 
 Supported dynamics:
 
@@ -9,26 +9,26 @@ Supported dynamics:
   reproducible).
 * ``MixingDynamics`` - the closed family ``T(t) = (1 - s(t)) Id +
   s(t) m(t) 1^T`` that sends every state toward the moving target
-  ``m(t)`` with weight ``s(t)``. Propagators are evaluated exactly and,
-  when the derivatives of ``s`` and ``m`` are supplied, so is the
-  generator: ``rate(i <- j) = sdot/(1-s) * m_i + s * mdot_i``. Both are
-  evaluated on a whole array of times at once.
+  ``m(t)`` with weight ``s(t)``. Propagators and, from the derivatives
+  ``sdot`` and ``mdot``, generators are evaluated in closed form:
+  ``rate(i <- j) = sdot/(1-s) * m_i + s * mdot_i``. Both are evaluated on
+  a whole array of times at once.
 * ``case_study_dynamics()`` - a fixed three-state mixing family with an
   oscillating target, bundled because several commands and tests drive it.
 
 Each family defines ``propagators_at``, its exact propagators from time 0
 (None when only the integrator gives them), and ``_generator_grid``, its
-generators on a time grid with per-point failures (by default central
-differences of the exact propagators); ``generator_of`` is the one-point
-grid. ``divisibility_scan`` classifies the grid and reports every
-transition whose rate dips below ``-rate_tol``; an empty report certifies
-divisibility into stochastic pieces on that grid resolution.
+generators in closed form on a time grid with per-point failures;
+``generator_of`` is the one-point grid. ``divisibility_scan`` classifies
+the grid and reports every transition whose rate dips below
+``-rate_tol``; an empty report certifies divisibility into stochastic
+pieces on that grid resolution.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -85,7 +85,11 @@ class GeneratorGrid(NamedTuple):
 
 
 class Dynamics:
-    """Base class: a time-dependent family of column-stochastic maps."""
+    """Base class: a time-dependent family of column-stochastic maps.
+
+    Subclasses define ``_generator_grid(times)``, their generators on an
+    array of times as a :class:`GeneratorGrid`.
+    """
 
     kind: str = "abstract"
 
@@ -98,37 +102,6 @@ class Dynamics:
     def propagators_at(self, times) -> np.ndarray | None:
         """Closed-form propagators from time 0 on an array of times as one stack, else None."""
         return None
-
-    def _generator_grid(self, times: np.ndarray) -> GeneratorGrid:
-        """``dT/dt(t) T(t)^{-1}`` by central differences of ``propagators_at``, step 1e-6 clipped at 0."""
-        lo = np.maximum(times - 1e-6, 0.0)
-        hi = times + 1e-6
-        t_lo, t_hi, t_mid = np.split(self.propagators_at(np.concatenate([lo, hi, times])), 3)
-        deriv = (t_hi - t_lo) / (hi - lo)[:, None, None]
-
-        def solve(k):
-            _guard_condition(t_mid[k])
-            return np.linalg.solve(t_mid[k].T, deriv[k].T).T
-
-        return _grid_by_point(times, self.dimension, solve)
-
-
-def _grid_by_point(times: np.ndarray, n: int, at: Callable[[int], np.ndarray]) -> GeneratorGrid:
-    """Generator grid built one point at a time from ``at(k)``.
-
-    Library errors and singular solves at a point become entries of
-    ``errors``; any other exception, such as a bug in a callable
-    generator, propagates.
-    """
-    stack = np.full(times.shape + (n, n), np.nan)
-    errors: dict[int, Exception] = {}
-    for k in range(times.size):
-        try:
-            stack[k] = at(k)
-        except (FisherflowError, np.linalg.LinAlgError) as exc:
-            errors[k] = exc
-    stack.flags.writeable = False
-    return GeneratorGrid(times, stack, errors)
 
 
 def _called(rate: Callable[[float], np.ndarray], t: float, n: int) -> np.ndarray:
@@ -179,13 +152,23 @@ class GeneratorDynamics(Dynamics):
         return rate_matrix(stack, stack=True)
 
     def _generator_grid(self, times: np.ndarray) -> GeneratorGrid:
-        """A constant broadcast over ``times``, or the callable validated at each time."""
+        """A constant broadcast over ``times``, or the callable validated at each time.
+
+        A library error at a time becomes an entry of ``errors``; any other
+        exception, such as a bug in the callable, propagates.
+        """
         if self._constant is not None:
             return GeneratorGrid(times, self._rate_stack(times), {})
-        t_list = times.tolist()
-        return _grid_by_point(
-            times, self.dimension, lambda k: rate_matrix(_called(self._rate_fn, t_list[k], self.dimension))
-        )
+        n = self.dimension
+        stack = np.full(times.shape + (n, n), np.nan)
+        errors: dict[int, Exception] = {}
+        for k, t in enumerate(times.tolist()):
+            try:
+                stack[k] = rate_matrix(_called(self._rate_fn, t, n))
+            except FisherflowError as exc:
+                errors[k] = exc
+        stack.flags.writeable = False
+        return GeneratorGrid(times, stack, errors)
 
 
 class MixingDynamics(Dynamics):
@@ -194,11 +177,10 @@ class MixingDynamics(Dynamics):
     ``s, sdot, m, mdot`` must accept an array of times and broadcast over
     it: ``s`` and ``sdot`` return shape ``(T,)``, ``m`` and ``mdot`` shape
     ``(T, n)`` (and a scalar time gives a scalar or an ``(n,)`` vector).
-    Propagators and generators on a grid come from one evaluation of each;
-    without ``sdot`` and ``mdot`` the generator is differenced from the
-    propagators. ``s`` must start at zero and stay in [0, 1); ``m(t)`` must
-    be a state. These are checked on 65 points of ``[0, horizon]`` (of
-    ``[0, 1]`` for an infinite horizon) at construction time.
+    Propagators and generators on a grid come from one evaluation of each.
+    ``s`` must start at zero and stay in [0, 1); ``m(t)`` must be a state.
+    These are checked on 65 points of ``[0, horizon]`` (of ``[0, 1]`` for
+    an infinite horizon) at construction time.
     """
 
     kind = "mixing"
@@ -207,8 +189,8 @@ class MixingDynamics(Dynamics):
         self,
         s: Callable[[np.ndarray], np.ndarray],
         m: Callable[[np.ndarray], np.ndarray],
-        sdot: Callable[[np.ndarray], np.ndarray] | None = None,
-        mdot: Callable[[np.ndarray], np.ndarray] | None = None,
+        sdot: Callable[[np.ndarray], np.ndarray],
+        mdot: Callable[[np.ndarray], np.ndarray],
         dimension: int | None = None,
         horizon: float = np.inf,
     ):
@@ -225,11 +207,9 @@ class MixingDynamics(Dynamics):
         grid = np.linspace(0.0, t_hi, 65)
         values = {}
         for name in ("s", "sdot", "m", "mdot"):
-            fn = getattr(self, name)
-            if fn is not None:
-                values[name] = np.asarray(fn(grid), dtype=float)
-                if values[name].shape[:1] != grid.shape:
-                    raise DimensionMismatchError(f"mixing {name} must broadcast over an array of times")
+            values[name] = np.asarray(getattr(self, name)(grid), dtype=float)
+            if values[name].shape[:1] != grid.shape:
+                raise DimensionMismatchError(f"mixing {name} must broadcast over an array of times")
         for t, w, target in zip(grid.tolist(), values["s"].tolist(), values["m"]):
             if not 0.0 <= w <= 1.0 + 1e-12:
                 raise InvalidStateError(f"mixing weight {w:.3e} at t = {t:.3g} outside [0, 1]")
@@ -243,8 +223,6 @@ class MixingDynamics(Dynamics):
         return (1.0 - w) * np.eye(self.dimension) + w * target
 
     def _generator_grid(self, times: np.ndarray) -> GeneratorGrid:
-        if self.sdot is None or self.mdot is None:
-            return super()._generator_grid(times)
         n = self.dimension
         w = np.asarray(self.s(times), dtype=float)
         dead = w > MIXING_CEILING
@@ -354,7 +332,7 @@ def snap_index(grid: np.ndarray, t: float, name: str) -> int:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Propagators (and optionally states) of one dynamics on a time grid.
+    """Propagators of one dynamics on a time grid.
 
     ``max_column_drift`` is the largest ``|column sum - 1|`` of the propagators
     as computed: for RK4, of the running product before its one correction.
@@ -362,13 +340,7 @@ class Trajectory:
 
     times: np.ndarray
     propagators: np.ndarray
-    states: np.ndarray | None
     max_column_drift: float
-    dynamics: Dynamics = field(repr=False, compare=False, default=None)
-
-    @property
-    def dimension(self) -> int:
-        return self.propagators.shape[1]
 
     def index_of(self, t: float) -> int:
         return snap_index(self.times, t, "the grid")
@@ -409,7 +381,6 @@ def propagate(
     t0: float = 0.0,
     t1: float | None = None,
     steps: int = 256,
-    initial_state=None,
 ) -> Trajectory:
     """Propagators of ``dyn`` from ``t0`` on a uniform grid of ``steps`` intervals.
 
@@ -448,14 +419,7 @@ def propagate(
             raise IntegrationAccuracyError(
                 f"step-halving estimate {gap:.3e} exceeds {RICHARDSON_TOL:.0e}; increase steps"
             )
-
-    states = None
-    if initial_state is not None:
-        p0 = prob_vec(initial_state)
-        if p0.shape[0] != n:
-            raise DimensionMismatchError("initial state dimension mismatch")
-        states = mats @ p0
-    return Trajectory(times=times, propagators=mats, states=states, max_column_drift=drift, dynamics=dyn)
+    return Trajectory(times=times, propagators=mats, max_column_drift=drift)
 
 
 def exact_propagators(dyn: Dynamics, times) -> np.ndarray | None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 from scipy.linalg import expm
@@ -47,9 +47,6 @@ __all__ = [
     "SuperOperator",
     "QuantumChannel",
     "channel_from_matrix",
-    "channel_from_kraus",
-    "dephasing_channel",
-    "compose",
     "extend_with_identity",
     "channel_step",
     "choi",
@@ -152,9 +149,7 @@ class SuperOperator:
 
 @dataclass(frozen=True)
 class QuantumChannel(SuperOperator):
-    """Trace-preserving superoperator, optionally with its Kraus operators."""
-
-    kraus: tuple[np.ndarray, ...] | None = None
+    """Trace-preserving superoperator."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -168,37 +163,8 @@ def channel_from_matrix(matrix, dim: int) -> QuantumChannel:
     return QuantumChannel(matrix=np.asarray(matrix, dtype=complex), dim=dim)
 
 
-def channel_from_kraus(kraus: Iterable) -> QuantumChannel:
-    ops = tuple(np.asarray(k, dtype=complex) for k in kraus)
-    if not ops:
-        raise DimensionMismatchError("need at least one Kraus operator")
-    d = ops[0].shape[0]
-    s = np.zeros((d**2, d**2), dtype=complex)
-    for k in ops:
-        if k.shape != (d, d):
-            raise DimensionMismatchError("Kraus operators must share a square shape")
-        s += np.kron(k, k.conj())
-    return QuantumChannel(matrix=s, dim=d, kraus=ops)
-
-
-def dephasing_channel(d: int, keep: float) -> QuantumChannel:
-    """Shrinks every off-diagonal element by ``keep``, fixing the diagonal."""
-    if not 0.0 <= keep <= 1.0:
-        raise DomainError(f"keep must be in [0, 1], got {keep}")
-    s = keep * np.eye(d**2, dtype=complex)
-    diagonal = np.arange(d) * (d + 1)  # row-major position of E_ii
-    s[diagonal, diagonal] += 1.0 - keep
-    return channel_from_matrix(s, d)
-
-
-def compose(outer: SuperOperator, inner: SuperOperator) -> QuantumChannel:
-    if outer.dim != inner.dim:
-        raise DimensionMismatchError("composition dimension mismatch")
-    return channel_from_matrix(outer.matrix @ inner.matrix, outer.dim)
-
-
-def extend_with_identity(op: SuperOperator) -> SuperOperator:
-    """Lift a map to system (x) copy of the system, acting as identity on the copy."""
+def extend_with_identity(op: QuantumChannel) -> QuantumChannel:
+    """Lift a channel to system (x) copy of the system, acting as identity on the copy."""
     d = op.dim
     total = d * d
     if total > MAX_QUANTUM_DIM:
@@ -206,9 +172,7 @@ def extend_with_identity(op: SuperOperator) -> SuperOperator:
     s4 = op.matrix.reshape(d, d, d, d)
     eye = np.eye(d)
     big = np.einsum("apcq,bd,PQ->abpPcdqQ", s4, eye, eye).reshape(total**2, total**2)
-    if isinstance(op, QuantumChannel):
-        return channel_from_matrix(big, total)
-    return SuperOperator(matrix=big, dim=total)
+    return channel_from_matrix(big, total)
 
 
 def channel_step(lind: SuperOperator, dt: float) -> QuantumChannel:

@@ -151,9 +151,7 @@ class RetrodictionContext:
         return float(np.max(np.abs(self.round_trips @ self.prior - self.prior[None, :])))
 
     def self_adjoint_defect(self) -> float:
-        d = 1.0 / np.sqrt(2.0 * self.prior)
-        sym = d[:, None] * self.round_trips * (1.0 / d)[None, :]
-        return float(np.max(np.abs(sym - np.transpose(sym, (0, 2, 1)))))
+        return float(np.max(_self_adjoint_defects(self.prior, self.round_trips)))
 
     def recovery_spectrum(self, t) -> np.ndarray:
         """Eigenvalues of the round trip on zero-sum directions (real by symmetry).
@@ -165,6 +163,13 @@ class RetrodictionContext:
         m = self._project(self.round_trips[self.indices_of(times.ravel())])
         vals = np.linalg.eigvalsh(0.5 * (m + m.swapaxes(-1, -2)))
         return vals.reshape(times.shape + vals.shape[-1:])
+
+
+def _self_adjoint_defects(prior: np.ndarray, round_trips: np.ndarray) -> np.ndarray:
+    """Largest entry of ``|D A D^-1 - (D A D^-1)^T|``, ``D = diag(1 / sqrt(2 prior))``, for each ``A`` of a stack."""
+    d = 1.0 / np.sqrt(2.0 * prior)
+    sym = d[:, None] * round_trips * (1.0 / d)[None, :]
+    return np.max(np.abs(sym - sym.swapaxes(-1, -2)), axis=(-2, -1))
 
 
 def retrodiction_context(prior, dyn: Dynamics, grid) -> RetrodictionContext:
@@ -253,9 +258,7 @@ def adjoint_identity_check(ctx: RetrodictionContext, t, trials: int = 100, seed:
         lhs = np.sum(d * ad / (2.0 * ctx.prior), axis=-1)
         rhs = np.sum(fd * fd / (2.0 * pushed[:, None, :]), axis=-1)
         worst = np.max(np.abs(lhs - rhs), axis=-1)
-    dvec = 1.0 / np.sqrt(2.0 * ctx.prior)
-    sym = dvec[:, None] * a * (1.0 / dvec)[None, :]
-    worst = np.maximum(worst, np.max(np.abs(sym - sym.swapaxes(-1, -2)), axis=(-2, -1)))
+    worst = np.maximum(worst, _self_adjoint_defects(ctx.prior, a))
     return float(worst[0]) if times.ndim == 0 else worst.reshape(times.shape)
 
 

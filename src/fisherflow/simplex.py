@@ -16,7 +16,6 @@ Constructors validate and return read-only arrays; operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
@@ -174,37 +173,6 @@ def rate_matrix_from_rates(rates: Mapping[tuple[int, int], float], dim: int) -> 
     np.fill_diagonal(r, 0.0)
     np.fill_diagonal(r, -r.sum(axis=0))
     return _freeze(r)
-
-
-@dataclass(frozen=True)
-class StochasticityReport:
-    """Outcome of a non-mutating column-stochasticity check."""
-
-    column_sum_deviations: tuple[float, ...]
-    max_column_deviation: float
-    most_negative_entry: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_column_deviation <= self.tol and self.most_negative_entry >= -self.tol
-
-
-def validate_stochastic(t, tol: float = COLUMN_TOL) -> StochasticityReport:
-    """Report column-sum deviations and the most negative entry of ``t``.
-
-    Nothing is repaired or renormalized; callers decide what to do with a
-    failing report.
-    """
-    m = _as_square(t, "matrix")
-    _raise_first_failure(m, "matrix")
-    devs = m.sum(axis=0) - 1.0
-    return StochasticityReport(
-        column_sum_deviations=tuple(float(x) for x in devs),
-        max_column_deviation=float(np.max(np.abs(devs))),
-        most_negative_entry=float(np.min(m)),
-        tol=float(tol),
-    )
 
 
 def rates_of(r) -> dict[tuple[int, int], float]:

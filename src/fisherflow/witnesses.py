@@ -49,7 +49,6 @@ from .simplex import (
     is_markovian_generator,
     prob_vec,
     rate_matrix,
-    stochastic_matrix,
     tangent_vec,
     zero_sum_basis,
     extend_generator,
@@ -62,7 +61,6 @@ __all__ = [
     "no_go_verify",
     "single_negative_rate_example",
     "special_base_point",
-    "filter_map",
     "regularize_direction",
     "filter_witness_rate",
     "trace_ancilla_witness",
@@ -300,18 +298,6 @@ def special_base_point(d) -> np.ndarray:
     if total == 0.0:
         raise InvalidTangentError("zero displacement has no special base point")
     return np.abs(vec) / total
-
-
-def filter_map(pi, eps: float) -> np.ndarray:
-    """Stochastic map mixing every input toward ``pi`` with weight 1 - eps.
-
-    Acts on differences as multiplication by eps.
-    """
-    target = prob_vec(pi)
-    if not 0.0 < eps <= 1.0:
-        raise DomainError(f"filter strength must be in (0, 1], got {eps}")
-    n = target.shape[0]
-    return stochastic_matrix(eps * np.eye(n) + (1.0 - eps) * np.outer(target, np.ones(n)))
 
 
 def regularize_direction(d, r) -> tuple[np.ndarray, tuple[int, ...]]:

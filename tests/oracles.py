@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,6 +107,42 @@ def mixing_propagator_point(s, m, t: float) -> np.ndarray:
     target = np.asarray(m(t), dtype=float)
     n = target.size
     return (1.0 - w) * np.eye(n) + w * np.outer(target, np.ones(n))
+
+
+class StochasticityReport(NamedTuple):
+    """Column-sum deviations and the most negative entry of a matrix, against ``tol``."""
+
+    column_sum_deviations: tuple[float, ...]
+    max_column_deviation: float
+    most_negative_entry: float
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_column_deviation <= self.tol and self.most_negative_entry >= -self.tol
+
+
+def validate_stochastic(t, tol: float = 1e-9) -> StochasticityReport:
+    """Report how far the square matrix ``t`` is from column stochastic; nothing is repaired."""
+    m = np.asarray(t, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.all(np.isfinite(m)):
+        raise ValueError(f"need a finite square matrix, got shape {m.shape}")
+    devs = m.sum(axis=0) - 1.0
+    return StochasticityReport(
+        column_sum_deviations=tuple(float(x) for x in devs),
+        max_column_deviation=float(np.max(np.abs(devs))),
+        most_negative_entry=float(np.min(m)),
+        tol=float(tol),
+    )
+
+
+def filter_map(pi, eps: float) -> np.ndarray:
+    """Stochastic map ``eps Id + (1 - eps) pi 1^T``: mixes every input toward ``pi``, scales differences by eps."""
+    target = np.asarray(pi, dtype=float)
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"filter strength must be in (0, 1], got {eps}")
+    n = target.size
+    return eps * np.eye(n) + (1.0 - eps) * np.outer(target, np.ones(n))
 
 
 def intermediate_map(traj, s: float, t: float) -> np.ndarray:

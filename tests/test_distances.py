@@ -37,48 +37,28 @@ class TestFisherInner:
 
 
 class TestFisherLocalSq:
+    """The local squared Fisher distance between ``p`` and ``p + d`` is ``fisher_inner(d, d, p)``."""
+
     def test_two_state_value(self):
-        assert ff.fisher_local_sq([0.5, 0.5], [0.01, -0.01]) == pytest.approx(2e-4)
+        d = [0.01, -0.01]
+        assert ff.fisher_inner(d, d, [0.5, 0.5]) == pytest.approx(2e-4)
 
     def test_three_state_value(self):
-        val = ff.fisher_local_sq([0.5, 1 / 3, 1 / 6], [0.3, -0.2, -0.1])
+        d = [0.3, -0.2, -0.1]
+        val = ff.fisher_inner(d, d, [0.5, 1 / 3, 1 / 6])
         assert val == pytest.approx(0.18)
 
     def test_special_point_identity(self):
         # at p_i = |d_i| / sum|d| the doubled value is the squared trace size
         d = np.array([0.3, -0.2, -0.1])
-        val = ff.fisher_local_sq([0.5, 1 / 3, 1 / 6], d)
+        val = ff.fisher_inner(d, d, [0.5, 1 / 3, 1 / 6])
         assert 2.0 * val == pytest.approx(np.sum(np.abs(d)) ** 2)
 
-    def test_matches_inner_product(self):
+    def test_matches_direct_sum(self):
         rng = np.random.default_rng(3)
         p = random_interior(rng, 4)
         d = random_zero_sum(rng, 4)
-        assert ff.fisher_local_sq(p, d) == pytest.approx(ff.fisher_inner(d, d, p))
-
-
-class TestFisherFlow:
-    def test_two_state_value(self):
-        val = ff.fisher_flow([0.5, 0.5], [0.01, -0.01], 0, 1)
-        assert val == pytest.approx(4e-4)
-
-    def test_parallel_displacement_vanishes(self):
-        # d_i / p_i equal across states carries no flow
-        val = ff.fisher_flow([0.25, 0.75], [0.01, 0.03], 0, 1)
-        assert val == pytest.approx(0.0, abs=1e-18)
-
-    def test_diagonal_pair_rejected(self):
-        with pytest.raises(ff.InvalidIndexError):
-            ff.fisher_flow([0.5, 0.5], [0.01, -0.01], 1, 1)
-
-    @given(st.integers(0, 2**32 - 1))
-    def test_non_negative(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 6))
-        p = random_interior(rng, n)
-        d = random_zero_sum(rng, n)
-        i, j = rng.choice(n, size=2, replace=False)
-        assert ff.fisher_flow(p, d, int(i), int(j)) >= 0.0
+        assert ff.fisher_inner(d, d, p) == pytest.approx(sum(x * x / (2.0 * q) for x, q in zip(d, p)))
 
 
 class TestFisherRate:
@@ -216,20 +196,32 @@ class TestContractionForm:
             want = np.sort(oracles.form_eigen_direct(p, r, sector=sector))
             assert np.allclose(got, want, atol=1e-9)
 
-    def test_evaluate_agrees_with_rate(self):
+    def test_matrix_agrees_with_rate(self):
         rng = np.random.default_rng(29)
         p = random_interior(rng, 4)
         r = random_markovian(rng, 4)
         form = ff.contraction_form(p, r)
         for _ in range(10):
             d = random_zero_sum(rng, 4)
-            assert form.evaluate(d) == pytest.approx(ff.fisher_rate(p, d, r), abs=1e-12)
+            c = form.basis.T @ d
+            assert c @ form.matrix @ c == pytest.approx(ff.fisher_rate(p, d, r), abs=1e-12)
+
+    def test_matrix_agrees_with_rate_on_a_non_orthonormal_basis(self):
+        # coordinates c of the basis give the rate of basis @ c on any basis
+        rng = np.random.default_rng(31)
+        p = random_interior(rng, 4)
+        r = random_forced_negative(rng, 4)
+        form = ff.contraction_form(p, r, basis=ff.pi_tangent_basis(p))
+        for _ in range(10):
+            c = rng.standard_normal(3)
+            want = ff.fisher_rate(p, form.basis @ c, r)
+            assert c @ form.matrix @ c == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_max_direction_attains_lambda_max(self):
         form = ff.contraction_form([0.5, 0.5], COUNTEREXAMPLE)
         d = form.max_direction
         norm_sq = float(d @ d)
-        assert form.evaluate(d) / norm_sq == pytest.approx(form.lambda_max)
+        assert ff.fisher_rate([0.5, 0.5], d, COUNTEREXAMPLE) / norm_sq == pytest.approx(form.lambda_max)
 
     @given(st.integers(0, 2**32 - 1))
     def test_markovian_lambda_max_nonpositive(self, seed):

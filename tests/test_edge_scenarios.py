@@ -1,8 +1,10 @@
-"""Every command on every edge scenario: a documented exit code, no traceback, no warning, repeatable bytes."""
+"""Every command on every edge scenario: a documented exit code, no traceback, only the listed warnings, repeatable bytes."""
 
+import json
 import os
 import warnings
 
+import numpy as np
 import pytest
 
 from fisherflow.cli import main
@@ -28,6 +30,7 @@ EXIT_CODES = {
     "retro_negative_trials.json": "1001100",
     "retro_nonmarkovian_generator.json": "1000010",
     "retro_stiff_block.json": "1001110",
+    "retro_time_off_grid.json": "1001100",
     "retro_time_outside_grid.json": "1001110",
     "retro_zero_trials.json": "1001100",
     "saturated_mixing_weight.json": "1211110",
@@ -71,6 +74,13 @@ STDERR = {
 }
 
 
+#: Warnings some runs give, in order; every other run gives none.
+WARNINGS = {
+    # the check runs at the snapped grid time, and the report records that time
+    ("retro_time_off_grid.json", "retro"): ["time 0.33333 off the retrodiction grid; snapping to 0.325"],
+}
+
+
 def test_corpus_is_listed():
     assert sorted(name for name in os.listdir(EDGE_DIR) if name.endswith(".json")) == sorted(EXIT_CODES)
 
@@ -80,12 +90,11 @@ def _run(command, scenario, outdir, capfd):
         warnings.simplefilter("always")
         code = main([command, "--scenario", scenario, "--out", str(outdir)])
     out, err = capfd.readouterr()
-    assert not [str(w.message) for w in caught]
     assert "Traceback" not in err and "Warning" not in err
     # a scenario that does not load leaves the output directory unmade
     names = sorted(os.listdir(outdir)) if outdir.exists() else []
     files = {name: (outdir / name).read_bytes() for name in names}
-    return code, out, err, files
+    return code, out, err, files, [str(w.message) for w in caught]
 
 
 @pytest.mark.parametrize("name", sorted(EXIT_CODES))
@@ -96,6 +105,15 @@ def test_every_command_exits_cleanly_and_repeats(name, tmp_path, capfd):
         again = _run(command, scenario, tmp_path / command / "b", capfd)
         assert first[0] == int(expected), (command, first[2])
         assert first == again, command
+        assert first[4] == WARNINGS.get((name, command), []), command
         if (name, command) in STDERR:
             kind = "numerical accuracy" if first[0] == 2 else "invalid input"
             assert first[2] == f"fisherflow: {kind}: {STDERR[name, command]}\n"
+
+
+def test_off_grid_equivalence_time_reports_the_snapped_time(tmp_path, capfd):
+    scenario = os.path.join(EDGE_DIR, "retro_time_off_grid.json")
+    code, _, _, files, _ = _run("retro", scenario, tmp_path, capfd)
+    assert code == 0
+    (entry,) = json.loads(files["retro.json"])["results"]["equivalence"]
+    assert entry["t"] == float(np.linspace(0.0, 1.5, 61)[13]) == 0.325

@@ -27,6 +27,18 @@ def _oscillating(n: int, amplitude: float):
     return lambda t: steady + np.sin(6.0 * t) * oscillating
 
 
+GRID_FAMILIES = {
+    "case_study": ff.case_study_dynamics,
+    "contraction": lambda: ff.contraction_to_target([0.2, 0.3, 0.5], decay_rate=1.7),
+}
+
+SCALAR_FAMILIES = {
+    **GRID_FAMILIES,
+    "constant": lambda: ff.GeneratorDynamics(SYM),
+    "callable": lambda: ff.GeneratorDynamics(lambda t: (1.0 + 0.5 * np.sin(3.0 * t)) * SYM, dimension=2),
+}
+
+
 class TestPropagate:
     def test_relaxation_matches_closed_form(self):
         # exp(t R) for the symmetric two-state generator has entries (1 +- exp(-2t)) / 2
@@ -65,13 +77,6 @@ class TestPropagate:
             ff.GeneratorDynamics(functools.partial(ff.generator_of, dyn), dimension=3), 0.0, 0.3, steps=512
         )
         assert np.allclose(rk.propagators[-1], dyn.propagators_at([0.3])[0], atol=1e-8)
-
-    def test_states_carried_along(self):
-        dyn = ff.GeneratorDynamics(SYM)
-        traj = ff.propagate(dyn, 0.0, 1.0, steps=32, initial_state=[0.9, 0.1])
-        assert traj.states is not None
-        assert np.allclose(traj.states[0], [0.9, 0.1])
-        assert np.allclose(traj.states.sum(axis=1), 1.0, atol=1e-12)
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ff.DomainError):
@@ -217,7 +222,7 @@ class TestTrajectoryIndex:
     def test_off_grid_time_snaps_to_nearest_point(self, t, want, snap):
         # every distance to a time far past the grid rounds to the same float
         traj = ff.Trajectory(
-            times=np.array([0.0, 1.5]), propagators=np.stack([np.eye(2)] * 2), states=None, max_column_drift=0.0
+            times=np.array([0.0, 1.5]), propagators=np.stack([np.eye(2)] * 2), max_column_drift=0.0
         )
         with pytest.warns(UserWarning, match=f"off the grid; snapping to {snap}$"):
             assert traj.index_of(t) == want
@@ -228,12 +233,19 @@ class TestGeneratorOf:
         dyn = ff.GeneratorDynamics(SYM)
         assert np.allclose(ff.generator_of(dyn, 0.3), SYM)
 
-    def test_finite_difference_matches_closed_form(self):
-        dyn = ff.case_study_dynamics()
-        t = 0.37
-        closed = ff.generator_of(dyn, t)
-        fd = ff.generator_of(_derivative_free(dyn), t)
-        assert np.allclose(fd, closed, atol=1e-5)
+    @pytest.mark.parametrize("family", sorted(GRID_FAMILIES))
+    def test_finite_difference_matches_closed_form(self, family):
+        # the closed-form generators against dT/dt T^-1 by central differences of the propagators
+        dyn = GRID_FAMILIES[family]()
+        grid = np.linspace(0.0, np.pi, 257)
+        closed = ff.generator_grid(dyn, grid).generators
+        fd = np.stack(
+            [
+                oracles.fd_generator_point(lambda t: oracles.mixing_propagator_point(dyn.s, dyn.m, t), float(t))
+                for t in grid
+            ]
+        )
+        assert np.allclose(fd, closed, rtol=0.0, atol=1e-5)
 
     def test_case_study_rates_match_oracle(self):
         dyn = ff.case_study_dynamics()
@@ -332,24 +344,6 @@ def _bitwise_equal(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _derivative_free(dyn):
-    """The same mixing family without ``sdot`` and ``mdot``, so its generator is differenced."""
-    return ff.MixingDynamics(dyn.s, dyn.m, dimension=dyn.dimension, horizon=dyn.horizon)
-
-
-GRID_FAMILIES = {
-    "case_study": ff.case_study_dynamics,
-    "contraction": lambda: ff.contraction_to_target([0.2, 0.3, 0.5], decay_rate=1.7),
-}
-
-SCALAR_FAMILIES = {
-    **GRID_FAMILIES,
-    "constant": lambda: ff.GeneratorDynamics(SYM),
-    "callable": lambda: ff.GeneratorDynamics(lambda t: (1.0 + 0.5 * np.sin(3.0 * t)) * SYM, dimension=2),
-    "derivative_free": lambda: _derivative_free(ff.case_study_dynamics()),
-}
-
-
 class TestGridEvaluation:
     @pytest.mark.parametrize("points", [257, 1024, 4097])
     @pytest.mark.parametrize("family", sorted(GRID_FAMILIES))
@@ -382,20 +376,6 @@ class TestGridEvaluation:
             assert _bitwise_equal(got, ff.generator_grid(dyn, [t]).generators[0])
             assert _bitwise_equal(got, grid.generators[k])
 
-    @pytest.mark.parametrize("family", sorted(GRID_FAMILIES))
-    def test_difference_quotient_bitwise_equal_oracle(self, family):
-        dyn = GRID_FAMILIES[family]()
-        grid = np.linspace(0.0, np.pi, 1024)
-        got = ff.generator_grid(_derivative_free(dyn), grid)
-        want = np.stack(
-            [
-                oracles.fd_generator_point(lambda t: oracles.mixing_propagator_point(dyn.s, dyn.m, t), float(t))
-                for t in grid
-            ]
-        )
-        assert not got.errors
-        assert _bitwise_equal(got.generators, want)
-
     def test_constant_generator_broadcasts(self):
         dyn = ff.GeneratorDynamics(SYM)
         stack = ff.generator_grid(dyn, np.linspace(0.0, 1.0, 5)).generators
@@ -424,7 +404,11 @@ class TestGridEvaluation:
     def test_non_broadcasting_callable_rejected(self):
         with pytest.raises(ff.DimensionMismatchError, match="broadcast"):
             ff.MixingDynamics(
-                s=lambda t: 1.0 - np.exp(-t), m=lambda t: np.array([0.5, 0.5]), dimension=2
+                s=lambda t: 1.0 - np.exp(-t),
+                m=lambda t: np.array([0.5, 0.5]),
+                sdot=lambda t: np.exp(-t),
+                mdot=lambda t: np.zeros(np.shape(t) + (2,)),
+                dimension=2,
             )
 
     @pytest.mark.parametrize(
@@ -471,12 +455,12 @@ class TestIntermediateMap:
         x = oracles.intermediate_map(traj, 0.5, 1.0)
         t_half = traj.propagators[traj.index_of(0.5)]
         assert np.allclose(x @ t_half, traj.propagators[-1], atol=1e-8)
-        assert ff.validate_stochastic(x).passed
+        assert oracles.validate_stochastic(x).passed
 
     def test_markovian_pieces_are_stochastic(self):
         dyn = ff.GeneratorDynamics(SYM)
         traj = ff.propagate(dyn, 0.0, 1.0, steps=64)
-        assert ff.validate_stochastic(oracles.intermediate_map(traj, 0.25, 0.75)).passed
+        assert oracles.validate_stochastic(oracles.intermediate_map(traj, 0.25, 0.75)).passed
 
     def test_nonmarkovian_piece_fails_validation(self):
         dyn = ff.case_study_dynamics()
@@ -485,7 +469,7 @@ class TestIntermediateMap:
         with pytest.warns(UserWarning, match="snapping"):
             lo = traj.times[traj.index_of(np.pi / 20.0)]
             hi = traj.times[traj.index_of(np.pi / 20.0) + 2]
-        report = ff.validate_stochastic(oracles.intermediate_map(traj, float(lo), float(hi)))
+        report = oracles.validate_stochastic(oracles.intermediate_map(traj, float(lo), float(hi)))
         assert not report.passed
         assert report.most_negative_entry < 0.0
 
@@ -506,7 +490,7 @@ class TestIntermediateMap:
             lo, hi = sorted((rates[k], rates[k + 1]))
             if lo > 0.0 or hi < 0.0:
                 x = oracles.intermediate_map(traj, float(traj.times[k]), float(traj.times[k + 1]))
-                assert ff.validate_stochastic(x).passed == (lo > 0.0), k
+                assert oracles.validate_stochastic(x).passed == (lo > 0.0), k
                 signed += 1
         assert signed >= 200
         assert bool(scan.windows()) == bool(np.any(rates < 0.0))

@@ -86,21 +86,21 @@ class TestTangentVec:
 
 class TestStochasticValidation:
     def test_identity_passes(self):
-        report = ff.validate_stochastic(np.eye(3))
+        report = oracles.validate_stochastic(np.eye(3))
         assert report.passed
         assert report.max_column_deviation == 0.0
 
     def test_example_passes(self):
-        assert ff.validate_stochastic([[0.9, 0.2], [0.1, 0.8]]).passed
+        assert oracles.validate_stochastic([[0.9, 0.2], [0.1, 0.8]]).passed
 
     def test_bad_column_reported(self):
-        report = ff.validate_stochastic([[1.1, 0.2], [0.1, 0.8]])
+        report = oracles.validate_stochastic([[1.1, 0.2], [0.1, 0.8]])
         assert not report.passed
         assert report.max_column_deviation == pytest.approx(0.2)
         assert report.column_sum_deviations[0] == pytest.approx(0.2)
 
     def test_negative_entry_reported(self):
-        report = ff.validate_stochastic([[1.1, 0.2], [-0.1, 0.8]])
+        report = oracles.validate_stochastic([[1.1, 0.2], [-0.1, 0.8]])
         assert not report.passed
         assert report.most_negative_entry == pytest.approx(-0.1)
 
@@ -131,7 +131,7 @@ class TestStochasticValidation:
     def test_stack_fails_with_first_failing_matrix(self, bad, message):
         with pytest.raises(ff.InvalidStochasticMatrixError, match=message):
             ff.stochastic_matrix(bad, stack=True)
-        first = next(m for m in bad if not ff.validate_stochastic(m, tol=1e-12).passed)
+        first = next(m for m in bad if not oracles.validate_stochastic(m, tol=1e-12).passed)
         with pytest.raises(ff.InvalidStochasticMatrixError, match=message):
             ff.stochastic_matrix(first)
 
@@ -239,7 +239,7 @@ class TestMarkovianCheck:
         n = int(rng.integers(2, 7))
         r = random_markovian(rng, n)
         step = expm(0.01 * r)
-        assert ff.validate_stochastic(step, tol=1e-9).passed
+        assert oracles.validate_stochastic(step, tol=1e-9).passed
 
 
 class TestExtendGenerator:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import fisherflow as ff
 import oracles
@@ -121,7 +122,7 @@ class TestSpecialBasePoint:
     def test_identity_on_fixture(self):
         d = np.array([0.3, -0.2, -0.1])
         base = ff.special_base_point(d)
-        assert 2.0 * ff.fisher_local_sq(base, d) == pytest.approx(np.sum(np.abs(d)) ** 2)
+        assert 2.0 * ff.fisher_inner(d, d, base) == pytest.approx(np.sum(np.abs(d)) ** 2)
 
     @given(st.integers(0, 2**32 - 1))
     def test_identity_random(self, seed):
@@ -133,7 +134,7 @@ class TestSpecialBasePoint:
         base = ff.special_base_point(d)
         if np.min(base) <= 0.0:
             return
-        assert 2.0 * ff.fisher_local_sq(base, d) == pytest.approx(
+        assert 2.0 * ff.fisher_inner(d, d, base) == pytest.approx(
             np.sum(np.abs(d)) ** 2, rel=1e-12
         )
 
@@ -143,25 +144,45 @@ class TestSpecialBasePoint:
 
 
 class TestFilterMap:
+    """The filter as a stochastic map, a second route to ``filter_witness_rate``."""
+
     def test_unit_strength_is_identity(self):
-        assert np.allclose(ff.filter_map([0.3, 0.7], 1.0), np.eye(2))
+        assert np.allclose(oracles.filter_map([0.3, 0.7], 1.0), np.eye(2))
 
     def test_contracts_differences_linearly(self):
         pi = np.array([0.25, 0.35, 0.4])
-        f = ff.filter_map(pi, 0.2)
+        f = oracles.filter_map(pi, 0.2)
         p = np.array([0.5, 0.3, 0.2])
         q = np.array([0.2, 0.5, 0.3])
         assert np.allclose(f @ p - f @ q, 0.2 * (p - q), atol=1e-15)
 
     def test_target_is_fixed_point(self):
         pi = np.array([0.25, 0.35, 0.4])
-        assert np.allclose(ff.filter_map(pi, 0.3) @ pi, pi, atol=1e-15)
+        assert np.allclose(oracles.filter_map(pi, 0.3) @ pi, pi, atol=1e-15)
 
     def test_strength_domain(self):
-        with pytest.raises(ff.DomainError):
-            ff.filter_map([0.5, 0.5], 0.0)
-        with pytest.raises(ff.DomainError):
-            ff.filter_map([0.5, 0.5], 1.5)
+        with pytest.raises(ValueError):
+            oracles.filter_map([0.5, 0.5], 0.0)
+        with pytest.raises(ValueError):
+            oracles.filter_map([0.5, 0.5], 1.5)
+
+    @pytest.mark.parametrize("eps", [0.3, 1e-2])
+    def test_witness_rate_is_the_derivative_through_the_filter(self, eps):
+        # twice d/dt of the Fisher square of the filtered pair, the filter
+        # target frozen, by a central difference of exp(h r) on p and d
+        rng = np.random.default_rng(5)
+        r = random_forced_negative(rng, 4)
+        p = np.array([0.1, 0.2, 0.3, 0.4])
+        d = np.array([0.2, -0.05, 0.1, -0.25])
+        f = oracles.filter_map(np.abs(d) / np.abs(d).sum(), eps)
+
+        def doubled_square(h):
+            step = expm(h * r)
+            return float(np.sum((f @ step @ d) ** 2 / (f @ step @ p)))
+
+        h = 1e-5
+        fd = (doubled_square(h) - doubled_square(-h)) / (2.0 * h)
+        assert ff.filter_witness_rate(p, d, r, eps) == pytest.approx(fd, rel=1e-8)
 
 
 class TestRegularizeDirection:
