@@ -19,6 +19,7 @@ import argparse
 import functools
 import itertools
 import math
+import mmap
 import os
 import signal
 import sys
@@ -214,7 +215,10 @@ def _atomic_write(path: str, chunks, parts=()) -> None:
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except IsADirectoryError:
+            raise InvalidInputError(f"cannot write {path}: a directory has its name") from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -281,81 +285,91 @@ def _generator_for(scn: Scenario, t: float) -> np.ndarray:
 #: so blocks reuse heap memory instead of raising the peak resident size.
 _FIGURE1_BLOCK_ROWS = 4096
 
-#: figure1.csv rows per writer process. On 2 cores a second writer first
-#: pays for its fork between 8,192 and 16,384 rows (a tie at 16,384), so
-#: every sweep of up to 32,768 rows stays on one process.
-_FIGURE1_ROWS_PER_WORKER = 32768
+#: figure1.csv rows per writer process. On 2 cores, with the writers
+#: computing their rows as well as formatting them, a second writer made a
+#: 256-angle sweep 41% slower at 4,096 rows, 15% faster at 8,192 and 25-33%
+#: faster from 10,240 to 16,384 rows (medians of 22 to 78 runs a size), so
+#: every sweep of up to 8,192 rows stays on one process.
+_FIGURE1_ROWS_PER_WORKER = 8192
 
 
-def _figure1_block(dyn, gens, dirs0, p0, tr_ref):
-    """Trace distance, Fisher distance and Fisher rate per (t, theta), and trace-law defects.
+def _figure1_block(dyn, gens, dirs0, p0, span):
+    """Trace distance, Fisher distance and Fisher rate per (t, theta) for the times in ``span``.
 
-    ``gens`` is the generator grid of ``dyn``; the sweep stops with the
-    error of the first time whose generator is undefined.
+    ``gens`` is the generator grid of ``dyn``; the bases ``T(t) p0`` of the
+    span must already be known to be interior.
     """
-    times = gens.times
-    stop = min(gens.errors, default=times.shape[0])
-    values = np.empty((times.shape[0], dirs0.shape[0], 3))
-    defects = np.empty(times.shape[0])
+    props = dyn.propagators_at(gens.times[span])
+    bases = props @ p0
+    disps = dirs0 @ props.transpose(0, 2, 1)
+    values = np.empty(disps.shape[:2] + (3,))
+    values[:, :, 0] = np.abs(disps).sum(axis=2)
+    values[:, :, 1] = np.sqrt((disps**2 / (2.0 * bases[:, None, :])).sum(axis=2))
+    values[:, :, 2] = fisher_rates(bases, disps, gens.generators[span])
+    return values
+
+
+def _figure1_rows(cells, dyn, gens, dirs0, p0, min_rates, reduced, lo, hi):
+    """Compute and yield the figure1.csv rows of times ``lo`` to ``hi``, one time at a time.
+
+    The values are computed one ``_FIGURE1_BLOCK_ROWS`` block at a time;
+    each time's largest Fisher rate goes to ``reduced[0]`` and its
+    trace-law defect to ``reduced[1]``. ``cells`` holds one
+    ``,theta,%.17g,%.17g,%.17g,`` cell per angle, so a time's rows come
+    from one ``%`` template and are formatted by a single C-level operation.
+    """
+    tr_ref = np.abs(dirs0).sum(axis=1)
     step = max(1, _FIGURE1_BLOCK_ROWS // dirs0.shape[0])
-    for lo in range(0, stop, step):
-        span = slice(lo, min(lo + step, stop))
-        props = dyn.propagators_at(times[span])
-        bases = props @ p0
-        _require_interior(bases)
-        disps = dirs0 @ props.transpose(0, 2, 1)
-        tr = np.abs(disps).sum(axis=2)
-        values[span, :, 0] = tr
-        values[span, :, 1] = np.sqrt((disps**2 / (2.0 * bases[:, None, :])).sum(axis=2))
-        values[span, :, 2] = fisher_rates(bases, disps, gens.generators[span])
-        defects[span] = np.abs(tr - (1.0 - dyn.s(times[span]))[:, None] * tr_ref).max(axis=1)
-    if gens.errors:
-        raise gens.errors[stop]
-    return values, defects
+    for start in range(lo, hi, step):
+        span = slice(start, min(start + step, hi))
+        times = gens.times[span]
+        values = _figure1_block(dyn, gens, dirs0, p0, span)
+        reduced[0, span] = values[:, :, 2].max(axis=1)
+        reduced[1, span] = np.abs(values[:, :, 0] - (1.0 - dyn.s(times))[:, None] * tr_ref).max(axis=1)
+        for t, block, min_rate in zip(times.tolist(), values, min_rates[span].tolist()):
+            ts, mr = f"{t:.17g}", f"{min_rate:.17g}"
+            template = ts + f"{mr}\n{ts}".join(cells) + f"{mr}\n"
+            yield template % tuple(block.ravel().tolist())
 
 
-def _figure1_rows(cells, times, values, min_rates):
-    """Yield the figure1.csv rows of one time at a time.
+def _write_figure1_csv(path, dyn, gens, thetas, dirs0, p0, min_rates):
+    """Compute and write figure1.csv, its time rows split into contiguous ranges among forked writers.
 
-    ``cells`` holds one ``,theta,%.17g,%.17g,%.17g,`` cell per angle, so a
-    time's rows come from one ``%`` template and are formatted by a single
-    C-level operation.
-    """
-    for t, block, min_rate in zip(times.tolist(), values, min_rates.tolist()):
-        ts, mr = f"{t:.17g}", f"{min_rate:.17g}"
-        template = ts + f"{mr}\n{ts}".join(cells) + f"{mr}\n"
-        yield template % tuple(block.ravel().tolist())
-
-
-def _write_figure1_csv(path, times, thetas, values, min_rates):
-    """Write figure1.csv, its time rows split into contiguous ranges among forked writers.
-
-    One writer per ``_FIGURE1_ROWS_PER_WORKER`` CSV rows, but never more
-    than the CPUs this process may run on or one per time. The first range
-    is formatted here, each other one in a child process (see
-    ``_atomic_write``); the bytes do not depend on the number of writers.
+    Returns a ``(2, T)`` array holding each time's largest Fisher rate and
+    its trace-law defect. One writer per ``_FIGURE1_ROWS_PER_WORKER`` CSV
+    rows, but never more than the CPUs this process may run on or one per
+    time. The first range is computed and formatted here, each other one
+    in a child process (see ``_atomic_write``) that records its times'
+    reductions in an anonymous shared mapping; so no process holds the
+    values of the whole sweep, and the bytes do not depend on the number
+    of writers. Every check that can reject the sweep has run before the
+    writers start.
 
     Forking is safe although numpy's and scipy's OpenBLAS started their
-    worker threads when they loaded (importing fisherflow runs BLAS on one
-    thread, but the idle workers stay): the children only format floats
-    that are already computed, run no BLAS, and leave with ``os._exit``.
-    (Python 3.12 and later warn with a ``DeprecationWarning`` when a
-    process with threads forks.)
+    worker threads when they loaded: importing fisherflow pins every
+    OpenBLAS in the process to one thread (``_blas``), so the small matrix
+    products the children run execute on the calling thread and never
+    wait for a pool worker, which a fork does not copy. The children leave
+    with ``os._exit``. (Python 3.12 and later warn with a
+    ``DeprecationWarning`` when a process with threads forks.)
     """
+    count = gens.times.shape[0]
     writers = 1
     # splicing needs os.fork and a file-to-file os.sendfile, which only Linux has
     if hasattr(os, "fork") and sys.platform.startswith("linux"):
         cpus = len(os.sched_getaffinity(0))
-        rows = values.shape[0] * values.shape[1]
-        writers = min(cpus, -(-rows // _FIGURE1_ROWS_PER_WORKER), times.shape[0])
+        rows = count * thetas.shape[0]
+        writers = min(cpus, -(-rows // _FIGURE1_ROWS_PER_WORKER), count)
+    reduced = np.frombuffer(mmap.mmap(-1, 16 * count)).reshape(2, count)
     cells = [f",{theta:.17g},%.17g,%.17g,%.17g," for theta in thetas.tolist()]
-    bounds = [times.shape[0] * k // writers for k in range(writers + 1)]
+    bounds = [count * k // writers for k in range(writers + 1)]
     ranges = [
-        _figure1_rows(cells, times[lo:hi], values[lo:hi], min_rates[lo:hi])
+        _figure1_rows(cells, dyn, gens, dirs0, p0, min_rates, reduced, lo, hi)
         for lo, hi in zip(bounds, bounds[1:])
     ]
     header = "# t,theta,D_tr,D_fish,dDfish_dt,min_rate\n"
     _atomic_write(path, itertools.chain([header], ranges[0]), parts=ranges[1:])
+    return reduced
 
 
 _FIGURE1_GP = """\
@@ -398,23 +412,25 @@ def cmd_figure1(scn: Scenario, outdir: str, seed: int):
     dirs0 = epsilon * (
         np.cos(thetas)[:, None] * _SWEEP_U1 + np.sin(thetas)[:, None] * _SWEEP_U2
     )
-    tr_ref = np.abs(dirs0).sum(axis=1)
 
     gens = generator_grid(dyn, times)
-    values, defects = _figure1_block(dyn, gens, dirs0, p0, tr_ref)
-    max_rates = values[:, :, 2].max(axis=1)
+    # the first boundary base, else the first undefined generator, rejects the sweep
+    stop = min(gens.errors, default=times.shape[0])
+    _require_interior(dyn.propagators_at(times[:stop]) @ p0)
+    if gens.errors:
+        raise gens.errors[stop]
     scan = divisibility_scan(dyn, times, rate_tol=scn.tolerance("rate_tol"), generators=gens)
     min_rates = scan.min_rates
     windows = scan.windows()
+
+    max_rates, defects = _write_figure1_csv(
+        os.path.join(outdir, "figure1.csv"), dyn, gens, thetas, dirs0, p0, min_rates
+    )
+    _atomic_write(os.path.join(outdir, "figure1.gp"), [_FIGURE1_GP])
     backflow_per_window = []
     for lo, hi in windows:
         inside = (times >= lo) & (times <= hi)
         backflow_per_window.append(bool(np.any(max_rates[inside] > 0.0)))
-
-    _write_figure1_csv(
-        os.path.join(outdir, "figure1.csv"), times, thetas, values, min_rates
-    )
-    _atomic_write(os.path.join(outdir, "figure1.gp"), [_FIGURE1_GP])
 
     argmin = int(np.argmin(min_rates))
     results = {
@@ -794,7 +810,10 @@ def _run(args) -> int:
         raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
     _check_threads(args.threads)
     outdir = args.out or scn.output_dir or "."
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise InvalidInputError(f"cannot create output directory {outdir}: {exc.strerror}") from None
 
     results, checks, artifacts = _COMMANDS[args.command](scn, outdir, seed)
     passed = all(entry["ok"] for entry in checks.values())

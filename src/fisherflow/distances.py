@@ -196,7 +196,14 @@ class ContractionForm:
 
     @property
     def max_direction(self) -> np.ndarray:
-        """Unit-norm zero-sum direction attaining ``lambda_max``."""
+        """The zero-sum direction ``basis @ c`` of the unit top eigenvector ``c`` of ``matrix``.
+
+        Its rate is ``lambda_max``, and the sign makes its entry of largest
+        magnitude positive. On an orthonormal basis, such as the default,
+        it has unit norm, so ``lambda_max`` is also its rate per squared
+        norm; on any other basis its norm is that of ``basis @ c``, which
+        need not be 1.
+        """
         vec = self.basis @ self._eig[1][:, -1]
         lead = vec[np.argmax(np.abs(vec))]
         if lead < 0.0:

@@ -1,9 +1,10 @@
 """What ``tools/bytecheck.py`` records of one CLI run."""
 
 import importlib.util
+import json
 import os
 
-from fisherflow.cli import main
+from fisherflow.cli import _FIGURE1_ROWS_PER_WORKER as ROWS_PER_WRITER, main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location("bytecheck", os.path.join(ROOT, "tools", "bytecheck.py"))
@@ -42,8 +43,17 @@ def test_generated_group_runs_each_command(tmp_path):
     for group, command, path in runs:
         assert group == "generated" and os.path.isfile(path)
         counts[command] = counts.get(command, 0) + 1
-    # per seed: one scan, four retro and four quantum inputs; 40 planted and 2 no-go generators
-    assert counts == {"scan": 2, "retro": 8, "quantum": 8, "witness": 80, "nogo": 4, "filter": 4}
+    # per seed: one scan, four retro and four quantum inputs; 40 planted and 2 no-go generators;
+    # two figure1 sweeps
+    assert counts == {"scan": 2, "retro": 8, "quantum": 8, "witness": 80, "nogo": 4, "filter": 4, "figure1": 4}
+    sweeps = []
+    for _, command, path in runs:
+        if command == "figure1":
+            with open(path, encoding="utf-8") as fh:
+                sweeps.append(json.load(fh))
+    # each sweep is long enough for two writers, and no two start from one state
+    assert all(s["grid"]["points"] * s["perturbation"]["theta_points"] > ROWS_PER_WRITER for s in sweeps)
+    assert len({tuple(s["initial_state"]) for s in sweeps}) == len(sweeps)
 
 
 def test_a_differing_run_names_the_files_whose_digests_differ():

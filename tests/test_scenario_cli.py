@@ -1,10 +1,12 @@
 """Scenario files and the command line front end: parsing, reports, exit codes."""
 
 import argparse
+import errno
 import json
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -442,6 +444,21 @@ class TestCliRuns:
             " below the interior floor 1e-12\n"
         )
 
+    def test_figure1_boundary_base_comes_before_a_later_undefined_generator(self, tmp_path, capsys, monkeypatch):
+        real = fisherflow.cli.generator_grid
+
+        def undefined_at_3(dyn, times):
+            return real(dyn, times)._replace(errors={3: ff.DomainError("undefined generator")})
+
+        monkeypatch.setattr(fisherflow.cli, "generator_grid", undefined_at_3)
+        scn = dict(FIGURE1_SMALL, initial_state=[0.0, 0.5, 0.5])
+        assert main(["figure1", "--scenario", _write(tmp_path, scn), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "fisherflow: invalid input: base distribution has an entry 0.000e+00"
+            " below the interior floor 1e-12\n"
+        )
+        assert not (tmp_path / "figure1.csv").exists()
+
     def test_figure1_rejects_generator_dynamics(self, tmp_path):
         scn = {
             "dynamics": {"kind": "generator", "matrix": [[-1.0, 1.0], [1.0, -1.0]]},
@@ -563,29 +580,59 @@ class TestFigure1Writers:
         path = _write(tmp_path, FIGURE1_SMALL)
         assert main(["figure1", "--scenario", path, "--out", str(tmp_path), "--threads", "4"]) == 0
 
-    @pytest.mark.parametrize("in_child", [True, False], ids=["child-fails", "parent-fails"])
-    def test_failed_writer_keeps_old_csv(self, tmp_path, cpus, monkeypatch, capfd, in_child):
+    @pytest.mark.parametrize(
+        "in_child, stage",
+        [(True, "formatting"), (False, "formatting"), (True, "computing"), (False, "computing")],
+        ids=["child-fails", "parent-fails", "child-fails-computing", "parent-fails-computing"],
+    )
+    def test_failed_writer_keeps_old_csv(self, tmp_path, cpus, monkeypatch, capfd, in_child, stage):
         cpus(3)
         parent = os.getpid()
-        rows = fisherflow.cli._figure1_rows
+        rows, block = fisherflow.cli._figure1_rows, fisherflow.cli._figure1_block
+
+        def fail_here():
+            if (os.getpid() != parent) == in_child:
+                raise RuntimeError(f"{stage} failed")
 
         def failing_rows(*args):
             for chunk in rows(*args):
-                if (os.getpid() != parent) == in_child:
-                    raise RuntimeError("formatting failed")
+                fail_here()
                 yield chunk
 
-        monkeypatch.setattr(fisherflow.cli, "_figure1_rows", failing_rows)
+        def failing_block(*args):
+            fail_here()
+            return block(*args)
+
+        if stage == "formatting":
+            monkeypatch.setattr(fisherflow.cli, "_figure1_rows", failing_rows)
+        else:
+            monkeypatch.setattr(fisherflow.cli, "_figure1_block", failing_block)
         (tmp_path / "figure1.csv").write_text("old\n")
         path = _write(tmp_path, FIGURE1_SMALL)
-        expected = "exited with status 1" if in_child else "formatting failed"
+        expected = "exited with status 1" if in_child else f"{stage} failed"
         with pytest.raises(RuntimeError, match=expected):
             main(["figure1", "--scenario", path, "--out", str(tmp_path)])
         assert os.getpid() == parent
         assert (tmp_path / "figure1.csv").read_text() == "old\n"
         assert not [name for name in os.listdir(tmp_path) if name.startswith(".tmp-")]
         if in_child:
-            assert "RuntimeError: formatting failed" in capfd.readouterr().err
+            assert f"RuntimeError: {stage} failed" in capfd.readouterr().err
+
+    def test_no_process_holds_the_whole_sweep(self, tmp_path, cpus):
+        # one writer computes and formats every block in this process, under the trace
+        cpus(1)
+        scn = dict(FIGURE1_SMALL, grid={"t1": math.pi, "points": 512}, perturbation={"theta_points": 256})
+        whole = 512 * 256 * 3 * 8  # bytes of the sweep's (T, A, 3) float64 values
+        assert whole >= 3 * 2**20
+        args = ["figure1", "--scenario", _write(tmp_path, scn), "--out", str(tmp_path)]
+        assert main(args) == 0  # imports and caches fill outside the trace
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole / 2
 
 
 class TestCliExitCodes:
@@ -676,6 +723,24 @@ class TestCliExitCodes:
             ["witness", "--scenario", _scenario("counterexample_witness.json"), "--out", str(tmp_path)]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "out, message",
+        [
+            ("a_file", "cannot create output directory {out}: " + os.strerror(errno.EEXIST)),
+            ("a_file/sub", "cannot create output directory {out}: " + os.strerror(errno.ENOTDIR)),
+            ("taken", "cannot write {out}/witness.json: a directory has its name"),
+        ],
+        ids=["out-is-a-file", "out-under-a-file", "report-name-is-a-directory"],
+    )
+    def test_unusable_output_path_maps_to_1(self, tmp_path, capsys, out, message):
+        (tmp_path / "a_file").write_text("")
+        (tmp_path / "taken" / "witness.json").mkdir(parents=True)
+        outdir = str(tmp_path / out)
+        witness = _scenario("counterexample_witness.json")
+        assert main(["witness", "--scenario", witness, "--out", outdir]) == 1
+        assert capsys.readouterr().err == f"fisherflow: invalid input: {message.format(out=outdir)}\n"
+        assert not [name for _, _, names in os.walk(tmp_path) for name in names if name.startswith(".tmp-")]
 
     def test_thread_count_must_be_positive(self, tmp_path):
         code = main(

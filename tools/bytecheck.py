@@ -14,7 +14,9 @@ gitignored ``.bench_build/`` and removed again afterwards. Each tree runs
   scenarios written from the ``forms`` workload's ``forms.json``: a
   ``witness`` scenario per planted generator, seeded with its search
   seed, and one scenario per no-go generator, with its base and the
-  sweep's copies and ancilla dimensions, run with ``nogo`` and ``filter``.
+  sweep's copies and ancilla dimensions, run with ``nogo`` and ``filter``;
+  and, per seed, the case-study ``figure1`` sweeps of ``FIGURE1_SWEEPS``
+  from initial states drawn from the seed.
 
 Scenario paths are passed relative to the tree and every run writes into
 the same output path in both trees, so messages that name a path match.
@@ -35,6 +37,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -49,6 +52,10 @@ SEEDS = (1, 2)
 GENERATED_COMMANDS = ("scan", "retro", "quantum")
 #: Grid of the scenarios written from the ``forms`` inputs; their commands read the generator at t = 0.
 FORMS_GRID = {"t0": 0.0, "t1": 1.0, "points": 2}
+#: (time points, angles) of the generated ``figure1`` sweeps. Each has more
+#: than 32,768 CSV rows, so two or more CPUs split it among writer processes,
+#: and neither splits evenly into the writers' ranges or their time blocks.
+FIGURE1_SWEEPS = ((129, 300), (1025, 33))
 
 
 def _scenario_runs(tree: str) -> list[list[str]]:
@@ -72,6 +79,28 @@ def _generated_runs(inputs: str) -> list[list[str]]:
             if command in GENERATED_COMMANDS and path.startswith(manifest["input_dir"] + "/"):
                 runs.append(["generated", command, os.path.join(inputs, path)])
         runs += _forms_runs(gen, seed, inputs)
+        runs += _figure1_runs(seed, inputs)
+    return runs
+
+
+def _figure1_runs(seed: int, inputs: str) -> list[list[str]]:
+    """Write a case-study ``figure1`` scenario per sweep of ``FIGURE1_SWEEPS``; [group, command, path] of each."""
+    rng = random.Random(seed)
+    directory = os.path.join(inputs, f"seed{seed}-figure1")
+    os.makedirs(directory, exist_ok=True)
+    runs = []
+    for points, angles in FIGURE1_SWEEPS:
+        scenario = {
+            "dynamics": {"kind": "case_study"},
+            "grid": {"t1": 3.141592653589793, "points": points},
+            "initial_state": [round(rng.uniform(0.05, 1.0), 6) for _ in range(3)],
+            "perturbation": {"epsilon": 0.001, "theta_points": angles},
+            "analyses": {"figure1": {}},
+        }
+        path = os.path.join(directory, f"figure1_{points}x{angles}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(scenario, fh)
+        runs.append(["generated", "figure1", path])
     return runs
 
 
