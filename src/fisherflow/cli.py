@@ -496,11 +496,11 @@ def cmd_scan(scn: Scenario, outdir: str, seed: int):
 
 
 def cmd_witness(scn: Scenario, outdir: str, seed: int):
-    """Search for a base and direction with a positive squared-Fisher rate."""
+    """Build a base and direction with a positive squared-Fisher rate, in closed form."""
     block = scn.analyses.witness or WitnessSpec()
     r = _generator_for(scn, block.time)
     verdict = is_markovian_generator(r)
-    report = dilation_direction_search(r, fallback_samples=block.fallback_samples, seed=seed)
+    report = dilation_direction_search(r)
 
     results = {
         "time": block.time,
@@ -516,7 +516,7 @@ def cmd_witness(scn: Scenario, outdir: str, seed: int):
     }
     checks = {"search_settled": _check_true(report.found != verdict.markovian)}
     if report.found:
-        defect = abs(report.recompute_rate() - report.rate_value)
+        defect = abs(report.recompute_rate() - report.rate_value) / abs(report.rate_value)
         results["recompute_defect"] = defect
         checks["rate_positive"] = _check_true(report.rate_value > 0.0)
         checks["recompute"] = _check_max(defect, scn.tolerance("recompute"))
@@ -651,7 +651,7 @@ def cmd_retro(scn: Scenario, outdir: str, seed: int):
 
     idx = np.unique(np.linspace(0, grid.shape[0] - 1, num=min(grid.shape[0], 9)).astype(int))
     sample_times = grid[idx]
-    adjoint_max = float(np.max(adjoint_identity_check(ctx, sample_times, trials=block.trials, seed=seed)))
+    adjoint_max = float(np.max(adjoint_identity_check(ctx, sample_times)))
     spectra = ctx.recovery_spectrum(sample_times)
     spec_min = float(spectra.min())
     spec_max = float(spectra.max())

@@ -75,4 +75,4 @@ class NearSingularError(NumericalAccuracyError):
 
 
 class WitnessNotFoundError(FisherflowError):
-    """Search exhausted without producing the requested witness."""
+    """The requested witness does not exist at floating-point resolution."""

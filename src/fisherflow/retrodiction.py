@@ -231,13 +231,16 @@ def retrodiction_distance_sq(p0, ctx: RetrodictionContext, t):
     return float(values) if times.ndim == 0 else values
 
 
-def adjoint_identity_check(ctx: RetrodictionContext, t, trials: int = 100, seed: int = 0):
-    """Max defect of the pull-back identity and of self-adjointness at ``t``.
+def adjoint_identity_check(ctx: RetrodictionContext, t):
+    """Largest defect of the pull-back identity and of self-adjointness at ``t``.
 
-    For random zero-sum d, <d, A d>_pi must equal <T d, T d>_{T pi}; both
-    are exact algebraic consequences of the recovery construction, so the
-    return value is pure floating-point noise. An array of times gives an
-    array of defects; one draw of ``trials`` directions serves every time.
+    <d, A d>_pi must equal <T d, T d>_{T pi} for every zero-sum d. On the
+    pi-orthonormal basis B, d = B c, the difference is c^T D c with
+    D = 1/2 [B^T diag(1/pi) A B - (T B)^T diag(1/T pi) (T B)], so the
+    largest |eigenvalue| of the symmetrized D is its supremum over
+    directions with <d, d>_pi = 1. Both identities are exact algebraic
+    consequences of the recovery construction, so the return value is
+    pure floating-point noise. An array of times gives an array of defects.
     """
     times = np.asarray(t, dtype=float)
     idx = ctx.indices_of(times.ravel())
@@ -246,18 +249,10 @@ def adjoint_identity_check(ctx: RetrodictionContext, t, trials: int = 100, seed:
     pushed = np.empty(fwd.shape[:-1])
     for k, image in enumerate(fwd @ ctx.prior):
         pushed[k] = prob_vec(image)
-        if trials > 0:
-            _require_interior(pushed[k])
-    worst = np.zeros(idx.size)
-    if trials > 0:
-        d = np.random.default_rng(seed).standard_normal((trials, ctx.dimension))
-        d -= d.mean(axis=1, keepdims=True)
-        # one mat-vec per time and trial, as stacked (n, n) @ (n, 1) products
-        ad = (a[:, None] @ d[:, :, None])[..., 0]
-        fd = (fwd[:, None] @ d[:, :, None])[..., 0]
-        lhs = np.sum(d * ad / (2.0 * ctx.prior), axis=-1)
-        rhs = np.sum(fd * fd / (2.0 * pushed[:, None, :]), axis=-1)
-        worst = np.max(np.abs(lhs - rhs), axis=-1)
+        _require_interior(pushed[k])
+    tb = fwd @ ctx.basis
+    gram = ctx._project(a) - tb.swapaxes(-1, -2) @ (tb / (2.0 * pushed[:, :, None]))
+    worst = np.max(np.abs(np.linalg.eigvalsh(0.5 * (gram + gram.swapaxes(-1, -2)))), axis=-1)
     worst = np.maximum(worst, _self_adjoint_defects(ctx.prior, a))
     return float(worst[0]) if times.ndim == 0 else worst.reshape(times.shape)
 

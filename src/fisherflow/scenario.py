@@ -22,7 +22,7 @@ from .errors import ScenarioError
 from .propagation import Dynamics, GeneratorDynamics, case_study_dynamics, contraction_to_target
 from .quantum import MonotoneKind
 from .simplex import rate_matrix, rate_matrix_from_rates
-from .witnesses import FALLBACK_SAMPLES, FILTER_EPSILONS
+from .witnesses import FILTER_EPSILONS
 
 __all__ = [
     "GridSpec",
@@ -222,7 +222,8 @@ class Figure1Spec:
 @dataclass(frozen=True)
 class WitnessSpec:
     time: float = 0.0
-    fallback_samples: int = FALLBACK_SAMPLES
+    # deprecated and read by nothing (the witness samples nothing); kept so old files load
+    fallback_samples: int = 1000
 
     def __post_init__(self) -> None:
         if self.time < 0.0:
@@ -268,6 +269,7 @@ class FilterSpec:
 @dataclass(frozen=True)
 class RetroSpec:
     prior: tuple[float, ...]
+    # deprecated and read by nothing (the adjoint check samples nothing); kept so old files load
     trials: int = 100
     equivalence_times: tuple[float, ...] | None = None
 

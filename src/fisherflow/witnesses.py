@@ -5,14 +5,15 @@ displacement whose local Fisher distance grows, and this module builds
 them:
 
 * ``dilation_direction_search`` - concentrates probability on the source
-  state of the most negative rate and perturbs toward its target; an
-  epsilon ladder plus a spectral fallback over sampled base points.
+  state of the most negative rate and perturbs toward its target, at one
+  epsilon given in closed form by the rates next to the offender.
 * ``no_go_verify`` - the opposite phenomenon: a generator with a single
   negative rate that is dominated by its reverse rate shows no Fisher
   dilation at a chosen base, even after adding replicas and an idle
-  ancilla. The verifier restricts the contraction form to the detectable
-  sector (directions with vanishing ancilla marginal), because directions
-  that only reshuffle the ancilla are exact null modes of any extension.
+  ancilla. The verifier reads the contraction form on the detectable
+  sector (directions with vanishing ancilla marginal) off the replica
+  system's form in closed form, because directions that only reshuffle
+  the ancilla are exact null modes of any extension.
 * ``filter_witness_rate`` - post-processing through a heavy contraction
   toward the special base point of the displacement turns trace-distance
   growth into Fisher-distance growth of order epsilon squared.
@@ -31,27 +32,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distances import (
-    ContractionForm,
-    contraction_form,
-    fisher_rate,
-    forward_trace_rate,
-)
+from .distances import contraction_form, fisher_rate, forward_trace_rate
 from .errors import (
     DimensionMismatchError,
     DomainError,
     InvalidTangentError,
+    ResourceLimitError,
     WitnessNotApplicableError,
     WitnessNotFoundError,
 )
 from .simplex import (
+    INTERIOR_FLOOR,
+    MAX_TENSOR_DIM,
     GeneratorCheck,
+    extend_generator,
     is_markovian_generator,
     prob_vec,
     rate_matrix,
     tangent_vec,
-    zero_sum_basis,
-    extend_generator,
 )
 
 __all__ = [
@@ -66,14 +64,8 @@ __all__ = [
     "trace_ancilla_witness",
 ]
 
-#: Halving ladder from 0.1 down past 1e-6.
-EPS_LADDER: tuple[float, ...] = tuple(0.1 * 0.5**k for k in range(18))
-
 #: Epsilon schedule for filter-witness ratio checks.
 FILTER_EPSILONS: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
-
-#: Fallback sampling budget of the dilation search.
-FALLBACK_SAMPLES = 1000
 
 #: Relative floor used when regularizing zero displacement components.
 REGULARIZE_SCALE = 1e-6
@@ -83,9 +75,10 @@ REGULARIZE_SCALE = 1e-6
 class WitnessReport:
     """Outcome of a witness construction.
 
-    When ``found``, re-evaluating the rate named by ``method`` at
-    (``base``, ``direction``) reproduces ``rate_value``; ``recompute_rate``
-    does exactly that.
+    When ``found``, ``recompute_rate`` evaluates the rate named by
+    ``method`` at (``base``, ``direction``) again: the closed-form witness
+    by its polynomial in ``epsilon_used``, a second route to its Fisher
+    rate, and the trace witness by its forward trace rate.
     """
 
     found: bool
@@ -101,81 +94,83 @@ class WitnessReport:
     def recompute_rate(self) -> float:
         if not self.found:
             raise WitnessNotApplicableError("no witness to re-evaluate")
-        if self.method in ("ladder", "form-spectral"):
-            return fisher_rate(self.base, self.direction, self.generator)
+        if self.method == "closed-form":
+            return _closed_form_rate(self.generator, self.offender, self.epsilon_used)
         if self.method == "trace-ancilla":
             return forward_trace_rate(self.direction, self.generator)
         raise WitnessNotApplicableError(f"unknown method {self.method!r}")
 
 
-def dilation_direction_search(
-    r,
-    fallback_samples: int = FALLBACK_SAMPLES,
-    seed: int = 0,
-) -> WitnessReport:
+def _closed_form_rate(m: np.ndarray, offender: tuple[int, int], eps: float) -> float:
+    """Fisher rate of the closed-form witness, summed edge by edge.
+
+    With P = 1 - (n-1) eps on the source j0, eps on every other state and
+    the direction eps^2 (e_i0 - e_j0), the rate is
+    -1/2 eps^2 [(r_i0j0 P + r_j0i0 eps)(1 + eps/P)^2 + eps sum_k (r_i0k + r_ki0)
+    + (eps/P)^2 sum_k (r_j0k eps + r_kj0 P)] over the states k other than i0 and j0.
+    """
+    i0, j0 = offender
+    n = m.shape[0]
+    p = 1.0 - (n - 1) * eps
+    x = eps / p
+    k = np.ones(n, dtype=bool)
+    k[[i0, j0]] = False
+    bracket = (
+        (m[i0, j0] * p + m[j0, i0] * eps) * (1.0 + x) ** 2
+        + eps * float(np.sum(m[i0, k] + m[k, i0]))
+        + x * x * float(np.sum(m[j0, k] * eps + m[k, j0] * p))
+    )
+    return -0.5 * eps**2 * bracket
+
+
+def dilation_direction_search(r, seed: int = 0) -> WitnessReport:
     """Base point and direction with a positive Fisher rate, if one exists.
 
-    For an offender rate(i0 <- j0) < 0 the ladder concentrates the base on
-    the source state j0 (everything else at eps) and displaces by
-    eps^2 (e_i0 - e_j0): the offending flow term scales like eps^2 while
-    every benign term is at most eps^3, so small enough eps must succeed.
-    The spectral fallback scans sampled interior bases for a positive top
-    eigenvalue of the contraction form.
+    For the offender a = -rate(i0 <- j0) > 0 the base puts eps on every
+    state and P = 1 - (n-1) eps on the source j0, and the direction is
+    eps^2 (e_i0 - e_j0), with
+
+        eps = min(0.1, 1/(2n), a / (4 S)),
+
+    where S sums the off-diagonal |rates| in rows and columns i0 and j0,
+    each once. Dividing the bracket of :func:`_closed_form_rate`
+    by P, the offending edge gives at most -a, and with x = eps/P <= 2 eps
+    <= 0.2 every other term together at most 1.44 x S <= 0.72 a; so the
+    rate is positive for every non-Markovian generator. Only an eps below
+    ``INTERIOR_FLOOR`` raises ``WitnessNotFoundError``. Nothing is
+    sampled; ``seed`` is accepted and ignored.
     """
     m = rate_matrix(r)
     n = m.shape[0]
     check = is_markovian_generator(m)
     if check.markovian:
-        return WitnessReport(found=False, method="ladder", generator=m)
+        return WitnessReport(found=False, method="closed-form", generator=m)
     offender, offender_rate = check.offender
     i0, j0 = offender
 
-    for eps in EPS_LADDER:
-        if (n - 1) * eps >= 1.0 - eps:
-            continue
-        base = np.full(n, eps)
-        base[j0] = 1.0 - (n - 1) * eps
-        direction = np.zeros(n)
-        direction[i0] = eps**2
-        direction[j0] = -(eps**2)
-        rate = fisher_rate(base, direction, m)
-        if rate > 0.0:
-            return WitnessReport(
-                found=True,
-                method="ladder",
-                base=prob_vec(base),
-                direction=tangent_vec(direction),
-                rate_value=rate,
-                epsilon_used=float(eps),
-                offender=offender,
-                offender_rate=offender_rate,
-                generator=m,
-            )
-
-    rng = np.random.default_rng(seed)
-    best: tuple[float, np.ndarray, ContractionForm] | None = None
-    for _ in range(fallback_samples):
-        base = 0.9 * rng.dirichlet(np.ones(n)) + 0.1 / n
-        form = contraction_form(base, m)
-        if best is None or form.lambda_max > best[0]:
-            best = (form.lambda_max, base, form)
-    if best is not None and best[0] > 0.0:
-        _, base, form = best
-        direction = form.max_direction
-        rate = fisher_rate(base, direction, m)
-        return WitnessReport(
-            found=True,
-            method="form-spectral",
-            base=prob_vec(base),
-            direction=tangent_vec(direction),
-            rate_value=rate,
-            offender=offender,
-            offender_rate=offender_rate,
-            generator=m,
+    off = np.abs(m)
+    np.fill_diagonal(off, 0.0)
+    # every off-diagonal |rate| in rows and columns i0 and j0, each once
+    s = float(off[[i0, j0]].sum() + off[:, [i0, j0]].sum() - off[i0, j0] - off[j0, i0])
+    eps = min(0.1, 1.0 / (2 * n), -offender_rate / (4.0 * s))
+    if eps < INTERIOR_FLOOR:
+        raise WitnessNotFoundError(
+            f"the closed-form epsilon {eps:.3e} for rate{offender} = {offender_rate:.3e} "
+            f"is below the interior floor {INTERIOR_FLOOR:.0e}"
         )
-    raise WitnessNotFoundError(
-        f"no dilation direction found although rate{offender} = {offender_rate:.3e}; "
-        "expected only when the offense is below roughly 1e-6"
+    base = np.full(n, eps)
+    base[j0] = 1.0 - (n - 1) * eps
+    direction = eps**2 * (np.eye(n)[i0] - np.eye(n)[j0])
+    return WitnessReport(
+        found=True,
+        method="closed-form",
+        base=prob_vec(base),
+        direction=tangent_vec(direction),
+        rate_value=fisher_rate(base, direction, m),
+        epsilon_used=eps,
+        offender=offender,
+        offender_rate=offender_rate,
+        generator=m,
     )
 
 
@@ -183,11 +178,17 @@ def dilation_direction_search(
 class NoGoReport:
     """Contraction evidence for an extension of a single-offender generator.
 
-    ``lambda_max_full`` is the top eigenvalue on the whole zero-sum space
-    of the extended system; with an ancilla of dimension >= 2 it is
-    exactly zero because ancilla-only reshuffles are conserved. The
-    meaningful figure is ``lambda_max_on_image``, computed on directions
-    whose ancilla marginal vanishes.
+    An idle ancilla of dimension m >= 2 in its uniform state makes the
+    extended form block-diagonal: m M_c on directions whose ancilla
+    marginal vanishes, plus m - 1 blocks m F_c, where M_c is the replica
+    system's form on zero-sum directions and F_c = -1/2 P^-1 L P^-1 is the
+    same form on every direction of the replica system. So
+    ``lambda_max_on_image`` is m lambda_max(M_c), the meaningful figure,
+    and ``lambda_max_full``, the top on the whole zero-sum space, is
+    m lambda_max(F_c). F_c annihilates the base itself, so by interlacing
+    ``lambda_max_full`` is zero whenever M_c is negative definite: ancilla
+    reshuffles are conserved. Without an ancilla both read
+    lambda_max(M_c).
     """
 
     nonmarkovian: bool
@@ -230,9 +231,10 @@ def no_go_verify(
     """Certify absence of Fisher dilation for replicas plus an idle ancilla.
 
     The base point is the tensor power of ``pi`` with the ancilla in the
-    uniform state. A failed precondition is reported through
-    ``condition_met``, not raised: it means the instance is outside the
-    certified family, not that the check broke.
+    uniform state; the extended spectrum is read off the replica system's
+    forms as :class:`NoGoReport` describes. A failed precondition is
+    reported through ``condition_met``, not raised: it means the instance
+    is outside the certified family, not that the check broke.
     """
     base_pi = prob_vec(pi)
     m = rate_matrix(r)
@@ -241,22 +243,22 @@ def no_go_verify(
         raise DimensionMismatchError("base point and generator dimensions differ")
     if copies < 1 or ancilla_dim < 0 or ancilla_dim == 1:
         raise DimensionMismatchError("need copies >= 1 and ancilla_dim 0 or >= 2")
+    total = n**copies * max(ancilla_dim, 1)
+    if total > MAX_TENSOR_DIM:
+        raise ResourceLimitError(f"tensor dimension {total} exceeds the limit {MAX_TENSOR_DIM}")
 
     check = is_markovian_generator(m)
     condition_met, detail = _single_offender_condition(base_pi, m, check)
     offender, offender_rate = check.offender if len(check.negative_rates) == 1 else (None, None)
 
-    r_ext = extend_generator(m, copies=copies, ancilla_dim=ancilla_dim)
+    r_sys = extend_generator(m, copies=copies)
     base = base_pi
     for _ in range(copies - 1):
         base = np.kron(base, base_pi)
+    lam_image = lam_full = contraction_form(base, r_sys).lambda_max
     if ancilla_dim >= 2:
-        base = np.kron(base, np.full(ancilla_dim, 1.0 / ancilla_dim))
-
-    full_form = image_form = contraction_form(base, r_ext)
-    if ancilla_dim >= 2:
-        image_basis = np.kron(zero_sum_basis(n**copies), np.eye(ancilla_dim))
-        image_form = contraction_form(base, r_ext, basis=image_basis)
+        lam_full = ancilla_dim * contraction_form(base, r_sys, basis=np.eye(n**copies)).lambda_max
+        lam_image *= ancilla_dim
 
     if margin is None:
         margin = 1e-6 * float(np.max(np.abs(m)))
@@ -267,8 +269,8 @@ def no_go_verify(
         offender_rate=offender_rate,
         copies=copies,
         ancilla_dim=ancilla_dim,
-        lambda_max_on_image=image_form.lambda_max,
-        lambda_max_full=full_form.lambda_max,
+        lambda_max_on_image=lam_image,
+        lambda_max_full=lam_full,
         margin=float(margin),
         condition_detail=detail,
     )

@@ -224,11 +224,11 @@ def scan_loop(generator_at, grid, rate_tol: float, errors):
 
 
 def adjoint_defect_loop(fwd, a, prior, trials: int, seed: int) -> float:
-    """Pull-back identity and self-adjointness defect of a round trip, one trial at a time.
+    """Pull-back identity defect per unit direction, and self-adjointness defect, one trial at a time.
 
     For each of ``trials`` zero-sum draws d: |<d, A d>_pi - <T d, T d>_{T pi}|
-    with <x, y>_p = sum x y / (2 p); the result is the largest of these and
-    of the asymmetry of A in the sqrt(2 pi)-scaled frame.
+    / <d, d>_pi with <x, y>_p = sum x y / (2 p); the result is the largest
+    of these and of the asymmetry of A in the sqrt(2 pi)-scaled frame.
     """
     fwd = np.asarray(fwd, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -245,7 +245,7 @@ def adjoint_defect_loop(fwd, a, prior, trials: int, seed: int) -> float:
         fd = fwd @ d
         lhs = float(np.sum(d * ad / (2.0 * pi)))
         rhs = float(np.sum(fd * fd / (2.0 * pushed)))
-        worst = max(worst, abs(lhs - rhs))
+        worst = max(worst, abs(lhs - rhs) / float(np.sum(d * d / (2.0 * pi))))
     scale = 1.0 / np.sqrt(2.0 * pi)
     sym = scale[:, None] * a * (1.0 / scale)[None, :]
     return max(worst, float(np.max(np.abs(sym - sym.T))))

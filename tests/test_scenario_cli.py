@@ -674,8 +674,8 @@ class TestCliExitCodes:
         assert report["passed"] is False
         assert report["checks"]["fd_agreement"]["ok"] is False
 
-    def test_unfindable_witness_maps_to_3(self, tmp_path):
-        # offense far below every ladder epsilon: the search must give up
+    def test_small_offense_is_witnessed(self, tmp_path):
+        # an offense of 1e-8 needs eps near 1e-9, which the closed form gives at once
         scn = {
             "dynamics": {
                 "kind": "generator",
@@ -685,8 +685,27 @@ class TestCliExitCodes:
             "grid": {"t1": 1.0, "points": 8},
             "analyses": {"witness": {"fallback_samples": 50}},
         }
-        code = main(["witness", "--scenario", _write(tmp_path, scn), "--out", str(tmp_path)])
-        assert code == 3
+        assert main(["witness", "--scenario", _write(tmp_path, scn), "--out", str(tmp_path)]) == 0
+        results = json.loads((tmp_path / "witness.json").read_text())["results"]
+        assert results["method"] == "closed-form"
+        assert results["rate_value"] > 0.0
+        assert results["recompute_defect"] <= 1e-12
+
+    def test_epsilon_below_interior_floor_maps_to_3(self, tmp_path, capsys):
+        # a 2e-9 offense, just past the 1e-9 rate tolerance, beside rates of 1e3:
+        # S = 5e3, so eps = 2e-9 / 2e4 lies below 1e-12
+        rates = [[i, j, 1.0e3] for i in range(3) for j in range(3) if i != j and (i, j) != (0, 1)]
+        scn = {
+            "dynamics": {"kind": "generator", "rates": [[0, 1, -2.0e-9], *rates], "dimension": 3},
+            "grid": {"t1": 1.0, "points": 8},
+            "analyses": {"witness": {}},
+        }
+        assert main(["witness", "--scenario", _write(tmp_path, scn), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "fisherflow: witness not found: the closed-form epsilon 1.000e-13 for rate(0, 1) = -2.000e-09 "
+            "is below the interior floor 1e-12\n"
+        )
+        assert not (tmp_path / "witness.json").exists()
 
     def test_negative_seed_maps_to_1(self, tmp_path):
         retro = _scenario("relaxation_retro.json")

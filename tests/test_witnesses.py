@@ -2,26 +2,96 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import fisherflow as ff
 import oracles
+from fisherflow.simplex import INTERIOR_FLOOR
 from helpers import random_forced_negative, random_markovian, random_zero_sum
 
 COUNTEREXAMPLE = np.array([[-1.0, -0.5], [1.0, 0.5]])
 
 
+@st.composite
+def non_markovian_generators(draw):
+    """n = 2..9, 1..3 negative rates log-uniform in (1e-9, 10], the rest 0.05..1.5 times 10^U(-1, 1).
+
+    Offenses start just past 1e-9, the rate tolerance below which a generator counts as Markovian.
+    """
+    n = draw(st.integers(2, 9))
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    r = np.zeros((n, n))
+    for cell in cells:
+        r[cell] = draw(st.floats(0.05, 1.5)) * 10.0 ** draw(st.floats(-1.0, 1.0))
+    for cell in draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3, unique=True)):
+        r[cell] = -(10.0 ** draw(st.floats(-9.0, 1.0, exclude_min=True)))
+    np.fill_diagonal(r, -r.sum(axis=0))
+    return r
+
+
+def _witness_epsilon(r, i0, j0):
+    """min(0.1, 1/(2n), |r_i0j0| / (4 S)), S summed term by term over the rates that touch the witness."""
+    n = r.shape[0]
+    ks = [k for k in range(n) if k not in (i0, j0)]
+    s = abs(r[i0, j0]) + abs(r[j0, i0])
+    s += sum(abs(r[i0, k]) + abs(r[k, i0]) + abs(r[k, j0]) + abs(r[j0, k]) for k in ks)
+    return min(0.1, 1.0 / (2 * n), abs(r[i0, j0]) / (4.0 * s))
+
+
+#: Rates set over a 3-state generator with rate(0 <- 1) = -1 and every other rate 0.3: two whose
+#: witness fails unless each rate next to the offender bounds epsilon, and one whose offense is small
+#: beside its reverse rate. The 0.3 rates make every term of the polynomial show in the recomputed rate.
+LOPSIDED = {
+    "into-state-2-from-source": {(2, 1): 1e3},
+    "into-source-from-state-2": {(1, 2): 1e5},
+    "small-offense": {(0, 1): -1e-3, (1, 0): 1.0},
+}
+
+
 class TestDilationDirectionSearch:
-    def test_counterexample_found_by_ladder(self):
+    def test_counterexample_found_in_closed_form(self):
+        # S = |-0.5| + |1.0|, so eps = 0.5 / (4 * 1.5) = 1/12
         report = ff.dilation_direction_search(COUNTEREXAMPLE)
         assert report.found
-        assert report.method == "ladder"
+        assert report.method == "closed-form"
         assert report.rate_value > 0.0
         assert report.offender == (0, 1)
         assert report.offender_rate == pytest.approx(-0.5)
-        assert report.epsilon_used <= 0.1
+        assert report.epsilon_used == pytest.approx(1.0 / 12.0, rel=1e-15)
+        assert np.allclose(report.base, [1.0 / 12.0, 11.0 / 12.0], rtol=1e-15, atol=0.0)
+        assert np.allclose(report.direction, [1.0 / 144.0, -1.0 / 144.0], rtol=1e-15, atol=0.0)
+
+    @settings(max_examples=200)
+    @given(non_markovian_generators())
+    def test_every_non_markovian_generator_witnessed(self, r):
+        (i0, j0), _ = ff.is_markovian_generator(r).offender
+        eps = _witness_epsilon(r, i0, j0)
+        if eps < INTERIOR_FLOOR:
+            with pytest.raises(ff.WitnessNotFoundError, match="closed-form epsilon"):
+                ff.dilation_direction_search(r)
+            return
+        report = ff.dilation_direction_search(r)
+        assert report.found
+        assert report.epsilon_used == pytest.approx(eps, rel=1e-12)
+        assert report.rate_value > 0.0
+        assert report.recompute_rate() == pytest.approx(report.rate_value, rel=1e-12)
+        assert oracles.fisher_rate_direct(report.base, report.direction, r) > 0.0
+
+    @pytest.mark.parametrize("name", sorted(LOPSIDED))
+    def test_lopsided_rates_still_witnessed(self, name):
+        r = np.full((3, 3), 0.3)
+        r[0, 1] = -1.0
+        for cell, value in LOPSIDED[name].items():
+            r[cell] = value
+        np.fill_diagonal(r, 0.0)
+        np.fill_diagonal(r, -r.sum(axis=0))
+        report = ff.dilation_direction_search(r)
+        assert report.offender == (0, 1)
+        assert report.epsilon_used == pytest.approx(_witness_epsilon(r, 0, 1), rel=1e-12)
+        assert report.rate_value > 0.0
+        assert report.recompute_rate() == pytest.approx(report.rate_value, rel=1e-12)
 
     def test_report_reproducible(self):
         report = ff.dilation_direction_search(COUNTEREXAMPLE)
@@ -81,6 +151,32 @@ class TestNoGo:
                 sector = np.kron(u[:, None], np.eye(m_dim))
             direct = oracles.form_eigen_direct(base, r_ext, sector=sector)
             assert np.allclose(np.sort(direct), np.sort(want), atol=1e-9)
+
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    @pytest.mark.parametrize("m_dim", [0, 2, 3, 5])
+    @pytest.mark.parametrize("fold", [(2.0, 4.0), (0.2, 0.4)])
+    def test_closed_form_matches_extended_oracle(self, copies, m_dim, fold):
+        # a bench-style single offender whose reverse rate is two- to fourfold dominant, or too
+        # weak, so that the system dilates; the replicas and the ancilla are built with plain
+        # numpy and polarized on the whole extended space
+        rng = np.random.default_rng(10 * copies + m_dim)
+        p0, neg = rng.uniform(0.3, 0.7), rng.uniform(0.1, 1.0)
+        rev = neg * (1.0 - p0) / p0 * rng.uniform(*fold)
+        pi, r = np.array([p0, 1.0 - p0]), np.array([[-rev, -neg], [rev, neg]])
+        base, gen = pi, r
+        for _ in range(copies - 1):
+            base, gen = np.kron(base, pi), np.kron(gen, np.eye(2)) + np.kron(np.eye(gen.shape[0]), r)
+        sector = None
+        if m_dim:
+            u = np.linalg.qr(np.eye(2**copies) - 1.0 / 2**copies)[0][:, : 2**copies - 1]
+            sector = np.kron(u, np.eye(m_dim))
+            base, gen = np.kron(base, np.full(m_dim, 1.0 / m_dim)), np.kron(gen, np.eye(m_dim))
+        report = ff.no_go_verify(pi, r, copies=copies, ancilla_dim=m_dim)
+        image = oracles.form_eigen_direct(base, gen, sector=sector).max()
+        assert report.lambda_max_on_image == pytest.approx(image, rel=1e-9)
+        full = oracles.form_eigen_direct(base, gen).max()
+        assert report.lambda_max_full == pytest.approx(full, rel=1e-9, abs=1e-12)
+        assert report.passed == (fold[0] > 1.0)
 
     def test_two_copies_still_contract(self):
         pi, r = ff.single_negative_rate_example()
