@@ -69,7 +69,6 @@ from .quantum import (
     density_matrix,
     diag_decomposition,
     diag_decomposition_check,
-    extend_with_identity,
     hermitian_perturbation,
     metric_kernel,
     petz_metric,

@@ -1,8 +1,8 @@
 """Run every OpenBLAS loaded in the process on one thread.
 
 The numpy and scipy wheels each bundle their own OpenBLAS, each with one
-worker per core. fisherflow's BLAS calls are small (at most a 256-wide
-complex mat-vec or a small ``expm``), so a worker pool only adds waits
+worker per core. fisherflow's BLAS calls are small (matrices of at most
+about 64 rows, or a small ``expm``), so a worker pool only adds waits
 for its threads: on 2 cores the 20 ``expm`` calls of one pass of the
 benchmark's ``dynamics`` workload took 21 ms with the pools and 9 ms on
 one thread.

@@ -2,10 +2,10 @@
 
 Every command reads one scenario file, runs a single analysis, and writes
 a JSON report (plus CSV/gnuplot artifacts where they make sense) into the
-output directory. Reports echo the scenario and the resolved seed so a run
-can be reproduced from its output alone. Writes are atomic and the content
-is a pure function of the scenario and the seed, so repeated runs produce
-byte-identical files.
+output directory. Reports echo the scenario, so a run can be reproduced
+from its output alone, and the resolved seed, which no command reads: it
+is only echoed. Writes are atomic and the content is a pure function of
+the scenario and that echo, so repeated runs produce byte-identical files.
 
 Exit codes: 0 on success, 1 on invalid input (bad scenario, inapplicable
 analysis), 2 on a numerical-accuracy failure (including failed tolerance
@@ -41,7 +41,6 @@ from .errors import (
 )
 from .propagation import divisibility_scan, generator_grid, generator_of, refinement_stable
 from .quantum import (
-    MonotoneKind,
     channel_step,
     cp_check,
     quantum_dilation_witness,
@@ -729,13 +728,10 @@ def cmd_quantum(scn: Scenario, outdir: str, seed: int):
         "markovian": markovian,
         "choi_min_eigenvalue": cp.min_eigenvalue,
         "cp": cp.cp,
-        "metric": block.kind,
     }
     checks = {"cp_matches_rate_sign": _check_true(cp.cp == markovian)}
     if not cp.cp:
-        witness = quantum_dilation_witness(
-            step, cp, eta=block.eta, eps=block.eps, kind=MonotoneKind(block.kind)
-        )
+        witness = quantum_dilation_witness(step, cp, eta=block.eta, eps=block.eps)
         fd = quantum_witness_fd_rate(witness)
         agreement = abs(fd - witness.rate_value) / abs(witness.rate_value)
         results["witness"] = {
@@ -781,7 +777,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=handler.__doc__.splitlines()[0])
         sp.add_argument("--scenario", required=True, help="path to the scenario JSON file")
         sp.add_argument("--out", default=None, help="output directory (default: scenario or cwd)")
-        sp.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+        sp.add_argument("--seed", type=int, default=None, help="override the scenario seed (only echoed)")
         sp.add_argument(
             "--threads",
             type=int,

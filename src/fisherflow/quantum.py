@@ -47,7 +47,6 @@ __all__ = [
     "SuperOperator",
     "QuantumChannel",
     "channel_from_matrix",
-    "extend_with_identity",
     "channel_step",
     "choi",
     "CpReport",
@@ -161,18 +160,6 @@ class QuantumChannel(SuperOperator):
 
 def channel_from_matrix(matrix, dim: int) -> QuantumChannel:
     return QuantumChannel(matrix=np.asarray(matrix, dtype=complex), dim=dim)
-
-
-def extend_with_identity(op: QuantumChannel) -> QuantumChannel:
-    """Lift a channel to system (x) copy of the system, acting as identity on the copy."""
-    d = op.dim
-    total = d * d
-    if total > MAX_QUANTUM_DIM:
-        raise ResourceLimitError(f"extended dimension {total} exceeds {MAX_QUANTUM_DIM}")
-    s4 = op.matrix.reshape(d, d, d, d)
-    eye = np.eye(d)
-    big = np.einsum("apcq,bd,PQ->abpPcdqQ", s4, eye, eye).reshape(total**2, total**2)
-    return channel_from_matrix(big, total)
 
 
 def channel_step(lind: SuperOperator, dt: float) -> QuantumChannel:
@@ -419,12 +406,13 @@ class QuantumWitnessReport:
     The state is the maximally entangled projector regularized by ``eta``
     of the maximally mixed state; the perturbation moves weight from the
     entangled direction to the offending Choi eigendirection. In the
-    orthonormal frame containing both, the lifted map induces a classical
-    transition generator whose (offender <- entangled) rate is negative,
-    and the classical Fisher rate at the concentrated base is positive.
-    ``scaled_rate`` is rate times eta squared, the regularization-free
-    figure used for stability comparison at halved eta. ``lifted`` is the
-    map extended by the identity on a copy of the system.
+    orthonormal frame containing both, the map extended by the identity on
+    a copy of the system induces a classical transition generator whose
+    (offender <- entangled) rate is negative (the Choi minimum itself on a
+    semiclassical step), and the classical Fisher rate at the concentrated
+    base is positive. ``scaled_rate`` is rate times eta squared, the
+    regularization-free figure used for stability comparison at halved
+    eta. ``step`` is the map on the system.
     """
 
     found: bool
@@ -434,7 +422,6 @@ class QuantumWitnessReport:
     stable: bool
     eta: float
     eps: float
-    kind: MonotoneKind
     choi_min_eigenvalue: float
     rho: np.ndarray = field(repr=False)
     drho: np.ndarray = field(repr=False)
@@ -442,7 +429,7 @@ class QuantumWitnessReport:
     direction: np.ndarray = field(repr=False)
     classical_generator: np.ndarray = field(repr=False)
     frame: np.ndarray = field(repr=False)
-    lifted: QuantumChannel = field(repr=False)
+    step: QuantumChannel = field(repr=False)
 
 
 def _witness_frame(d: int, choi_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -461,15 +448,19 @@ def _witness_frame(d: int, choi_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return psi, v_perp, frame
 
 
-def _diagonal_transition_generator(lifted: SuperOperator, frame: np.ndarray) -> np.ndarray:
-    """Entry (a, b) is <f_a| (T - Id)[|f_b><f_b|] |f_a> for the frame columns f_b."""
-    total = lifted.dim
-    cols = frame.T
-    # the vectorized projectors |f_b><f_b| as a stack of column vectors, so the
-    # product runs one matrix-vector kernel per projector, as ``apply`` does
-    projectors = (cols[:, :, None] * cols.conj()[:, None, :]).reshape(total, total * total, 1)
-    moved = (lifted.matrix @ projectors - projectors).reshape(total, total, total)
-    return np.einsum("ia,bij,ja->ab", frame.conj(), moved, frame).real
+def _diagonal_transition_generator(step: SuperOperator, frame: np.ndarray) -> np.ndarray:
+    """Entry (a, b) is <f_a| ((T - Id) (x) Id)[|f_b><f_b|] |f_a> for the frame columns f_b.
+
+    With f_b reshaped to F_b (system, copy), the entry is d v^H C v for the
+    Choi matrix C of T - Id and v = vec(F_a F_b^H), so the map is never
+    extended to the copy. The identity is subtracted before the form: the
+    difference of the two forms loses digits to cancellation.
+    """
+    d = step.dim
+    f = frame.T.reshape(d * d, d, d)
+    c = choi(SuperOperator(matrix=step.matrix - np.eye(d * d), dim=d))
+    v = (f[:, None] @ f.conj().transpose(0, 2, 1)[None, :]).reshape(d * d, d * d, d * d)
+    return d * np.einsum("abi,abi->ab", v.conj(), v @ c.T).real
 
 
 def _witness_rate(gen: np.ndarray, eta: float, eps: float) -> tuple[float, np.ndarray, np.ndarray]:
@@ -487,18 +478,18 @@ def quantum_dilation_witness(
     report: CpReport,
     eta: float = 1e-6,
     eps: float = 1e-3,
-    kind: MonotoneKind = MonotoneKind.SLD,
 ) -> QuantumWitnessReport:
     """Dilation witness for a non-completely-positive intermediate map.
 
     ``report`` is the caller's :func:`cp_check` of ``intermediate``; a
     witness-not-applicable error is raised when the map passed it.
     Otherwise builds the regularized entangled state and the perturbation
-    toward the offending direction, reduces the lifted map to a classical
-    transition generator in that frame, and reports the classical Fisher
-    rate (positive exactly because the offending rate is negative and the
-    base is concentrated). One application of the map counts as one unit
-    of time.
+    toward the offending direction, reads the classical transition
+    generator of the map in that frame off its Choi matrix, and reports
+    the classical Fisher rate (positive exactly because the offending rate
+    is negative and the base is concentrated). One application of the map
+    counts as one unit of time. The state lives on the system and a copy,
+    so d^2 may not exceed ``MAX_QUANTUM_DIM``.
     """
     if report.cp:
         raise WitnessNotApplicableError(
@@ -508,11 +499,12 @@ def quantum_dilation_witness(
     total = d * d
     if not 0.0 < eta < 0.5 or not 0.0 < eps < 0.5:
         raise DomainError("eta and eps must sit in (0, 0.5)")
+    if total > MAX_QUANTUM_DIM:
+        raise ResourceLimitError(f"extended dimension {total} exceeds {MAX_QUANTUM_DIM}")
     psi, v_perp, frame = _witness_frame(d, report.min_eigenvector)
 
-    # the lifted map and its generator in the frame do not depend on eta
-    lifted = extend_with_identity(intermediate)
-    gen = rate_matrix(_diagonal_transition_generator(lifted, frame), col_tol=1e-8)
+    # the generator in the frame does not depend on eta
+    gen = rate_matrix(_diagonal_transition_generator(intermediate, frame), col_tol=1e-8)
     rate, probs, direction = _witness_rate(gen, eta, eps)
     rate_half, _, _ = _witness_rate(gen, eta / 2.0, eps)
     scaled = rate * eta**2
@@ -529,7 +521,6 @@ def quantum_dilation_witness(
         stable=stable,
         eta=eta,
         eps=eps,
-        kind=kind,
         choi_min_eigenvalue=report.min_eigenvalue,
         rho=rho,
         drho=drho,
@@ -537,25 +528,34 @@ def quantum_dilation_witness(
         direction=direction,
         classical_generator=gen,
         frame=frame,
-        lifted=lifted,
+        step=intermediate,
     )
 
 
 def quantum_witness_fd_rate(report: QuantumWitnessReport) -> float:
-    """Independent rate estimate: finite difference of the metric along the map.
+    """Independent rate estimate: finite difference of the SLD metric along the map.
 
-    The state pair is pushed a fraction alpha of the way through the
-    witness's lifted map (a convex combination, so positivity is safe) and
-    the monotone metric of the displacement is differenced. alpha is
-    0.02 eta / (d^2 |Choi minimum|), at most 0.25. Units match the witness:
-    one full application is one unit of time.
+    The state pair is pushed a fraction alpha of the way through the map
+    extended by the identity on the copy (a convex combination, so
+    positivity is safe) and the metric of the displacement is differenced.
+    alpha is 0.02 eta / (d^2 |Choi minimum|), at most 0.25. The secant
+    s(alpha) overshoots the derivative by a term linear in alpha, which
+    2 s(alpha / 2) - s(alpha) cancels. Units match the witness: one full
+    application is one unit of time.
     """
-    lifted = report.lifted
-    alpha = min(0.25, 0.02 * report.eta / (lifted.dim * abs(report.choi_min_eigenvalue)))
+    d = report.step.dim
+    alpha = min(0.25, 0.02 * report.eta / (d * d * abs(report.choi_min_eigenvalue)))
+    s4 = report.step.matrix.reshape(d, d, d, d)
     rho, drho = report.rho, report.drho
-    rho_a = (1.0 - alpha) * rho + alpha * lifted.apply(rho)
-    drho_a = (1.0 - alpha) * drho + alpha * lifted.apply(drho)
-    k0 = petz_metric(rho, drho, drho, report.kind)
-    k1 = petz_metric(rho_a, drho_a, drho_a, report.kind)
-    return (k1 - k0) / alpha
+    # (T (x) Id)[X] with X indexed ((system, copy), (system, copy))
+    rho_moved, drho_moved = (
+        np.einsum("apcq,cbqB->abpB", s4, x.reshape(d, d, d, d)).reshape(d * d, d * d) for x in (rho, drho)
+    )
+    k0 = petz_metric(rho, drho, drho)
 
+    def secant(a: float) -> float:
+        rho_a = (1.0 - a) * rho + a * rho_moved
+        drho_a = (1.0 - a) * drho + a * drho_moved
+        return (petz_metric(rho_a, drho_a, drho_a) - k0) / a
+
+    return 2.0 * secant(alpha / 2.0) - secant(alpha)

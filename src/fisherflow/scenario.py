@@ -53,7 +53,7 @@ TOLERANCE_DEFAULTS: dict[str, float] = {
     "adjoint": 1e-10,
     "equivalence_band": 1e-8,
     "cp": 1e-10,
-    "fd_agreement": 0.10,
+    "fd_agreement": 1e-3,
     "spectrum_slack": 1e-10,
     "recompute": 1e-10,
 }
@@ -281,6 +281,7 @@ class QuantumSpec:
     dt: float = 1e-3
     eta: float = 1e-6
     eps: float = 1e-3
+    # validated and read by nothing (every monotone metric gives the witness the same rate); kept so old files load
     kind: str = _kind("metric kind", (k.value for k in MonotoneKind), default="sld")
 
     def __post_init__(self) -> None:

@@ -458,17 +458,29 @@ def choi_by_basis_sum(superop: np.ndarray, d: int) -> np.ndarray:
     return c / d
 
 
-def transition_generator_by_column(superop: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Diagonal transition generator of T in an orthonormal frame, one column at a time.
+def lift_with_identity(superop: np.ndarray, d: int) -> np.ndarray:
+    """Superoperator of T (x) Id on system (x) copy: a d^4 x d^4 matrix, rows ((a, b), (p, P))."""
+    s4 = np.asarray(superop).reshape(d, d, d, d)
+    eye = np.eye(d)
+    return np.einsum("apcq,bd,PQ->abpPcdqQ", s4, eye, eye).reshape(d**4, d**4)
 
-    Entry (a, b) is Re <f_a| T[|f_b><f_b|] - |f_b><f_b| |f_a> for the
-    columns f_b of ``frame``.
+
+def transition_generator_by_column(superop: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Diagonal transition generator of T (x) Id in an orthonormal frame, one column at a time.
+
+    ``superop`` is T on the system alone. Entry (a, b) is
+    Re <f_a| L[|f_b><f_b|] |f_a> for the lift L of T - Id to the system and
+    a copy, and the columns f_b of ``frame``. The identity is subtracted
+    before the lift: subtracting the projector after it loses about
+    1e-16 / dt relative to cancellation for a step of length dt.
     """
     total = frame.shape[0]
+    d = math.isqrt(total)
+    lifted = lift_with_identity(np.asarray(superop) - np.eye(d * d), d)
     gen = np.empty((total, total))
     for b in range(total):
         projector = np.outer(frame[:, b], frame[:, b].conj())
-        moved = _apply_superop(superop, projector) - projector
+        moved = _apply_superop(lifted, projector)
         for a in range(total):
             gen[a, b] = np.vdot(frame[:, a], moved @ frame[:, a]).real
     return gen

@@ -558,6 +558,50 @@ class TestCliRuns:
         assert results["cp"] is False
         assert results["witness"]["found"] is True
 
+    def test_cp_matches_rate_sign_fails_inside_the_cp_tolerance(self, tmp_path, capsys):
+        # the same step under the default cp tolerance of 1e-10: a Choi minimum of about
+        # -1e-11 reads as CP although the rates are not Markovian
+        scn = {
+            "dynamics": {"kind": "generator", "matrix": [[-1.0, 1.0], [1.0, -1.0]]},
+            "grid": {"t1": 1.0, "points": 2},
+            "analyses": {"quantum": {"rates": [[0, 1, -0.5], [1, 0, 1.0]], "dt": 4e-11}},
+        }
+        assert main(["quantum", "--scenario", _write(tmp_path, scn), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "fisherflow: numerical accuracy: quantum: failed checks: cp_matches_rate_sign\n"
+        assert "witness" not in json.loads((tmp_path / "quantum.json").read_text())["results"]
+
+    def test_quantum_witness_past_sixteen_states_maps_to_1(self, tmp_path, capsys):
+        # the witness state lives on the system and a copy: 5 x 5 = 25 states
+        scn = {
+            "dynamics": {"kind": "generator", "matrix": [[-1.0, 1.0], [1.0, -1.0]]},
+            "grid": {"t1": 1.0, "points": 2},
+            "analyses": {"quantum": {"dim": 5, "rates": [[0, 1, -0.5], [1, 0, 1.0]]}},
+        }
+        assert main(["quantum", "--scenario", _write(tmp_path, scn), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "fisherflow: invalid input: extended dimension 25 exceeds 16\n"
+        assert not (tmp_path / "quantum.json").exists()
+
+    def test_fd_agreement_fails_on_a_one_percent_frame_generator(self, tmp_path, capsys, monkeypatch):
+        # the extrapolated secant sits within about 2e-4 of the witness rate, so a frame
+        # generator 1% off fails the default tolerance of 1e-3
+        real = fisherflow.quantum._diagonal_transition_generator
+        monkeypatch.setattr(
+            fisherflow.quantum, "_diagonal_transition_generator", lambda step, frame: 1.01 * real(step, frame)
+        )
+        code = main(["quantum", "--scenario", _scenario("nonmarkovian_quantum.json"), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "fisherflow: numerical accuracy: quantum: failed checks: fd_agreement\n"
+
+    def test_witness_found_fails_on_a_negated_frame_generator(self, tmp_path, capsys, monkeypatch):
+        real = fisherflow.quantum._diagonal_transition_generator
+        monkeypatch.setattr(
+            fisherflow.quantum, "_diagonal_transition_generator", lambda step, frame: -real(step, frame)
+        )
+        code = main(["quantum", "--scenario", _scenario("nonmarkovian_quantum.json"), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "fisherflow: numerical accuracy: quantum: failed checks: fd_agreement, witness_found\n"
+
 
 @pytest.fixture
 def cpus(monkeypatch):
