@@ -276,6 +276,11 @@ def _generator_for(scn: Scenario, t: float) -> np.ndarray:
     return generator_of(build_dynamics(scn.dynamics), t)
 
 
+def _rate_tol(scn: Scenario) -> float:
+    """The tolerance of every divisibility scan: ``analyses.divisibility.rate_tol``, else its default."""
+    return (scn.analyses.divisibility or DivisibilitySpec()).rate_tol
+
+
 # --------------------------------------------------------------------------
 # figure1
 
@@ -385,7 +390,7 @@ plot \\
 """
 
 
-def cmd_figure1(scn: Scenario, outdir: str, seed: int):
+def cmd_figure1(scn: Scenario, outdir: str):
     """Sweep a plane of perturbations through the bundled mixing family.
 
     Writes one CSV row per (t, theta) with the trace distance, the local
@@ -398,8 +403,6 @@ def cmd_figure1(scn: Scenario, outdir: str, seed: int):
     if scn.grid.t0 != 0.0:
         raise ScenarioError("figure1 grid must start at t0 = 0")
     pert = scn.perturbation
-    if pert is not None and pert.direction is not None:
-        raise ScenarioError("figure1 needs a theta sweep, not an explicit direction")
     theta_points = pert.theta_points if pert is not None else 256
     epsilon = pert.epsilon if pert is not None else 1e-3
     p0 = prob_vec(scn.initial_state if scn.initial_state is not None else _FIGURE1_P0)
@@ -418,7 +421,7 @@ def cmd_figure1(scn: Scenario, outdir: str, seed: int):
     _require_interior(dyn.propagators_at(times[:stop]) @ p0)
     if gens.errors:
         raise gens.errors[stop]
-    scan = divisibility_scan(dyn, times, rate_tol=scn.tolerance("rate_tol"), generators=gens)
+    scan = divisibility_scan(dyn, times, rate_tol=_rate_tol(scn), generators=gens)
     min_rates = scan.min_rates
     windows = scan.windows()
 
@@ -456,12 +459,12 @@ def cmd_figure1(scn: Scenario, outdir: str, seed: int):
 # scan
 
 
-def cmd_scan(scn: Scenario, outdir: str, seed: int):
+def cmd_scan(scn: Scenario, outdir: str):
     """Report every grid time whose generator carries a negative rate."""
     dyn = build_dynamics(scn.dynamics)
-    block = scn.analyses.divisibility or DivisibilitySpec()
+    rate_tol = _rate_tol(scn)
     times = scn.grid.times()
-    result = divisibility_scan(dyn, times, rate_tol=block.rate_tol)
+    result = divisibility_scan(dyn, times, rate_tol=rate_tol)
     stable = refinement_stable(dyn, result)
 
     failed = {t for t, _ in result.failures}
@@ -473,7 +476,7 @@ def cmd_scan(scn: Scenario, outdir: str, seed: int):
     _atomic_write(os.path.join(outdir, "scan.csv"), rows)
 
     results = {
-        "rate_tol": block.rate_tol,
+        "rate_tol": rate_tol,
         "markovian_on_grid": result.markovian_on_grid,
         "windows": [[lo, hi] for lo, hi in result.windows()],
         "violations": [
@@ -494,7 +497,7 @@ def cmd_scan(scn: Scenario, outdir: str, seed: int):
 # witness
 
 
-def cmd_witness(scn: Scenario, outdir: str, seed: int):
+def cmd_witness(scn: Scenario, outdir: str):
     """Build a base and direction with a positive squared-Fisher rate, in closed form."""
     block = scn.analyses.witness or WitnessSpec()
     r = _generator_for(scn, block.time)
@@ -526,7 +529,7 @@ def cmd_witness(scn: Scenario, outdir: str, seed: int):
 # nogo
 
 
-def cmd_nogo(scn: Scenario, outdir: str, seed: int):
+def cmd_nogo(scn: Scenario, outdir: str):
     """Certify strict contraction on replicated and ancilla-extended spaces."""
     block = scn.analyses.no_go or NoGoSpec()
     r = _generator_for(scn, 0.0)
@@ -574,7 +577,7 @@ def cmd_nogo(scn: Scenario, outdir: str, seed: int):
 # filter
 
 
-def cmd_filter(scn: Scenario, outdir: str, seed: int):
+def cmd_filter(scn: Scenario, outdir: str):
     """Run the filtered-distance witness on an ancilla extension."""
     block = scn.analyses.filter or FilterSpec()
     r = _generator_for(scn, 0.0)
@@ -584,8 +587,9 @@ def cmd_filter(scn: Scenario, outdir: str, seed: int):
     offender, offender_rate = verdict.offender
     source = offender[1]
 
-    extended = extend_generator(r, copies=1, ancilla_dim=block.ancilla_dim)
     anc = tangent_vec(block.ancilla_displacement)
+    ancilla_dim = anc.shape[0]
+    extended = extend_generator(r, copies=1, ancilla_dim=ancilla_dim)
     unit = np.zeros(r.shape[0])
     unit[source] = 1.0
     direction = np.kron(unit, anc)
@@ -603,7 +607,7 @@ def cmd_filter(scn: Scenario, outdir: str, seed: int):
     results = {
         "offender": offender,
         "offender_rate": offender_rate,
-        "ancilla_dim": block.ancilla_dim,
+        "ancilla_dim": ancilla_dim,
         "direction": direction,
         "base": base,
         "epsilon_rates": rates,
@@ -628,7 +632,7 @@ def cmd_filter(scn: Scenario, outdir: str, seed: int):
 # retro
 
 
-def cmd_retro(scn: Scenario, outdir: str, seed: int):
+def cmd_retro(scn: Scenario, outdir: str):
     """Check recovery-map identities and the contraction/retrodiction link."""
     block = scn.analyses.retrodiction
     if block is None:
@@ -645,11 +649,13 @@ def cmd_retro(scn: Scenario, outdir: str, seed: int):
     ctx = retrodiction_context(block.prior, dyn, grid)
     prior = ctx.prior
 
-    scan = divisibility_scan(dyn, grid, rate_tol=scn.tolerance("rate_tol"))
+    scan = divisibility_scan(dyn, grid, rate_tol=_rate_tol(scn))
     markovian = scan.markovian_on_grid and not scan.failures
 
-    idx = np.unique(np.linspace(0, grid.shape[0] - 1, num=min(grid.shape[0], 9)).astype(int))
-    sample_times = grid[idx]
+    # the indices ascend, so dropping repeats keeps them sorted with no sort call (numpy's
+    # first one in a process pages its sort code in)
+    idx = np.linspace(0, grid.shape[0] - 1, num=min(grid.shape[0], 9)).astype(int).tolist()
+    sample_times = grid[list(dict.fromkeys(idx))]
     adjoint_max = float(np.max(adjoint_identity_check(ctx, sample_times)))
     spectra = ctx.recovery_spectrum(sample_times)
     spec_min = float(spectra.min())
@@ -712,7 +718,7 @@ def cmd_retro(scn: Scenario, outdir: str, seed: int):
 # quantum
 
 
-def cmd_quantum(scn: Scenario, outdir: str, seed: int):
+def cmd_quantum(scn: Scenario, outdir: str):
     """Classify a semiclassical step by complete positivity and witness it."""
     block = scn.analyses.quantum or QuantumSpec()
     rates = {(i, j): v for i, j, v in block.rates}
@@ -778,25 +784,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--scenario", required=True, help="path to the scenario JSON file")
         sp.add_argument("--out", default=None, help="output directory (default: scenario or cwd)")
         sp.add_argument("--seed", type=int, default=None, help="override the scenario seed (only echoed)")
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="thread count, validated only: it changes neither how a command runs nor"
-            " what it writes (default: FISHERFLOW_THREADS or 1)",
-        )
+        # retired: accepted and ignored, for command lines that still pass it (bench/gen.py does)
+        sp.add_argument("--threads", help=argparse.SUPPRESS)
     return parser
-
-
-def _check_threads(value: int | None) -> None:
-    if value is None:
-        raw = os.environ.get("FISHERFLOW_THREADS", "1")
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise InvalidInputError(f"FISHERFLOW_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise InvalidInputError(f"thread count must be >= 1, got {value}")
 
 
 def _run(args) -> int:
@@ -804,14 +794,13 @@ def _run(args) -> int:
     seed = args.seed if args.seed is not None else scn.seed
     if seed < 0:
         raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
-    _check_threads(args.threads)
     outdir = args.out or scn.output_dir or "."
     try:
         os.makedirs(outdir, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
         raise InvalidInputError(f"cannot create output directory {outdir}: {exc.strerror}") from None
 
-    results, checks, artifacts = _COMMANDS[args.command](scn, outdir, seed)
+    results, checks, artifacts = _COMMANDS[args.command](scn, outdir)
     passed = all(entry["ok"] for entry in checks.values())
     report = {
         "schema": _REPORT_SCHEMA,

@@ -539,9 +539,10 @@ def quantum_witness_fd_rate(report: QuantumWitnessReport) -> float:
     extended by the identity on the copy (a convex combination, so
     positivity is safe) and the metric of the displacement is differenced.
     alpha is 0.02 eta / (d^2 |Choi minimum|), at most 0.25. The secant
-    s(alpha) overshoots the derivative by a term linear in alpha, which
-    2 s(alpha / 2) - s(alpha) cancels. Units match the witness: one full
-    application is one unit of time.
+    s(alpha) differs from the derivative by a series in alpha, whose linear
+    and quadratic terms the Richardson combination
+    (8 s(alpha / 4) - 6 s(alpha / 2) + s(alpha)) / 3 cancels. Units match
+    the witness: one full application is one unit of time.
     """
     d = report.step.dim
     alpha = min(0.25, 0.02 * report.eta / (d * d * abs(report.choi_min_eigenvalue)))
@@ -558,4 +559,4 @@ def quantum_witness_fd_rate(report: QuantumWitnessReport) -> float:
         drho_a = (1.0 - a) * drho + a * drho_moved
         return (petz_metric(rho_a, drho_a, drho_a) - k0) / a
 
-    return 2.0 * secant(alpha / 2.0) - secant(alpha)
+    return (8.0 * secant(alpha / 4.0) - 6.0 * secant(alpha / 2.0) + secant(alpha)) / 3.0

@@ -5,7 +5,8 @@ perturbation data, the analyses to run, tolerance overrides, and a seed.
 Parsing is deliberately unforgiving: unknown keys anywhere are an error
 (typos in tolerance names must not silently disable a check), required
 keys must be present, and writing a parsed scenario back out reproduces
-it exactly.
+it exactly. The exception is the few retired keys that older files may
+still carry (``_RETIRED``): they are accepted and dropped.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from .errors import ScenarioError
 from .propagation import Dynamics, GeneratorDynamics, case_study_dynamics, contraction_to_target
-from .quantum import MonotoneKind
 from .simplex import rate_matrix, rate_matrix_from_rates
 from .witnesses import FILTER_EPSILONS
 
@@ -47,13 +47,12 @@ __all__ = [
 #: Recognized tolerance names with their defaults; anything else is a typo.
 TOLERANCE_DEFAULTS: dict[str, float] = {
     "trace_law": 1e-6,
-    "rate_tol": 1e-9,
     "lambda_margin": 1e-3,
     "filter_ratio": 0.05,
     "adjoint": 1e-10,
     "equivalence_band": 1e-8,
     "cp": 1e-10,
-    "fd_agreement": 1e-3,
+    "fd_agreement": 1e-5,
     "spectrum_slack": 1e-10,
     "recompute": 1e-10,
 }
@@ -65,11 +64,21 @@ def _expect_mapping(value, where: str) -> dict:
     return value
 
 
+#: Keys that once tuned sampling no command does any more, per block. They
+#: are accepted so that older scenario files still load, and are otherwise
+#: ignored: never validated, never echoed.
+_RETIRED = {
+    "analyses.witness": {"fallback_samples"},
+    "analyses.retrodiction": {"trials"},
+    "analyses.quantum": {"kind"},
+}
+
+
 def _take(raw, where: str, cls) -> dict:
-    """``raw`` as an object whose keys are fields of ``cls``, with every field that has no default."""
+    """``raw`` as an object whose keys are fields of ``cls`` or retired, with every field that has no default."""
     raw = _expect_mapping(raw, where)
     known = fields(cls)
-    unknown = set(raw) - {f.name for f in known}
+    unknown = set(raw) - {f.name for f in known} - _RETIRED.get(where, set())
     if unknown:
         raise ScenarioError(f"unknown key(s) {sorted(unknown)} in {where}")
     missing = [
@@ -149,11 +158,6 @@ _CONVERTERS = {
 }
 
 
-def _kind(label: str, kinds, **default):
-    """A ``kind`` field whose value must be one of ``kinds``; ``label`` names it in the error."""
-    return field(metadata={"label": label, "kinds": tuple(kinds)}, **default)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     t1: float
@@ -174,28 +178,25 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Either an explicit direction or a planar theta sweep, scaled by epsilon."""
+    """A planar sweep of theta_points directions, scaled by epsilon."""
 
+    theta_points: int
     epsilon: float = 1e-3
-    direction: tuple[float, ...] | None = None
-    theta_points: int | None = None
 
     def __post_init__(self) -> None:
-        if (self.direction is None) == (self.theta_points is None):
-            raise ScenarioError("perturbation needs exactly one of direction / theta_points")
-        if self.theta_points is not None and self.theta_points < 1:
+        if self.theta_points < 1:
             raise ScenarioError("perturbation.theta_points must be at least 1")
 
 
 @dataclass(frozen=True)
 class DynamicsSpec:
-    kind: str = _kind("dynamics kind", ("case_study", "generator", "contraction"))
+    # a field with "kinds" must take one of them; "label" names it in the error
+    kind: str = field(metadata={"label": "dynamics kind", "kinds": ("case_study", "generator", "contraction")})
     matrix: tuple[tuple[float, ...], ...] | None = None
     rates: tuple[tuple[int, int, float], ...] | None = None
     dimension: int | None = None
     target: tuple[float, ...] | None = None
     decay_rate: float = 1.0
-    horizon: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind == "generator":
@@ -222,14 +223,10 @@ class Figure1Spec:
 @dataclass(frozen=True)
 class WitnessSpec:
     time: float = 0.0
-    # deprecated and read by nothing (the witness samples nothing); kept so old files load
-    fallback_samples: int = 1000
 
     def __post_init__(self) -> None:
         if self.time < 0.0:
             raise ScenarioError("witness.time must be at least 0: every dynamics starts at time 0")
-        if self.fallback_samples < 0:
-            raise ScenarioError("witness.fallback_samples must be at least 0")
 
 
 @dataclass(frozen=True)
@@ -252,7 +249,7 @@ class NoGoSpec:
 @dataclass(frozen=True)
 class FilterSpec:
     epsilons: tuple[float, ...] = FILTER_EPSILONS
-    ancilla_dim: int = 2
+    #: one entry per ancilla state, so its length is the ancilla's dimension
     ancilla_displacement: tuple[float, ...] = (0.1, -0.1)
 
     def __post_init__(self) -> None:
@@ -262,15 +259,11 @@ class FilterSpec:
             # the filter command divides by eps**2, which must not underflow
             if eps > 0.0 and eps * eps < sys.float_info.min:
                 raise ScenarioError(f"filter.epsilons[{k}] = {eps!r} is too small: its square underflows")
-        if len(self.ancilla_displacement) != self.ancilla_dim:
-            raise ScenarioError("filter.ancilla_displacement needs one entry per ancilla state (ancilla_dim)")
 
 
 @dataclass(frozen=True)
 class RetroSpec:
     prior: tuple[float, ...]
-    # deprecated and read by nothing (the adjoint check samples nothing); kept so old files load
-    trials: int = 100
     equivalence_times: tuple[float, ...] | None = None
 
 
@@ -281,8 +274,6 @@ class QuantumSpec:
     dt: float = 1e-3
     eta: float = 1e-6
     eps: float = 1e-3
-    # validated and read by nothing (every monotone metric gives the witness the same rate); kept so old files load
-    kind: str = _kind("metric kind", (k.value for k in MonotoneKind), default="sld")
 
     def __post_init__(self) -> None:
         if self.dim < 2:
@@ -357,19 +348,14 @@ def _parse_analyses(raw) -> AnalysesSpec:
 def build_dynamics(spec: DynamicsSpec) -> Dynamics:
     """Instantiate the dynamics a spec describes."""
     if spec.kind == "case_study":
-        return case_study_dynamics(horizon=spec.horizon if spec.horizon is not None else np.pi)
+        return case_study_dynamics()
     if spec.kind == "contraction":
-        return contraction_to_target(
-            np.asarray(spec.target, dtype=float),
-            decay_rate=spec.decay_rate,
-            horizon=spec.horizon if spec.horizon is not None else np.inf,
-        )
+        return contraction_to_target(np.asarray(spec.target, dtype=float), decay_rate=spec.decay_rate)
     if spec.matrix is not None:
         r = rate_matrix(np.asarray(spec.matrix, dtype=float))
     else:
         r = rate_matrix_from_rates({(i, j): v for i, j, v in spec.rates}, spec.dimension)
-    horizon = spec.horizon if spec.horizon is not None else np.inf
-    return GeneratorDynamics(r, horizon=horizon)
+    return GeneratorDynamics(r)
 
 
 def parse_scenario(raw) -> Scenario:

@@ -25,6 +25,7 @@ def test_run_records_exit_output_and_file_digests(tmp_path, capsys):
     ok = _run("quantum", bundled, out, capsys)
     assert (ok["exit"], ok["stdout"], ok["stderr"], ok["warnings"]) == (0, "quantum: PASS (quantum.json)\n", "", [])
     assert list(ok["files"]) == ["quantum.json"]
+    assert ok["parsed"]["quantum.json"]["command"] == "quantum"
     assert _run("quantum", bundled, out, capsys) == ok
 
     overflow = os.path.join(ROOT, "scenarios", "edge", "quantum_extreme_rate.json")
@@ -56,10 +57,21 @@ def test_generated_group_runs_each_command(tmp_path):
     assert len({tuple(s["initial_state"]) for s in sweeps}) == len(sweeps)
 
 
-def test_a_differing_run_names_the_files_whose_digests_differ():
+def test_a_differing_run_names_the_files_and_json_paths_that_differ():
     run = {"exit": 0, "stdout": "", "stderr": "", "warnings": [], "files": {"a.csv": "1", "b.json": "2"}}
     assert bytecheck._differences(run, dict(run)) == []
     moved = dict(run, files={"a.csv": "1", "b.json": "3", "c.json": "4"})
     assert bytecheck._differences(run, moved) == ["files: b.json c.json"]
     failed = dict(run, exit=1, files=None)
     assert bytecheck._differences(run, failed) == ["exit", "files"]
+
+    # a JSON file that parses in both runs is followed by the leaf paths that differ
+    report = {"results": {"rate": 1.0, "base": [0.5, 0.5]}, "scenario": {"analyses": {"retrodiction": {"trials": 100}}}}
+    moved = {"results": {"rate": 1.0, "base": [0.5, 0.25]}, "scenario": {"analyses": {"retrodiction": {}}}}
+    run = {"files": {"retro.json": "1", "a.csv": "2"}, "parsed": {"retro.json": report}}
+    other = {"files": {"retro.json": "3", "a.csv": "4"}, "parsed": {"retro.json": moved}}
+    assert bytecheck._differences(run, other) == [
+        "files: a.csv retro.json (results.base[1], scenario.analyses.retrodiction.trials)"
+    ]
+    # a changed list length, a key on one side only and a change of type are one leaf each
+    assert list(bytecheck._leaf_paths({"a": [1, 2], "b": 1, "c": {}}, {"a": [1], "b": 1.0, "d": 0})) == ["a", "b", "c", "d"]

@@ -316,7 +316,7 @@ class TestQuantumWitness:
         step = self._noncp_step()
         report = ff.quantum_dilation_witness(step, ff.cp_check(step))
         fd = ff.quantum_witness_fd_rate(report)
-        assert abs(fd - report.rate_value) / abs(report.rate_value) <= 1e-3
+        assert abs(fd - report.rate_value) / abs(report.rate_value) <= 1e-5
 
     def test_fd_rate_matches_lifted_oracle(self):
         # the same extrapolated secant, with the state pair moved by the oracle's d^4 x d^4 lift
@@ -335,7 +335,7 @@ class TestQuantumWitness:
                 drho_a = (1.0 - a) * drho + a * (lifted @ drho.reshape(-1)).reshape(d * d, d * d)
                 return (ff.petz_metric(rho_a, drho_a, drho_a) - k0) / a
 
-            want = 2.0 * secant(alpha / 2.0) - secant(alpha)
+            want = (8.0 * secant(alpha / 4.0) - 6.0 * secant(alpha / 2.0) + secant(alpha)) / 3.0
             assert ff.quantum_witness_fd_rate(report) == pytest.approx(want, rel=1e-12)
 
     def test_classical_generator_in_frame_has_negative_rate(self):

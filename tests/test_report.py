@@ -128,7 +128,7 @@ def witness_returns(monkeypatch):
 
     def set_payload(results, checks):
         monkeypatch.setitem(
-            fisherflow.cli._COMMANDS, "witness", lambda scn, outdir, seed: (results, checks, [])
+            fisherflow.cli._COMMANDS, "witness", lambda scn, outdir: (results, checks, [])
         )
 
     return set_payload

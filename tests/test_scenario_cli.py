@@ -125,11 +125,21 @@ class TestScenarioParsing:
                 }
             )
 
-    def test_perturbation_exclusivity(self):
-        with pytest.raises(ff.ScenarioError, match="exactly one"):
-            ff.parse_scenario(
-                dict(MINIMAL, perturbation={"direction": [0.1, -0.1, 0.0], "theta_points": 8})
-            )
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"perturbation": {"direction": [0.1, -0.1, 0.0], "theta_points": 8}}, "['direction'] in perturbation"),
+            ({"perturbation": {"epsilon": 0.01}}, "missing key(s) ['theta_points'] in perturbation"),
+            ({"dynamics": {"kind": "case_study", "horizon": 40.0}}, "['horizon'] in dynamics"),
+            ({"analyses": {"filter": {"ancilla_dim": 2}}}, "['ancilla_dim'] in analyses.filter"),
+            ({"tolerances": {"rate_tol": 1e-9}}, "unknown tolerance 'rate_tol'"),
+        ],
+        ids=["direction", "sweep-needs-theta-points", "horizon", "ancilla-dim", "rate-tol-tolerance"],
+    )
+    def test_deleted_keys_rejected(self, change, message):
+        with pytest.raises(ff.ScenarioError) as caught:
+            ff.parse_scenario(dict(MINIMAL, **change))
+        assert message in str(caught.value)
 
     @pytest.mark.parametrize(
         "change",
@@ -141,12 +151,10 @@ class TestScenarioParsing:
             {"analyses": {"no_go": {"copies": None}}},
             {"analyses": {"filter": {"epsilons": []}}},
             {"grid": {"t0": -710.0, "t1": 1.0, "points": 4}},
-            {"analyses": {"filter": {"ancilla_dim": 0}}},
             {"analyses": {"quantum": {"dim": -1}}},
             # filter divides by eps**2, which underflows
             {"analyses": {"filter": {"epsilons": [1e-2, 1e-160]}}},
             {"analyses": {"retrodiction": {}}},
-            {"analyses": {"quantum": {"kind": "bogus"}}},
             {"analyses": {"figure1": {"points": 4}}},
             {"dynamics": {"kind": "contraction"}},
             {"dynamics": {"kind": "case_study", "target": [0.5, 0.5]}},
@@ -158,7 +166,6 @@ class TestScenarioParsing:
             {"analyses": {"no_go": {"copies": [1, 0]}}},
             {"analyses": {"no_go": {"margin": -1e-3}}},
             {"analyses": {"witness": {"time": -1.0}}},
-            {"analyses": {"witness": {"fallback_samples": -1}}},
         ],
     )
     def test_malformed_fields_rejected(self, change):
@@ -195,8 +202,9 @@ class TestScenarioParsing:
         "change, message",
         [
             # the kind is checked before every other field
-            ({"analyses": {"quantum": {"kind": "bogus", "dim": "x"}}}, "unknown metric kind 'bogus'"),
             ({"dynamics": {"kind": "bogus", "matrix": [[-1.0, 1.0], [1.0]]}}, "unknown dynamics kind 'bogus'"),
+            # a retired key is never checked
+            ({"analyses": {"quantum": {"kind": "bogus", "dim": "x"}}}, "quantum.dim must be an integer"),
             # unknown keys before missing ones, missing ones before values
             ({"analyses": {"retrodiction": {"trials": "x", "extra": 1}}}, "unknown key(s) ['extra'] in analyses.retrodiction"),
             ({"analyses": {"retrodiction": {"trials": "x"}}}, "missing key(s) ['prior'] in analyses.retrodiction"),
@@ -216,15 +224,15 @@ class TestScenarioParsing:
         [
             ("divisibility", {}, {"rate_tol": 1e-9}),
             ("figure1", {}, {}),
-            ("witness", {}, {"time": 0.0, "fallback_samples": 1000}),
+            ("witness", {}, {"time": 0.0}),
             ("no_go", {}, {"copies": [1, 2], "ancilla_dims": [0, 2, 4]}),
-            ("filter", {}, {"epsilons": [1e-2, 1e-3, 1e-4], "ancilla_dim": 2, "ancilla_displacement": [0.1, -0.1]}),
+            ("filter", {}, {"epsilons": [1e-2, 1e-3, 1e-4], "ancilla_displacement": [0.1, -0.1]}),
             # the prior has no default
-            ("retrodiction", {"prior": [0.5, 0.5]}, {"prior": [0.5, 0.5], "trials": 100}),
+            ("retrodiction", {"prior": [0.5, 0.5]}, {"prior": [0.5, 0.5]}),
             (
                 "quantum",
                 {},
-                {"dim": 2, "rates": [[0, 1, -0.5], [1, 0, 1.0]], "dt": 1e-3, "eta": 1e-6, "eps": 1e-3, "kind": "sld"},
+                {"dim": 2, "rates": [[0, 1, -0.5], [1, 0, 1.0]], "dt": 1e-3, "eta": 1e-6, "eps": 1e-3},
             ),
         ],
     )
@@ -581,12 +589,12 @@ class TestCliRuns:
         assert capsys.readouterr().err == "fisherflow: invalid input: extended dimension 25 exceeds 16\n"
         assert not (tmp_path / "quantum.json").exists()
 
-    def test_fd_agreement_fails_on_a_one_percent_frame_generator(self, tmp_path, capsys, monkeypatch):
-        # the extrapolated secant sits within about 2e-4 of the witness rate, so a frame
-        # generator 1% off fails the default tolerance of 1e-3
+    def test_fd_agreement_fails_on_a_frame_generator_off_by_5e_4(self, tmp_path, capsys, monkeypatch):
+        # the twice-extrapolated secant sits within about 1e-6 of the witness rate, so a frame
+        # generator 0.05% off fails the default tolerance of 1e-5
         real = fisherflow.quantum._diagonal_transition_generator
         monkeypatch.setattr(
-            fisherflow.quantum, "_diagonal_transition_generator", lambda step, frame: 1.01 * real(step, frame)
+            fisherflow.quantum, "_diagonal_transition_generator", lambda step, frame: 1.0005 * real(step, frame)
         )
         code = main(["quantum", "--scenario", _scenario("nonmarkovian_quantum.json"), "--out", str(tmp_path)])
         assert code == 2
@@ -622,7 +630,7 @@ class TestFigure1Writers:
         cpus(1)
         monkeypatch.setattr(os, "fork", no_fork)
         path = _write(tmp_path, FIGURE1_SMALL)
-        assert main(["figure1", "--scenario", path, "--out", str(tmp_path), "--threads", "4"]) == 0
+        assert main(["figure1", "--scenario", path, "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize(
         "in_child, stage",
@@ -727,7 +735,7 @@ class TestCliExitCodes:
                 "dimension": 2,
             },
             "grid": {"t1": 1.0, "points": 8},
-            "analyses": {"witness": {"fallback_samples": 50}},
+            "analyses": {"witness": {}},
         }
         assert main(["witness", "--scenario", _write(tmp_path, scn), "--out", str(tmp_path)]) == 0
         results = json.loads((tmp_path / "witness.json").read_text())["results"]
@@ -780,13 +788,6 @@ class TestCliExitCodes:
         assert main([]) == 1
         assert main(["witness"]) == 1
 
-    def test_bad_thread_env_maps_to_1(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FISHERFLOW_THREADS", "zebra")
-        code = main(
-            ["witness", "--scenario", _scenario("counterexample_witness.json"), "--out", str(tmp_path)]
-        )
-        assert code == 1
-
     @pytest.mark.parametrize(
         "out, message",
         [
@@ -804,20 +805,6 @@ class TestCliExitCodes:
         assert main(["witness", "--scenario", witness, "--out", outdir]) == 1
         assert capsys.readouterr().err == f"fisherflow: invalid input: {message.format(out=outdir)}\n"
         assert not [name for _, _, names in os.walk(tmp_path) for name in names if name.startswith(".tmp-")]
-
-    def test_thread_count_must_be_positive(self, tmp_path):
-        code = main(
-            [
-                "witness",
-                "--scenario",
-                _scenario("counterexample_witness.json"),
-                "--out",
-                str(tmp_path),
-                "--threads",
-                "0",
-            ]
-        )
-        assert code == 1
 
 
 class TestCliDeterminism:
@@ -842,21 +829,6 @@ class TestCliDeterminism:
     def test_scan_byte_identical(self, tmp_path):
         a, b = self._run_twice(tmp_path, "scan", _scenario("case_study_scan.json"))
         assert a == b
-
-    def test_figure1_threads_do_not_change_bytes(self, tmp_path):
-        scn = {
-            "dynamics": {"kind": "case_study"},
-            "grid": {"t1": 3.141592653589793, "points": 64},
-            "perturbation": {"epsilon": 0.001, "theta_points": 16},
-            "analyses": {"figure1": {}},
-        }
-        path = _write(tmp_path, scn)
-        single = tmp_path / "single"
-        multi = tmp_path / "multi"
-        assert main(["figure1", "--scenario", path, "--out", str(single), "--threads", "1"]) == 0
-        assert main(["figure1", "--scenario", path, "--out", str(multi), "--threads", "3"]) == 0
-        assert (single / "figure1.csv").read_bytes() == (multi / "figure1.csv").read_bytes()
-        assert (single / "figure1.json").read_bytes() == (multi / "figure1.json").read_bytes()
 
     def test_figure1_writer_count_does_not_change_bytes(self, tmp_path, cpus, monkeypatch):
         forks = []
@@ -905,6 +877,58 @@ class TestCliDeterminism:
         for line in lines[:5]:
             t = line.split(",")[0]
             assert float(t) == float(f"{float(t):.17g}")
+
+
+class TestRetiredInputs:
+    """``--threads``, ``FISHERFLOW_THREADS`` and the retired scenario keys are accepted and change no byte."""
+
+    @staticmethod
+    def _outputs(out, argv):
+        assert main([*argv, "--out", str(out)]) == 0
+        return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+    def test_threads_flag_and_environment_are_ignored(self, tmp_path, monkeypatch):
+        argv = ["figure1", "--scenario", _write(tmp_path, FIGURE1_SMALL)]
+        plain = self._outputs(tmp_path / "plain", argv)
+        assert self._outputs(tmp_path / "zero", [*argv, "--threads", "0"]) == plain
+        monkeypatch.setenv("FISHERFLOW_THREADS", "zebra")
+        assert self._outputs(tmp_path / "env", argv) == plain
+
+    def test_threads_flag_is_not_listed(self, capsys):
+        assert main(["figure1", "--help"]) == 0
+        assert "--threads" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["witness", "retro", "quantum"])
+    def test_out_of_range_retired_keys_are_ignored(self, tmp_path, command):
+        with open(os.path.join(SCENARIO_DIR, "edge", "retired_keys.json"), encoding="utf-8") as fh:
+            retired = json.load(fh)
+        blocks = retired["analyses"]
+        assert (blocks["witness"]["fallback_samples"], blocks["retrodiction"]["trials"]) == (-1, -3)
+        assert blocks["quantum"]["kind"] == "bogus"
+        plain = dict(retired, analyses={
+            "witness": {"time": 0.0}, "retrodiction": {"prior": [0.35, 0.65]}, "quantum": {}
+        })
+        argv = [command, "--scenario"]
+        assert self._outputs(tmp_path / "retired", [*argv, _write(tmp_path, retired, "retired.json")]) == (
+            self._outputs(tmp_path / "plain", [*argv, _write(tmp_path, plain, "plain.json")])
+        )
+
+    @pytest.mark.parametrize("command", ["figure1", "scan", "retro"])
+    @pytest.mark.parametrize("block, rate_tol", [(None, 1e-9), ({"rate_tol": 1e-7}, 1e-7)])
+    def test_every_scan_reads_the_divisibility_rate_tol(self, tmp_path, monkeypatch, command, block, rate_tol):
+        seen = []
+        real = fisherflow.cli.divisibility_scan
+        monkeypatch.setattr(
+            fisherflow.cli, "divisibility_scan", lambda *a, **k: seen.append(k["rate_tol"]) or real(*a, **k)
+        )
+        payload = FIGURE1_SMALL
+        if command == "retro":
+            with open(_scenario("relaxation_retro.json"), encoding="utf-8") as fh:
+                payload = json.load(fh)
+        if block is not None:
+            payload = dict(payload, analyses=dict(payload["analyses"], divisibility=block))
+        assert main([command, "--scenario", _write(tmp_path, payload), "--out", str(tmp_path / "out")]) == 0
+        assert seen == [rate_tol]
 
 
 #: Bundled scenarios and the command each one drives; figure1's sweep is too

@@ -23,8 +23,11 @@ the same output path in both trees, so messages that name a path match.
 For every run the output files, exit code, stdout, stderr (both captured
 at the file descriptor, so forked writers are included) and warnings are
 compared; a differing run prints one ``differs:`` line naming what
-differs, and for output files the names of those whose digests differ. Outputs are held as digests in memory and the files are
-deleted; nothing is stored. The last line printed is a one-line summary,
+differs, and for output files the names of those whose digests differ,
+each JSON one followed by the leaf paths at which the two parsed files
+differ, such as ``(results.fd_rate, scenario.analyses.quantum.eta)``.
+Outputs are held in memory, as digests and, for JSON files, parsed
+values, and the files are deleted; nothing is stored. The last line printed is a one-line summary,
 and the exit code is 0 when every run is identical, 1 otherwise.
 """
 
@@ -144,12 +147,37 @@ def _captured_fd(fd: int):
             os.close(saved)
 
 
-def _digests(outdir: str) -> dict[str, str]:
-    out = {}
+def _outputs(outdir: str) -> tuple[dict[str, str], dict[str, object]]:
+    """The digest of every file in ``outdir``, and the parsed value of every JSON one that parses."""
+    digests, parsed = {}, {}
     for name in sorted(os.listdir(outdir)):
         with open(os.path.join(outdir, name), "rb") as fh:
-            out[name] = hashlib.sha256(fh.read()).hexdigest()
-    return out
+            data = fh.read()
+        digests[name] = hashlib.sha256(data).hexdigest()
+        if name.endswith(".json"):
+            with contextlib.suppress(ValueError):
+                parsed[name] = json.loads(data)
+    return digests, parsed
+
+
+def _leaf_paths(a, b, path: str = ""):
+    """Yield the path of every leaf at which two parsed JSON values differ, in sorted key order.
+
+    A key present on one side only, or a list whose length changed, is one
+    leaf. Values of different types differ even when equal (``1`` and ``1.0``).
+    """
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            sub = f"{path}.{key}" if path else key
+            if key in a and key in b:
+                yield from _leaf_paths(a[key], b[key], sub)
+            else:
+                yield sub
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for k, (x, y) in enumerate(zip(a, b)):
+            yield from _leaf_paths(x, y, f"{path}[{k}]")
+    elif type(a) is not type(b) or a != b:
+        yield path
 
 
 def _run_one(main, command: str, path: str, outdir: str) -> dict:
@@ -163,23 +191,36 @@ def _run_one(main, command: str, path: str, outdir: str) -> dict:
         sys.stdout.flush()
         sys.stderr.flush()
         stdout, stderr = out(), err()
+    digests, parsed = _outputs(outdir) if os.path.isdir(outdir) else (None, {})
     return {
         "exit": code,
         "stdout": stdout,
         "stderr": stderr,
         "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
-        "files": _digests(outdir) if os.path.isdir(outdir) else None,
+        "files": digests,
+        "parsed": parsed,
     }
 
 
 def _differences(a: dict, b: dict) -> list[str]:
-    """The outcome keys on which two runs differ; ``files`` names the output files whose digests differ."""
+    """The outcome keys on which two runs differ.
+
+    ``files`` names the output files whose digests differ, each JSON file
+    that parses in both runs followed by the leaf paths that differ.
+    """
     out = []
-    for key in a:
+    for key in [key for key in a if key != "parsed"]:
         if a[key] == b[key]:
             continue
         if key == "files" and a[key] is not None and b[key] is not None:
-            names = sorted(name for name in a[key].keys() | b[key].keys() if a[key].get(name) != b[key].get(name))
+            names = []
+            for name in sorted(a[key].keys() | b[key].keys()):
+                if a[key].get(name) == b[key].get(name):
+                    continue
+                trees = [run.get("parsed", {}).get(name) for run in (a, b)]
+                if None not in trees:
+                    name += f" ({', '.join(_leaf_paths(*trees))})"
+                names.append(name)
             out.append(f"files: {' '.join(names)}")
         else:
             out.append(key)
