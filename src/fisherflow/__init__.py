@@ -49,7 +49,6 @@ from .propagation import (
     case_study_dynamics,
     contraction_to_target,
     divisibility_scan,
-    exact_propagators,
     generator_grid,
     generator_of,
     propagate,

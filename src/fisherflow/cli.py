@@ -398,7 +398,7 @@ def cmd_figure1(scn: Scenario, outdir: str):
     rate of the generator at that time.
     """
     dyn = build_dynamics(scn.dynamics)
-    if getattr(dyn, "kind", "") != "case_study":
+    if scn.dynamics.kind != "case_study":
         raise WitnessNotApplicableError("figure1 runs only on case_study dynamics")
     if scn.grid.t0 != 0.0:
         raise ScenarioError("figure1 grid must start at t0 = 0")
@@ -541,9 +541,10 @@ def cmd_nogo(scn: Scenario, outdir: str):
         for copies in block.copies
         for m in block.ancilla_dims
     ]
-    if not all(rep.condition_met for rep in reports):
+    failed = next((rep for rep in reports if not rep.condition_met), None)
+    if failed is not None:
         raise WitnessNotApplicableError(
-            "generator does not satisfy the single-offender condition at this base"
+            f"generator does not satisfy the single-offender condition at this base: {failed.condition_detail}"
         )
     cases = [
         {

@@ -182,33 +182,12 @@ class ContractionForm:
     matrix: np.ndarray
 
     @cached_property
-    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
-        vals, vecs = np.linalg.eigh(self.matrix)
-        return vals, vecs
-
-    @property
     def eigenvalues(self) -> np.ndarray:
-        return self._eig[0]
+        return np.linalg.eigh(self.matrix)[0]
 
     @property
     def lambda_max(self) -> float:
-        return float(self._eig[0][-1])
-
-    @property
-    def max_direction(self) -> np.ndarray:
-        """The zero-sum direction ``basis @ c`` of the unit top eigenvector ``c`` of ``matrix``.
-
-        Its rate is ``lambda_max``, and the sign makes its entry of largest
-        magnitude positive. On an orthonormal basis, such as the default,
-        it has unit norm, so ``lambda_max`` is also its rate per squared
-        norm; on any other basis its norm is that of ``basis @ c``, which
-        need not be 1.
-        """
-        vec = self.basis @ self._eig[1][:, -1]
-        lead = vec[np.argmax(np.abs(vec))]
-        if lead < 0.0:
-            vec = -vec
-        return vec
+        return float(self.eigenvalues[-1])
 
 
 def contraction_form(p, r, basis: np.ndarray | None = None) -> ContractionForm:

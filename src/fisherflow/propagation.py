@@ -2,11 +2,12 @@
 
 Supported dynamics:
 
-* ``GeneratorDynamics`` - a constant or time-dependent generator; the
-  propagator solves ``dT/dt = R(t) T`` with fixed-step RK4, as a running
-  product of stacked step matrices with its column drift removed once at
-  the end, plus a Richardson step-halving check (fixed steps keep outputs
-  reproducible).
+* ``GeneratorDynamics`` - a constant or time-dependent generator. A
+  constant ``R`` has the closed-form propagators ``exp(t R)``. For a
+  callable one the propagator solves ``dT/dt = R(t) T`` with fixed-step
+  RK4, as a running product of stacked step matrices with its column
+  drift removed once at the end, plus a Richardson step-halving check
+  (fixed steps keep outputs reproducible).
 * ``MixingDynamics`` - the closed family ``T(t) = (1 - s(t)) Id +
   s(t) m(t) 1^T`` that sends every state toward the moving target
   ``m(t)`` with weight ``s(t)``. Propagators and, from the derivatives
@@ -41,6 +42,7 @@ from .errors import (
     IntegrationAccuracyError,
     InvalidStateError,
     NearSingularError,
+    NumericalAccuracyError,
 )
 from .simplex import COLUMN_TOL, prob_vec, rate_matrix
 
@@ -55,7 +57,6 @@ __all__ = [
     "generator_of",
     "GeneratorGrid",
     "generator_grid",
-    "exact_propagators",
     "ScanPoint",
     "ScanResult",
     "divisibility_scan",
@@ -91,13 +92,10 @@ class Dynamics:
     array of times as a :class:`GeneratorGrid`.
     """
 
-    kind: str = "abstract"
-
-    def __init__(self, dimension: int, horizon: float):
+    def __init__(self, dimension: int):
         if dimension < 2:
             raise DimensionMismatchError("dynamics need dimension >= 2")
         self.dimension = int(dimension)
-        self.horizon = float(horizon)
 
     def propagators_at(self, times) -> np.ndarray | None:
         """Closed-form propagators from time 0 on an array of times as one stack, else None."""
@@ -116,9 +114,7 @@ def _called(rate: Callable[[float], np.ndarray], t: float, n: int) -> np.ndarray
 class GeneratorDynamics(Dynamics):
     """Dynamics specified by a generator, constant or as a callable of time."""
 
-    kind = "generator"
-
-    def __init__(self, rate, dimension: int | None = None, horizon: float = np.inf):
+    def __init__(self, rate, dimension: int | None = None):
         if callable(rate):
             if dimension is None:
                 raise DimensionMismatchError("callable generators need an explicit dimension")
@@ -129,18 +125,22 @@ class GeneratorDynamics(Dynamics):
             self._constant = rate_matrix(rate)
             self._rate_fn = None
             n = self._constant.shape[0]
-        super().__init__(n, horizon)
+        super().__init__(n)
+
+    def propagators_at(self, times) -> np.ndarray | None:
+        """``exp(t R)`` at each time for a constant generator ``R``; None for a callable one."""
+        if self._constant is None:
+            return None
+        return expm(np.multiply.outer(np.asarray(times, dtype=float), self._constant))
 
     def _rate_stack(self, times: np.ndarray) -> np.ndarray:
-        """The generator at RK4's nodes as one validated ``(T, n, n)`` stack.
+        """The callable generator at RK4's nodes as one validated ``(T, n, n)`` stack.
 
-        A callable is called once per time, in order, and each return is
+        The callable is called once per time, in order, and each return is
         copied before the next call. The stack is validated at once and
         fails with the error of its earliest invalid time, also when the
         callable raises at a later time.
         """
-        if self._constant is not None:
-            return np.broadcast_to(self._constant, times.shape + self._constant.shape)
         n = self.dimension
         stack = np.empty(times.shape + (n, n))
         for k, t in enumerate(times.tolist()):
@@ -158,7 +158,7 @@ class GeneratorDynamics(Dynamics):
         exception, such as a bug in the callable, propagates.
         """
         if self._constant is not None:
-            return GeneratorGrid(times, self._rate_stack(times), {})
+            return GeneratorGrid(times, np.broadcast_to(self._constant, times.shape + self._constant.shape), {})
         n = self.dimension
         stack = np.full(times.shape + (n, n), np.nan)
         errors: dict[int, Exception] = {}
@@ -179,11 +179,8 @@ class MixingDynamics(Dynamics):
     ``(T, n)`` (and a scalar time gives a scalar or an ``(n,)`` vector).
     Propagators and generators on a grid come from one evaluation of each.
     ``s`` must start at zero and stay in [0, 1); ``m(t)`` must be a state.
-    These are checked on 65 points of ``[0, horizon]`` (of ``[0, 1]`` for
-    an infinite horizon) at construction time.
+    These are checked on 65 points of ``[0, 1]`` at construction time.
     """
-
-    kind = "mixing"
 
     def __init__(
         self,
@@ -192,19 +189,17 @@ class MixingDynamics(Dynamics):
         sdot: Callable[[np.ndarray], np.ndarray],
         mdot: Callable[[np.ndarray], np.ndarray],
         dimension: int | None = None,
-        horizon: float = np.inf,
     ):
         m0 = np.asarray(m(0.0), dtype=float)
         n = m0.shape[0] if dimension is None else dimension
-        super().__init__(n, horizon)
+        super().__init__(n)
         self.s = s
         self.m = m
         self.sdot = sdot
         self.mdot = mdot
         if abs(self.s(0.0)) > 1e-12:
             raise InvalidStateError(f"mixing weight must start at 0, got s(0) = {self.s(0.0):.3e}")
-        t_hi = self.horizon if np.isfinite(self.horizon) else 1.0
-        grid = np.linspace(0.0, t_hi, 65)
+        grid = np.linspace(0.0, 1.0, 65)
         values = {}
         for name in ("s", "sdot", "m", "mdot"):
             values[name] = np.asarray(getattr(self, name)(grid), dtype=float)
@@ -262,7 +257,7 @@ _CS_V2 = np.array([1.0, 0.0, 0.0])
 _CS_FREQ = 10.0
 
 
-def case_study_dynamics(horizon: float = np.pi) -> MixingDynamics:
+def case_study_dynamics() -> MixingDynamics:
     """Three-state mixing family with an oscillating target.
 
     Weight ``s(t) = 1 - exp(-t)`` and target
@@ -286,28 +281,23 @@ def case_study_dynamics(horizon: float = np.pi) -> MixingDynamics:
         ds = -_CS_FREQ * np.sin(_CS_FREQ * t)[..., None]
         return 0.5 * ds * (_CS_V1 - _CS_V2)
 
-    dyn = MixingDynamics(s, m, sdot, mdot, dimension=3, horizon=horizon)
-    dyn.kind = "case_study"
-    return dyn
+    return MixingDynamics(s, m, sdot, mdot, dimension=3)
 
 
-def contraction_to_target(pi, decay_rate: float = 1.0, horizon: float = np.inf) -> MixingDynamics:
+def contraction_to_target(pi, decay_rate: float = 1.0) -> MixingDynamics:
     """Pure relaxation toward a fixed state at the given exponential rate."""
     target = prob_vec(pi)
     if decay_rate <= 0.0:
         raise DomainError("decay_rate must be positive")
     zero = np.zeros_like(target)
 
-    dyn = MixingDynamics(
+    return MixingDynamics(
         s=lambda t: 1.0 - np.exp(-decay_rate * t),
         m=lambda t: np.broadcast_to(target, np.shape(t) + target.shape),
         sdot=lambda t: decay_rate * np.exp(-decay_rate * t),
         mdot=lambda t: np.broadcast_to(zero, np.shape(t) + zero.shape),
         dimension=target.shape[0],
-        horizon=horizon,
     )
-    dyn.kind = "contraction"
-    return dyn
 
 
 def nearest_index(grid: np.ndarray, times):
@@ -376,21 +366,18 @@ def _rk4_sweep(gens: np.ndarray, times: np.ndarray, n: int) -> tuple[np.ndarray,
     return out, float(np.max(np.abs(col_drift)))
 
 
-def propagate(
-    dyn: Dynamics,
-    t0: float = 0.0,
-    t1: float | None = None,
-    steps: int = 256,
-) -> Trajectory:
+def propagate(dyn: Dynamics, t0: float, t1: float, steps: int = 256) -> Trajectory:
     """Propagators of ``dyn`` from ``t0`` on a uniform grid of ``steps`` intervals.
 
-    Closed-form families are evaluated exactly. Generator-driven families
-    are integrated with fixed-step RK4, and the run is repeated at half the
-    step: a Richardson disagreement beyond ``RICHARDSON_TOL``, or one that is
-    not finite, raises :class:`IntegrationAccuracyError`.
+    Families with closed-form propagators, a constant generator's matrix
+    exponential among them, are evaluated exactly: a stack that is not
+    finite raises :class:`NumericalAccuracyError`, and from ``t0 > 0``
+    ``T(t0)`` is divided out, which raises :class:`NearSingularError` past
+    condition number ``COND_LIMIT``. Callable generators are integrated with fixed-step RK4, and the run is
+    repeated at half the step: a Richardson disagreement beyond
+    ``RICHARDSON_TOL``, or one that is not finite, raises
+    :class:`IntegrationAccuracyError`.
     """
-    if t1 is None:
-        t1 = dyn.horizon if np.isfinite(dyn.horizon) else 1.0
     if not (np.isfinite(t0) and np.isfinite(t1) and t1 > t0):
         raise DomainError(f"need finite t1 > t0, got [{t0}, {t1}]")
     if steps < 1:
@@ -400,6 +387,8 @@ def propagate(
 
     mats = dyn.propagators_at(times)
     if mats is not None:
+        if not np.all(np.isfinite(mats)):
+            raise NumericalAccuracyError(f"propagators over [{t0:.6g}, {t1:.6g}] overflow to non-finite entries")
         if t0 != 0.0:
             start = mats[0]
             _guard_condition(start)
@@ -420,19 +409,6 @@ def propagate(
                 f"step-halving estimate {gap:.3e} exceeds {RICHARDSON_TOL:.0e}; increase steps"
             )
     return Trajectory(times=times, propagators=mats, max_column_drift=drift)
-
-
-def exact_propagators(dyn: Dynamics, times) -> np.ndarray | None:
-    """Exact propagators from time 0 on an array of times as one stack, else None.
-
-    Closed-form families evaluate their formula and a constant generator its
-    matrix exponential; time-dependent generators give None. ``propagate``
-    integrates constant generators too, so that it always exercises RK4.
-    """
-    times = np.asarray(times, dtype=float)
-    if isinstance(dyn, GeneratorDynamics) and dyn._constant is not None:
-        return expm(np.multiply.outer(times, dyn._constant))
-    return dyn.propagators_at(times)
 
 
 def _guard_condition(mat: np.ndarray, limit: float = COND_LIMIT) -> None:

@@ -37,7 +37,6 @@ from .errors import (
 from .propagation import (
     Dynamics,
     Trajectory,
-    exact_propagators,
     generator_of,
     nearest_index,
     propagate,
@@ -175,8 +174,9 @@ def _self_adjoint_defects(prior: np.ndarray, round_trips: np.ndarray) -> np.ndar
 def retrodiction_context(prior, dyn: Dynamics, grid) -> RetrodictionContext:
     """Build the cached context for ``dyn`` over an increasing grid from 0.
 
-    Exact propagators are used when the family provides them; otherwise a
-    single integrator sweep over the (then necessarily uniform) grid.
+    Exact propagators are used when the family provides them, a constant
+    generator's matrix exponential among them; otherwise a single integrator
+    sweep over the (then necessarily uniform) grid.
     """
     pi = prob_vec(prior)
     if not is_interior(pi):
@@ -185,7 +185,7 @@ def retrodiction_context(prior, dyn: Dynamics, grid) -> RetrodictionContext:
     if times.ndim != 1 or times.size < 2 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise DomainError("grid must be increasing and start at 0")
 
-    mats = exact_propagators(dyn, times)
+    mats = dyn.propagators_at(times)
     if mats is None:
         gaps = np.diff(times)
         if not np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0):

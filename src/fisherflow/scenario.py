@@ -188,10 +188,20 @@ class PerturbationSpec:
             raise ScenarioError("perturbation.theta_points must be at least 1")
 
 
+#: The keys each dynamics kind takes besides ``kind``; any other key of the block is
+#: foreign to it, and rejected unless it holds its default.
+_DYNAMICS_KEYS = {
+    "case_study": set(),
+    "generator": {"matrix", "rates", "dimension"},
+    "contraction": {"target", "decay_rate"},
+}
+
+
 @dataclass(frozen=True)
 class DynamicsSpec:
-    # a field with "kinds" must take one of them; "label" names it in the error
-    kind: str = field(metadata={"label": "dynamics kind", "kinds": ("case_study", "generator", "contraction")})
+    # a field with "kinds" must take one of its keys, and its block only the
+    # keys listed for that kind; "label" names it in the errors
+    kind: str = field(metadata={"label": "dynamics kind", "kinds": _DYNAMICS_KEYS})
     matrix: tuple[tuple[float, ...], ...] | None = None
     rates: tuple[tuple[int, int, float], ...] | None = None
     dimension: int | None = None
@@ -206,8 +216,6 @@ class DynamicsSpec:
                 raise ScenarioError("generator dynamics with rates needs a dimension")
         if self.kind == "contraction" and self.target is None:
             raise ScenarioError("contraction dynamics needs a target")
-        if self.kind == "case_study" and (self.matrix or self.rates or self.target):
-            raise ScenarioError("case_study dynamics takes no matrix/rates/target")
 
 
 @dataclass(frozen=True)
@@ -320,15 +328,24 @@ def _parse_block(raw, where: str, prefix: str, cls):
     """Build the spec ``cls`` from the object ``raw``, which ``where`` names in errors.
 
     A field without a default is required, every other one optional with
-    its default. ``kind`` fields are checked first, against the values in
-    their metadata; then each present value goes through the converter of
-    its field's annotation, with the error path ``prefix.name``.
+    its default. ``kind`` fields are checked first, against the table of
+    each kind's keys in their metadata, and with them the block's other
+    keys; then each present value goes through the converter of its
+    field's annotation, with the error path ``prefix.name``.
     """
     raw = _take(raw, where, cls)
     present = [f for f in fields(cls) if f.name in raw]
     for f in present:
-        if "kinds" in f.metadata and raw[f.name] not in f.metadata["kinds"]:
-            raise ScenarioError(f"unknown {f.metadata['label']} {raw[f.name]!r}")
+        if "kinds" not in f.metadata:
+            continue
+        kind, label = raw[f.name], f.metadata["label"]
+        if not isinstance(kind, str) or kind not in f.metadata["kinds"]:
+            raise ScenarioError(f"unknown {label} {kind!r}")
+        # a key at its default says nothing: the scenario echo writes decay_rate's for every kind
+        defaults = {g.name: g.default for g in fields(cls)}
+        foreign = [k for k in sorted(set(raw) - {f.name} - f.metadata["kinds"][kind]) if raw[k] != defaults[k]]
+        if foreign:
+            raise ScenarioError(f"{label} {kind!r} takes no key(s) {foreign} in {where}")
     return cls(**{
         f.name: raw[f.name] if "kinds" in f.metadata
         else _CONVERTERS[f.type.removesuffix(" | None")](raw[f.name], f"{prefix}.{f.name}")

@@ -9,7 +9,6 @@ import json
 import os
 
 import numpy as np
-import pytest
 
 import fisherflow as ff
 from fisherflow import MonotoneKind

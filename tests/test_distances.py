@@ -217,29 +217,6 @@ class TestContractionForm:
             want = ff.fisher_rate(p, form.basis @ c, r)
             assert c @ form.matrix @ c == pytest.approx(want, rel=1e-12, abs=1e-12)
 
-    def test_max_direction_attains_lambda_max(self):
-        form = ff.contraction_form([0.5, 0.5], COUNTEREXAMPLE)
-        d = form.max_direction
-        norm_sq = float(d @ d)
-        assert ff.fisher_rate([0.5, 0.5], d, COUNTEREXAMPLE) / norm_sq == pytest.approx(form.lambda_max)
-
-    def test_max_direction_is_the_basis_image_of_the_top_eigenvector(self):
-        rng = np.random.default_rng(0)
-        p = np.array([0.2, 0.3, 0.5])
-        r = random_forced_negative(rng, 3)
-        # the default basis is orthonormal: a unit direction whose rate is lambda_max
-        form = ff.contraction_form(p, r)
-        d = form.max_direction
-        assert float(d @ d) == pytest.approx(1.0, abs=1e-12)
-        assert ff.fisher_rate(p, d, r) == pytest.approx(form.lambda_max, rel=1e-12)
-        # on pi_tangent_basis the unit eigenvector's image has another norm, and still that rate
-        form = ff.contraction_form(p, r, basis=ff.pi_tangent_basis(p))
-        d = form.max_direction
-        top = np.linalg.eigh(form.matrix)[1][:, -1]
-        assert np.allclose(d, np.sign(d @ form.basis @ top) * form.basis @ top, rtol=0.0, atol=1e-15)
-        assert np.linalg.norm(d) == pytest.approx(0.6877, abs=1e-4)
-        assert ff.fisher_rate(p, d, r) == pytest.approx(form.lambda_max, rel=1e-12)
-
     @given(st.integers(0, 2**32 - 1))
     def test_markovian_lambda_max_nonpositive(self, seed):
         rng = np.random.default_rng(seed)

@@ -19,6 +19,8 @@ EXIT_CODES = {
     "boundary_retro_target.json": "1201110",
     "case_study_to_t40.json": "1211110",
     "decay_rate_1e9.json": "1201110",
+    # a key of another dynamics kind is not ignored
+    "dynamics_foreign_key.json": "1111111",
     "filter_tiny_epsilon.json": "1111111",
     "filter_zero_ancilla_entry.json": "1000010",
     "grid_from_t0_half.json": "1001110",
@@ -67,6 +69,10 @@ STDERR = {
     # nogo would skip the one-state ancilla without a word
     **{
         ("nogo_ancilla_dim_one.json", command): "no_go.ancilla_dims must be a non-empty list of 0 or integers >= 2"
+        for command in COMMANDS
+    },
+    **{
+        ("dynamics_foreign_key.json", command): "dynamics kind 'contraction' takes no key(s) ['matrix'] in dynamics"
         for command in COMMANDS
     },
     # the case study's generator before the dynamics starts

@@ -41,8 +41,9 @@ SCALAR_FAMILIES = {
 
 class TestPropagate:
     def test_relaxation_matches_closed_form(self):
-        # exp(t R) for the symmetric two-state generator has entries (1 +- exp(-2t)) / 2
-        dyn = ff.GeneratorDynamics(SYM)
+        # exp(t R) for the symmetric two-state generator has entries (1 +- exp(-2t)) / 2;
+        # a callable, even a constant one, is integrated with RK4
+        dyn = ff.GeneratorDynamics(lambda t: SYM, dimension=2)
         traj = ff.propagate(dyn, 0.0, 1.0, steps=256)
         got = traj.propagators[-1]
         e = np.exp(-2.0)
@@ -54,10 +55,27 @@ class TestPropagate:
         r = rng.uniform(0.0, 1.5, size=(3, 3))
         np.fill_diagonal(r, 0.0)
         np.fill_diagonal(r, -r.sum(axis=0))
-        dyn = ff.GeneratorDynamics(r)
-        traj = ff.propagate(dyn, 0.0, 1.0, steps=256)
-        exact = ff.exact_propagators(dyn, [1.0])[0]
-        assert np.allclose(traj.propagators[-1], exact, atol=1e-8)
+        traj = ff.propagate(ff.GeneratorDynamics(lambda t: r, dimension=3), 0.0, 1.0, steps=256)
+        assert np.allclose(traj.propagators[-1], expm(r), atol=1e-8)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_constant_generator_is_its_exponential(self, n):
+        # bitwise the matrix exponential at every grid time, with no RK4 sweep
+        r = _oscillating(n, amplitude=0.0)(0.0)
+        traj = ff.propagate(ff.GeneratorDynamics(r), 0.0, 2.0, steps=16)
+        assert _bitwise_equal(traj.propagators, np.stack([expm(float(t) * r) for t in traj.times]))
+        assert traj.max_column_drift == float(np.max(np.abs(traj.propagators.sum(axis=1) - 1.0)))
+
+    def test_constant_generator_from_t0_divides_out_the_start(self):
+        r = _oscillating(3, amplitude=0.0)(0.0)
+        traj = ff.propagate(ff.GeneratorDynamics(r), 0.5, 1.5, steps=8)
+        want = np.stack([expm(float(t - 0.5) * r) for t in traj.times])
+        assert np.allclose(traj.propagators, want, rtol=0.0, atol=1e-13)
+
+    def test_constant_generator_from_t0_needs_an_invertible_start(self):
+        # exp(200 SYM) has eigenvalues 1 and exp(-400): no inverse to divide out
+        with pytest.raises(ff.NearSingularError, match="beyond 1e\\+12"):
+            ff.propagate(ff.GeneratorDynamics(400.0 * SYM), 0.5, 1.0, steps=4)
 
     def test_zero_generator_is_identity(self):
         traj = ff.propagate(ff.GeneratorDynamics(np.zeros((3, 3))), 0.0, 1.0, steps=8)
@@ -85,7 +103,7 @@ class TestPropagate:
     def test_step_halving_guard_trips(self):
         stiff = 400.0 * SYM
         with pytest.raises(ff.IntegrationAccuracyError):
-            ff.propagate(ff.GeneratorDynamics(stiff), 0.0, 1.0, steps=4)
+            ff.propagate(ff.GeneratorDynamics(lambda t: stiff, dimension=2), 0.0, 1.0, steps=4)
 
     def test_one_generator_call_per_rk4_grid_point(self):
         # RK4 needs R at each grid point and each midpoint; the 16-step Richardson
@@ -105,9 +123,12 @@ class TestPropagate:
     @pytest.mark.parametrize("kind", ["constant", "callable"])
     @pytest.mark.parametrize("t0, t1, steps", [(0.0, 1.0, 64), (0.3, 1.7, 128)])
     def test_step_matrix_product_matches_per_step_loop(self, n, kind, t0, t1, steps):
-        rate = _oscillating(n, amplitude=0.0 if kind == "constant" else 0.3)
-        dyn = ff.GeneratorDynamics(rate(0.0)) if kind == "constant" else ff.GeneratorDynamics(rate, dimension=n)
-        traj = ff.propagate(dyn, t0, t1, steps=steps)
+        rate = _oscillating(n, amplitude=0.3)
+        if kind == "constant":
+            # a callable is integrated with RK4 even when it is constant
+            steady = rate(0.0)
+            rate = lambda t: steady
+        traj = ff.propagate(ff.GeneratorDynamics(rate, dimension=n), t0, t1, steps=steps)
         assert np.allclose(traj.propagators, oracles.rk4_loop(rate, traj.times), rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
@@ -129,6 +150,13 @@ class TestPropagate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ff.IntegrationAccuracyError, match="nan"):
+                ff.propagate(ff.GeneratorDynamics(lambda t: SYM, dimension=2), 0.0, 1e308, steps=4)
+
+    def test_overflowing_exponential_raises_without_warnings(self):
+        # scipy's expm returns NaN for 2.5e307 SYM without a warning; no propagator may be NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ff.NumericalAccuracyError, match="non-finite"):
                 ff.propagate(ff.GeneratorDynamics(SYM), 0.0, 1e308, steps=4)
 
     @pytest.mark.parametrize(
@@ -292,7 +320,7 @@ class TestDivisibilityScan:
         [
             (ff.case_study_dynamics, np.pi, 9),
             (ff.case_study_dynamics, np.pi, 257),
-            (lambda: ff.case_study_dynamics(horizon=40.0), 40.0, 65),
+            (ff.case_study_dynamics, 40.0, 65),
         ],
     )
     def test_refinement_matches_per_point_rescan(self, make, t1, points):
@@ -314,7 +342,7 @@ class TestDivisibilityScan:
         # contraction_to_target has closed-form derivatives, but at decay rate 50
         # its mixing weight is within rounding of 1 from t = 0.625 on, which
         # leaves no invertible part to extract a generator from
-        dyn = ff.contraction_to_target([0.5, 0.5], decay_rate=50.0, horizon=1.0)
+        dyn = ff.contraction_to_target([0.5, 0.5], decay_rate=50.0)
         result = ff.divisibility_scan(dyn, np.linspace(0.0, 1.0, 9))
         assert result.failures, "saturated mixing weight must be reported, not raised"
         assert all(np.isfinite(t) for t, _ in result.failures)
@@ -385,9 +413,9 @@ class TestGridEvaluation:
     def test_exact_propagators_of_constant_generator(self):
         r = np.array([[-1.0, 0.4], [1.0, -0.4]])
         grid = np.linspace(0.0, 2.0, 9)
-        stack = ff.exact_propagators(ff.GeneratorDynamics(r), grid)
+        stack = ff.GeneratorDynamics(r).propagators_at(grid)
         assert _bitwise_equal(stack, np.stack([expm(float(t) * r) for t in grid]))
-        assert ff.exact_propagators(ff.GeneratorDynamics(lambda t: r, dimension=2), grid) is None
+        assert ff.GeneratorDynamics(lambda t: r, dimension=2).propagators_at(grid) is None
 
     def test_callable_generator_called_per_point(self):
         dyn = ff.GeneratorDynamics(lambda t: (1.0 + t) * SYM, dimension=2)
@@ -396,7 +424,7 @@ class TestGridEvaluation:
         assert np.array_equal(grid.generators[4], 2.0 * SYM)
 
     def test_one_point_grid_raises_its_failure(self):
-        dyn = ff.contraction_to_target([0.5, 0.5], decay_rate=50.0, horizon=1.0)
+        dyn = ff.contraction_to_target([0.5, 0.5], decay_rate=50.0)
         assert min(ff.generator_grid(dyn, np.linspace(0.0, 1.0, 9)).errors) == 5
         with pytest.raises(ff.DomainError, match="at t = 0.625$"):
             ff.generator_of(dyn, 0.625)
@@ -414,11 +442,11 @@ class TestGridEvaluation:
     @pytest.mark.parametrize(
         "make, t1, points",
         [
-            (lambda: ff.contraction_to_target([0.5, 0.5], decay_rate=50.0, horizon=1.0), 1.0, 9),
+            (lambda: ff.contraction_to_target([0.5, 0.5], decay_rate=50.0), 1.0, 9),
             (lambda: ff.contraction_to_target([0.2, 0.8], decay_rate=30.0), 1.5, 301),
             # column sums off by rounding at rate 1e9 before the weight saturates
             (lambda: ff.contraction_to_target([0.1, 0.2, 0.7], decay_rate=1e9), 4e-8, 9),
-            (lambda: ff.case_study_dynamics(horizon=40.0), 40.0, 513),
+            (ff.case_study_dynamics, 40.0, 513),
         ],
     )
     def test_scan_matches_per_point_loop(self, make, t1, points):

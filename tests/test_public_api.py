@@ -1,4 +1,4 @@
-"""Every public top-level definition of the library has a reader besides its own unit tests.
+"""Every public definition of the library has a reader besides its own unit tests.
 
 A public ``def`` or ``class`` in ``src/fisherflow/`` must be referenced by library
 code other than its own definition, an ``__all__`` list and ``__init__``'s
@@ -6,6 +6,11 @@ re-exports, or by ``tests/test_acceptance.py``, ``tests/oracles.py``, ``bench/``
 or ``tools/``. In those outside files a reference goes through ``fisherflow``:
 a name imported from it, an attribute of a name bound to one of its modules,
 or a string naming the attribute, as ``bench/spans.py`` names what it wraps.
+
+A public method or property of a public class needs the same: a read of its
+name in library code other than its own definition, or an attribute of that
+name, or a string naming it, in an outside file. The objects of outside files
+are not typed, so there any attribute of that name counts.
 """
 
 import ast
@@ -68,12 +73,23 @@ def _outside_names(tree: ast.Module) -> set[str]:
     return out
 
 
+def _is_read(node: ast.AST, read: set[str], statements: list[tuple[ast.AST, set[str]]]) -> bool:
+    """Whether ``read`` holds the name of ``node`` or a statement other than ``node`` reads it."""
+    return node.name in read or any(node.name in names for other, names in statements if other is not node)
+
+
 def unreferenced(library: dict[str, str], outside: list[str], allowed=ALLOWED) -> list[str]:
-    """``module.name`` of each public top-level definition in ``library`` (module name -> source) with no reader."""
+    """Each public definition in ``library`` (module name -> source) with no reader.
+
+    A top-level one is named ``module.name``, a method or property of a
+    public class ``module.Class.name``.
+    """
     trees = {module: ast.parse(source) for module, source in library.items()}
-    read = set()
+    read, attributes = set(), set()
     for source in outside:
-        read |= _outside_names(ast.parse(source))
+        tree = ast.parse(source)
+        read |= _outside_names(tree)
+        attributes |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     # the names each top-level statement reads, but for __all__ and __init__'s re-exports
     statements = [
         (node, _names(node))
@@ -81,15 +97,24 @@ def unreferenced(library: dict[str, str], outside: list[str], allowed=ALLOWED) -
         for node in tree.body
         if not _is_all(node) and not (module == "__init__" and isinstance(node, ast.ImportFrom))
     ]
+    # class bodies split into their statements, so that one member may read another
+    parts = [
+        (part, _names(part))
+        for node, _ in statements
+        for part in (node.body if isinstance(node, ast.ClassDef) else [node])
+    ]
     found = []
     for module, tree in sorted(trees.items()):
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            if node.name in read or node.name in allowed:
-                continue
-            if not any(node.name in names for other, names in statements if other is not node):
+            if node.name not in allowed and not _is_read(node, read, statements):
                 found.append(f"{module}.{node.name}")
+            for member in node.body if isinstance(node, ast.ClassDef) else []:
+                if not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
+                    continue
+                if member.name not in allowed and not _is_read(member, read | attributes, parts):
+                    found.append(f"{module}.{node.name}.{member.name}")
     return found
 
 
@@ -117,6 +142,26 @@ def test_scan_finds_an_unreferenced_definition():
         "TARGETS = (('span', 'fisherflow.a', 'by_name'),)\n",
     ]
     assert unreferenced(library, outside) == ["a.unread"]
+
+
+def test_scan_finds_an_unreferenced_member():
+    library = {
+        "a": (
+            "class Form:\n"
+            "    def solve(self): return self.helper()\n"
+            "    def helper(self): return 1\n"
+            "    @property\n"
+            "    def unread(self): return self.unread\n"
+            "    @property\n"
+            "    def by_bench(self): return 1\n"
+            "    def _private(self): pass\n"
+            "class _Hidden:\n"
+            "    def unread(self): pass\n"
+            "def use(form): return form.solve()\n"
+        ),
+    }
+    outside = ["import fisherflow as ff\nff.a.use(ff.a.Form())\nform.by_bench\n"]
+    assert unreferenced(library, outside) == ["a.Form.unread"]
 
 
 def test_every_public_definition_has_a_reader():

@@ -353,7 +353,7 @@ class TestEquivalenceClosedForm:
     """The recovery curvature read off the contraction form, against a finite-difference stencil."""
 
     @pytest.mark.parametrize("fraction", [0.2, 0.5, 0.94])
-    def test_curvature_and_rates_match_the_extrapolated_stencil(self, stack_case, fraction):
+    def test_curvature_and_rates_match_the_extrapolated_stencil(self, stack_case, fraction, request):
         ctx, exact = stack_case
         t = float(ctx.grid[int(fraction * (ctx.grid.size - 1))])
         if exact is None:
@@ -377,7 +377,7 @@ class TestEquivalenceClosedForm:
         assert len(report.retro_rates_along_negative) == len(rates)
         for got, (want, rate_estimate) in zip(report.retro_rates_along_negative, rates):
             assert abs(got - want) <= rate_estimate
-        if ctx.dynamics.kind == "case_study" and fraction > 0.2:
+        if request.node.callspec.params["stack_case"] == "case_study" and fraction > 0.2:
             assert rates, "the case study's backflow windows must give negative curvature"
 
     def test_curvature_signs_are_the_negated_form_signs(self, stack_case):

@@ -201,8 +201,14 @@ class TestScenarioParsing:
     @pytest.mark.parametrize(
         "change, message",
         [
-            # the kind is checked before every other field
+            # the kind is checked before every other field, and the keys it takes with it
             ({"dynamics": {"kind": "bogus", "matrix": [[-1.0, 1.0], [1.0]]}}, "unknown dynamics kind 'bogus'"),
+            (
+                {"dynamics": {"kind": "contraction", "target": "x", "matrix": [[-1.0, 1.0], [1.0]]}},
+                "dynamics kind 'contraction' takes no key(s) ['matrix'] in dynamics",
+            ),
+            # unknown keys before foreign ones
+            ({"dynamics": {"kind": "case_study", "target": [1.0], "extra": 1}}, "unknown key(s) ['extra'] in dynamics"),
             # a retired key is never checked
             ({"analyses": {"quantum": {"kind": "bogus", "dim": "x"}}}, "quantum.dim must be an integer"),
             # unknown keys before missing ones, missing ones before values
@@ -242,6 +248,16 @@ class TestScenarioParsing:
         assert spec == type(spec)(**{k: tuple(v) for k, v in raw.items()})
         assert json.loads(json.dumps(ff.scenario_to_dict(s)))["analyses"] == {name: dumped}
 
+    @pytest.mark.parametrize(
+        "dynamics",
+        [{"kind": "generator", "matrix": [[-1.0, 1.0], [1.0, -1.0]], "decay_rate": 1.0}, {"kind": "case_study", "decay_rate": 1}],
+        ids=["generator", "case_study"],
+    )
+    def test_foreign_key_at_its_default_loads(self, dynamics):
+        # every report's scenario echo writes decay_rate, so the echo of any kind loads again
+        s = ff.parse_scenario(dict(MINIMAL, dynamics=dynamics))
+        assert ff.scenario_to_dict(s)["dynamics"] == dynamics
+
     def test_dynamics_spec_checks_its_sources(self):
         with pytest.raises(ff.ScenarioError, match="needs a target"):
             fisherflow.scenario.DynamicsSpec(kind="contraction")
@@ -278,7 +294,7 @@ class TestScenarioParsing:
 
     def test_build_dynamics_kinds(self):
         case = ff.build_dynamics(ff.parse_scenario(MINIMAL).dynamics)
-        assert case.kind == "case_study"
+        assert np.array_equal(case.propagators_at([0.3]), ff.case_study_dynamics().propagators_at([0.3]))
         gen = ff.build_dynamics(
             ff.parse_scenario(
                 {
@@ -298,7 +314,8 @@ class TestScenarioParsing:
                 }
             ).dynamics
         )
-        assert contraction.kind == "contraction"
+        # the contraction relaxes every state to its target
+        assert np.allclose(contraction.propagators_at([50.0])[0], [[0.3, 0.3], [0.7, 0.7]], rtol=0.0, atol=1e-15)
 
 
 class TestCliRuns:
@@ -489,6 +506,30 @@ class TestCliRuns:
         assert len(report["results"]["cases"]) == 6
         # one contraction form per case: the offender comes from the first
         assert len(calls) == 6
+
+    @pytest.mark.parametrize(
+        "matrix, base, detail",
+        [
+            ([[-1.0, 1.0], [1.0, -1.0]], [0.5, 0.5], "need exactly one negative rate, found 0"),
+            (
+                [[-1.0, -0.5], [1.0, 0.5]],
+                [0.1, 0.9],
+                "reverse rate too weak: rate(1<-0)*pi[0] = 0.1 must exceed |rate(0<-1)|*pi[1] = 0.45",
+            ),
+        ],
+        ids=["markovian", "weak-reverse"],
+    )
+    def test_nogo_names_the_failed_condition(self, tmp_path, capsys, matrix, base, detail):
+        scn = {
+            "dynamics": {"kind": "generator", "matrix": matrix},
+            "grid": {"t1": 1.0, "points": 2},
+            "analyses": {"no_go": {"base": base}},
+        }
+        assert main(["nogo", "--scenario", _write(tmp_path, scn), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "fisherflow: invalid input: generator does not satisfy the single-offender condition"
+            f" at this base: {detail}\n"
+        )
 
     def test_filter_command(self, tmp_path, monkeypatch):
         calls = []
@@ -710,6 +751,26 @@ class TestCliExitCodes:
     def test_repeated_rate_pair_maps_to_1(self, tmp_path, capsys, change, message):
         path = _write(tmp_path, dict(MINIMAL, **change))
         assert main(["quantum", "--scenario", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"fisherflow: invalid input: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "dynamics, foreign",
+        [
+            (
+                {"kind": "generator", "matrix": [[-1.0, 1.0], [1.0, -1.0]], "target": [0.5, 0.5], "decay_rate": 2.0},
+                ["decay_rate", "target"],
+            ),
+            ({"kind": "case_study", "dimension": 3}, ["dimension"]),
+        ],
+        ids=["generator", "case_study"],
+    )
+    def test_foreign_dynamics_key_maps_to_1(self, tmp_path, capsys, dynamics, foreign):
+        # a key of another kind is not ignored, where the scan was that of the block without it;
+        # scenarios/edge/dynamics_foreign_key.json gives a contraction a matrix
+        path = _write(tmp_path, dict(MINIMAL, dynamics=dynamics, analyses={}))
+        assert main(["scan", "--scenario", path, "--out", str(tmp_path / "out")]) == 1
+        message = f"dynamics kind {dynamics['kind']!r} takes no key(s) {foreign} in dynamics"
         assert capsys.readouterr().err == f"fisherflow: invalid input: {message}\n"
         assert not (tmp_path / "out").exists()
 

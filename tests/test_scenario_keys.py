@@ -30,9 +30,8 @@ RATES = {
     "grid": {"t1": 1.0, "points": 9},
     "analyses": {},
 }
-# a generator takes no target and a contraction no matrix, so either kind loads from both
 CONTRACTION = {
-    "dynamics": {"kind": "contraction", "target": [0.3, 0.7], "matrix": [[-1.0, 1.0], [1.0, -1.0]]},
+    "dynamics": {"kind": "contraction", "target": [0.3, 0.7]},
     "grid": {"t1": 1.0, "points": 9},
     "analyses": {},
 }
@@ -44,8 +43,9 @@ OFFENDER = {
 WITNESS = dict(CASE_STUDY, analyses={"witness": {"time": 0.2}})
 
 #: Per scenario key: the command that reads it, the scenario it runs on, and a second value.
+#: A block takes only its kind's keys, so a second value of ``kind`` is the whole block.
 READERS = {
-    "dynamics.kind": ("scan", CONTRACTION, "generator"),
+    "dynamics.kind": ("scan", CONTRACTION, {"kind": "generator", "matrix": [[-1.0, 1.0], [1.0, -1.0]]}),
     "dynamics.matrix": ("scan", RELAXATION, [[-0.5, 1.0], [0.5, -1.0]]),
     "dynamics.rates": ("scan", RATES, [[0, 1, 0.25], [1, 0, 1.0]]),
     "dynamics.dimension": ("scan", RATES, 3),
@@ -104,12 +104,17 @@ def _keys(cls, prefix=""):
 
 
 def _with(scenario, path, value):
+    """``scenario`` with ``path`` set to ``value``; a ``kind`` key's block is replaced by ``value`` whole."""
     changed = copy.deepcopy(scenario)
     *blocks, key = path.split(".")
     parent = changed
     for block in blocks:
         parent = parent.setdefault(block, {})
-    parent[key] = value
+    if key == "kind":
+        parent.clear()
+        parent.update(value)
+    else:
+        parent[key] = value
     return changed
 
 

@@ -1,4 +1,4 @@
-"""Every top-level import of a program module is used there or re-exported through ``__all__``."""
+"""Every top-level import of a program or test module is used there or re-exported through ``__all__``."""
 
 import ast
 import glob
@@ -9,7 +9,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODULES = sorted(
     path
-    for pattern in (("src", "fisherflow", "*.py"), ("tools", "*.py"))
+    for pattern in (("src", "fisherflow", "*.py"), ("tools", "*.py"), ("tests", "*.py"))
     for path in glob.glob(os.path.join(ROOT, *pattern))
     if os.path.basename(path) != "__init__.py"
 )
