@@ -59,7 +59,6 @@ from .quantum import (
     QuantumChannel,
     QuantumWitnessReport,
     SuperOperator,
-    channel_from_matrix,
     channel_step,
     choi,
     classical_action,

@@ -44,7 +44,7 @@ from .errors import (
     NearSingularError,
     NumericalAccuracyError,
 )
-from .simplex import COLUMN_TOL, prob_vec, rate_matrix
+from .simplex import prob_vec, rate_matrix, rate_matrix_failures
 
 __all__ = [
     "Dynamics",
@@ -133,29 +133,13 @@ class GeneratorDynamics(Dynamics):
             return None
         return expm(np.multiply.outer(np.asarray(times, dtype=float), self._constant))
 
-    def _rate_stack(self, times: np.ndarray) -> np.ndarray:
-        """The callable generator at RK4's nodes as one validated ``(T, n, n)`` stack.
+    def _generator_grid(self, times: np.ndarray) -> GeneratorGrid:
+        """A constant broadcast over ``times``, or the callable's returns validated as one stack.
 
         The callable is called once per time, in order, and each return is
-        copied before the next call. The stack is validated at once and
-        fails with the error of its earliest invalid time, also when the
-        callable raises at a later time.
-        """
-        n = self.dimension
-        stack = np.empty(times.shape + (n, n))
-        for k, t in enumerate(times.tolist()):
-            try:
-                stack[k] = _called(self._rate_fn, t, n)
-            except Exception:
-                rate_matrix(stack[:k], stack=True)
-                raise
-        return rate_matrix(stack, stack=True)
-
-    def _generator_grid(self, times: np.ndarray) -> GeneratorGrid:
-        """A constant broadcast over ``times``, or the callable validated at each time.
-
-        A library error at a time becomes an entry of ``errors``; any other
-        exception, such as a bug in the callable, propagates.
+        copied before the next call. A library error at a time becomes an
+        entry of ``errors``; any other exception, such as a bug in the
+        callable, propagates.
         """
         if self._constant is not None:
             return GeneratorGrid(times, np.broadcast_to(self._constant, times.shape + self._constant.shape), {})
@@ -164,11 +148,24 @@ class GeneratorDynamics(Dynamics):
         errors: dict[int, Exception] = {}
         for k, t in enumerate(times.tolist()):
             try:
-                stack[k] = rate_matrix(_called(self._rate_fn, t, n))
+                stack[k] = _called(self._rate_fn, t, n)
             except FisherflowError as exc:
                 errors[k] = exc
-        stack.flags.writeable = False
-        return GeneratorGrid(times, stack, errors)
+        return _validated(times, stack, errors)
+
+
+def _validated(times: np.ndarray, stack: np.ndarray, errors: dict[int, Exception]) -> GeneratorGrid:
+    """``stack`` checked at once under :func:`rate_matrix`'s rules, as a read-only grid.
+
+    A row that already has an error in ``errors`` keeps it; every other
+    row that ``rate_matrix`` rejects gets the error it raises on that row.
+    Every failed row is NaN.
+    """
+    for k, exc in rate_matrix_failures(stack).items():
+        errors.setdefault(k, exc)
+    stack[list(errors)] = np.nan
+    stack.flags.writeable = False
+    return GeneratorGrid(times, stack, errors)
 
 
 class MixingDynamics(Dynamics):
@@ -236,19 +233,9 @@ class MixingDynamics(Dynamics):
         rates = np.repeat(col[:, :, None], n, axis=2)
         diag = np.arange(n)
         rates[:, diag, diag] -= col.sum(axis=1)[:, None]
-        # rows rate_matrix could reject (non-finite or off column sums) get its own error
-        with np.errstate(invalid="ignore"):
-            suspect = ~(np.abs(rates.sum(axis=1)).max(axis=1) <= COLUMN_TOL)
-        for k in np.flatnonzero(suspect).tolist():
-            try:
-                rate_matrix(rates[k])
-            except FisherflowError as exc:
-                errors[int(live[k])] = exc
         stack = np.full(times.shape + (n, n), np.nan)
         stack[live] = rates
-        stack[list(errors)] = np.nan
-        stack.flags.writeable = False
-        return GeneratorGrid(times, stack, errors)
+        return _validated(times, stack, errors)
 
 
 #: Fixed constants of the bundled demonstration family.
@@ -373,10 +360,11 @@ def propagate(dyn: Dynamics, t0: float, t1: float, steps: int = 256) -> Trajecto
     exponential among them, are evaluated exactly: a stack that is not
     finite raises :class:`NumericalAccuracyError`, and from ``t0 > 0``
     ``T(t0)`` is divided out, which raises :class:`NearSingularError` past
-    condition number ``COND_LIMIT``. Callable generators are integrated with fixed-step RK4, and the run is
-    repeated at half the step: a Richardson disagreement beyond
-    ``RICHARDSON_TOL``, or one that is not finite, raises
-    :class:`IntegrationAccuracyError`.
+    condition number ``COND_LIMIT``. Callable generators are integrated
+    with fixed-step RK4 on the generator grid of its nodes, whose earliest
+    failed node raises its error, and the run is repeated at half the
+    step: a Richardson disagreement beyond ``RICHARDSON_TOL``, or one that
+    is not finite, raises :class:`IntegrationAccuracyError`.
     """
     if not (np.isfinite(t0) and np.isfinite(t1) and t1 > t0):
         raise DomainError(f"need finite t1 > t0, got [{t0}, {t1}]")
@@ -398,7 +386,10 @@ def propagate(dyn: Dynamics, t0: float, t1: float, steps: int = 256) -> Trajecto
         # one generator stack serves both sweeps: the half-step sweep runs on
         # the full sweep's nodes, so the full sweep takes every other node
         coarse = _with_midpoints(times)
-        gens = dyn._rate_stack(_with_midpoints(coarse))
+        grid = dyn._generator_grid(_with_midpoints(coarse))
+        if grid.errors:
+            raise grid.errors[min(grid.errors)]
+        gens = grid.generators
         # an overflowing sweep ends in inf or NaN, which the gap test below rejects
         with np.errstate(over="ignore", invalid="ignore"):
             mats, drift = _rk4_sweep(gens[::2], times, n)

@@ -46,7 +46,6 @@ __all__ = [
     "hermitian_perturbation",
     "SuperOperator",
     "QuantumChannel",
-    "channel_from_matrix",
     "channel_step",
     "choi",
     "CpReport",
@@ -158,10 +157,6 @@ class QuantumChannel(SuperOperator):
             raise ChannelRepresentationError(f"trace preservation defect {defect:.3e}")
 
 
-def channel_from_matrix(matrix, dim: int) -> QuantumChannel:
-    return QuantumChannel(matrix=np.asarray(matrix, dtype=complex), dim=dim)
-
-
 def channel_step(lind: SuperOperator, dt: float) -> QuantumChannel:
     """One exact time step exp(dt L) of the semigroup generated by ``lind``.
 
@@ -175,7 +170,7 @@ def channel_step(lind: SuperOperator, dt: float) -> QuantumChannel:
         s = expm(dt * lind.matrix)
     if not np.all(np.isfinite(s)):
         raise NumericalAccuracyError(f"exact step over dt = {dt:g} overflows to non-finite entries")
-    return channel_from_matrix(s, lind.dim)
+    return QuantumChannel(matrix=s, dim=lind.dim)
 
 
 def choi(op: SuperOperator) -> np.ndarray:

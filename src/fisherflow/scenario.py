@@ -29,7 +29,6 @@ __all__ = [
     "PerturbationSpec",
     "DynamicsSpec",
     "DivisibilitySpec",
-    "Figure1Spec",
     "WitnessSpec",
     "NoGoSpec",
     "FilterSpec",
@@ -189,7 +188,7 @@ class PerturbationSpec:
 
 
 #: The keys each dynamics kind takes besides ``kind``; any other key of the block is
-#: foreign to it, and rejected unless it holds its default.
+#: foreign to it, and rejected.
 _DYNAMICS_KEYS = {
     "case_study": set(),
     "generator": {"matrix", "rates", "dimension"},
@@ -206,7 +205,7 @@ class DynamicsSpec:
     rates: tuple[tuple[int, int, float], ...] | None = None
     dimension: int | None = None
     target: tuple[float, ...] | None = None
-    decay_rate: float = 1.0
+    decay_rate: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind == "generator":
@@ -221,11 +220,6 @@ class DynamicsSpec:
 @dataclass(frozen=True)
 class DivisibilitySpec:
     rate_tol: float = 1e-9
-
-
-@dataclass(frozen=True)
-class Figure1Spec:
-    pass
 
 
 @dataclass(frozen=True)
@@ -291,7 +285,6 @@ class QuantumSpec:
 @dataclass(frozen=True)
 class AnalysesSpec:
     divisibility: DivisibilitySpec | None = None
-    figure1: Figure1Spec | None = None
     witness: WitnessSpec | None = None
     no_go: NoGoSpec | None = None
     filter: FilterSpec | None = None
@@ -341,9 +334,7 @@ def _parse_block(raw, where: str, prefix: str, cls):
         kind, label = raw[f.name], f.metadata["label"]
         if not isinstance(kind, str) or kind not in f.metadata["kinds"]:
             raise ScenarioError(f"unknown {label} {kind!r}")
-        # a key at its default says nothing: the scenario echo writes decay_rate's for every kind
-        defaults = {g.name: g.default for g in fields(cls)}
-        foreign = [k for k in sorted(set(raw) - {f.name} - f.metadata["kinds"][kind]) if raw[k] != defaults[k]]
+        foreign = sorted(set(raw) - {f.name} - f.metadata["kinds"][kind])
         if foreign:
             raise ScenarioError(f"{label} {kind!r} takes no key(s) {foreign} in {where}")
     return cls(**{
@@ -367,7 +358,8 @@ def build_dynamics(spec: DynamicsSpec) -> Dynamics:
     if spec.kind == "case_study":
         return case_study_dynamics()
     if spec.kind == "contraction":
-        return contraction_to_target(np.asarray(spec.target, dtype=float), decay_rate=spec.decay_rate)
+        rate = {} if spec.decay_rate is None else {"decay_rate": spec.decay_rate}
+        return contraction_to_target(np.asarray(spec.target, dtype=float), **rate)
     if spec.matrix is not None:
         r = rate_matrix(np.asarray(spec.matrix, dtype=float))
     else:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    FisherflowError,
     InvalidGeneratorError,
     InvalidStateError,
     InvalidStochasticMatrixError,
@@ -65,18 +66,19 @@ def _as_square(entries, name: str, stack: bool = False) -> np.ndarray:
     return m
 
 
-def _raise_first_failure(m: np.ndarray, name: str, *rules) -> None:
-    """Raise the error of the first matrix of ``m`` (one matrix or a stack) that breaks a rule.
+def _failures(m: np.ndarray, name: str, *rules) -> dict[int, FisherflowError]:
+    """The error of every matrix of ``m`` (one matrix or a stack) that breaks a rule, by index.
 
     Each matrix is checked for non-finite entries first and then against
-    ``rules`` in order. A rule maps finite matrices, one or a stack, to a
-    flag per matrix, true where the matrix breaks the rule, and a function
-    building the error of matrix ``k``.
+    ``rules`` in order, and gets the error of the first check it fails. A
+    rule maps finite matrices, one or a stack, to a flag per matrix, true
+    where the matrix breaks the rule, and a function building the error of
+    matrix ``k``.
     """
     if np.isfinite(m).all():
         broken = [rule(m) for rule in rules]
         if not any(bad.any() for bad, _ in broken):
-            return
+            return {}
     stack = m.reshape((-1,) + m.shape[-2:])
     finite = np.isfinite(stack).all(axis=(1, 2))
     # zeros stand in for the non-finite matrices, which fail as such before any rule
@@ -84,12 +86,17 @@ def _raise_first_failure(m: np.ndarray, name: str, *rules) -> None:
     failing = ~finite
     for bad, _ in broken:
         failing = failing | bad
-    k = int(np.argmax(failing))
-    if not finite[k]:
-        raise InvalidStateError(f"{name} contains non-finite entries")
-    for bad, error in broken:
-        if bad[k]:
-            raise error(k)
+    return {
+        k: InvalidStateError(f"{name} contains non-finite entries")
+        if not finite[k]
+        else next(error(k) for bad, error in broken if bad[k])
+        for k in np.flatnonzero(failing).tolist()
+    }
+
+
+def _raise_first(errors: dict[int, FisherflowError]) -> None:
+    if errors:
+        raise errors[min(errors)]
 
 
 def prob_vec(entries) -> np.ndarray:
@@ -141,7 +148,7 @@ def stochastic_matrix(entries, *, stack: bool = False) -> np.ndarray:
             f"column sums off by {dev[k]:.3e} (tolerance {COLUMN_TOL:.0e})"
         )
 
-    _raise_first_failure(m, "stochastic matrix", entries_in_window, column_sums)
+    _raise_first(_failures(m, "stochastic matrix", entries_in_window, column_sums))
     return _freeze(np.where(m < 0.0, 0.0, m))
 
 
@@ -152,6 +159,15 @@ def rate_matrix(entries, col_tol: float = COLUMN_TOL, *, stack: bool = False) ->
     under the same rules; it fails with the error of its first failing matrix.
     """
     r = _as_square(entries, "rate matrix", stack)
+    _raise_first(rate_matrix_failures(r, col_tol))
+    return _freeze(r)
+
+
+def rate_matrix_failures(stack: np.ndarray, col_tol: float = COLUMN_TOL) -> dict[int, FisherflowError]:
+    """The error :func:`rate_matrix` raises on each matrix of a float ``(T, n, n)`` stack that it rejects.
+
+    Keyed by index; empty when every matrix passes.
+    """
 
     def column_sums(s):
         dev = np.abs(s.sum(axis=-2)).max(axis=-1)
@@ -159,8 +175,7 @@ def rate_matrix(entries, col_tol: float = COLUMN_TOL, *, stack: bool = False) ->
             f"column sums off by {dev[k]:.3e} (tolerance {col_tol:.0e})"
         )
 
-    _raise_first_failure(r, "rate matrix", column_sums)
-    return _freeze(r)
+    return _failures(stack, "rate matrix", column_sums)
 
 
 def rate_matrix_from_rates(rates: Mapping[tuple[int, int], float], dim: int) -> np.ndarray:

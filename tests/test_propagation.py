@@ -182,8 +182,9 @@ class TestPropagate:
     @pytest.mark.parametrize(
         "late, error, message",
         [
-            # a bad node before the raising one names itself
-            (RuntimeError("late"), ff.InvalidGeneratorError, "off by 2.500e-01"),
+            # an exception that is not a library error propagates, as from generator_grid;
+            # a library error at a later node loses to the bad node before it
+            (RuntimeError("late"), RuntimeError, "^late$"),
             (np.zeros(2), ff.InvalidGeneratorError, "off by 2.500e-01"),
         ],
         ids=["raises", "wrong-shape"],
@@ -472,6 +473,110 @@ class TestGridEvaluation:
             _, _, _, windows = oracles.scan_loop(functools.partial(ff.generator_of, dyn), grid, 1e-9, ff.FisherflowError)
             assert windows and ff.divisibility_scan(dyn, grid).windows() == windows
 
+
+
+#: Grid of the planted families: every planted time lies past [0, 1], where a
+#: MixingDynamics checks its weight and target when it is built.
+PLANTED_GRID = np.linspace(0.0, 4.0, 17)
+_STEADY = _oscillating(3, amplitude=0.3)
+_TARGET = np.array([0.2, 0.3, 0.5])
+
+
+def _planted_callable():
+    """A callable on 3 states with a NaN, an inf, a column-sum and a wrong-shaped return planted."""
+
+    def rate(t):
+        r = _STEADY(t)
+        if t == 1.25:
+            r[0, 1] = np.nan
+        elif t == 2.0:
+            r[2, 2] = np.inf
+        elif t == 2.75:
+            r[0, 0] += 0.5
+        elif t == 3.5:
+            return np.zeros((2, 2))
+        return r
+
+    dyn = ff.GeneratorDynamics(rate, dimension=3)
+    want = {
+        k: (ff.DimensionMismatchError, "generator at t = 3.5 has shape (2, 2), expected (3, 3)")
+        if t == 3.5
+        else _rate_matrix_error(rate(t))
+        for k, t in enumerate(PLANTED_GRID.tolist())
+        if t in (1.25, 2.0, 2.75, 3.5)
+    }
+    return dyn, want, rate
+
+
+def _planted_mixing():
+    """A mixing family with a NaN row, a column-sum row and a saturated weight planted.
+
+    An inf in a mixing column meets -inf on its diagonal, which numpy warns
+    about, so only the callable plants an inf row.
+    """
+
+    def s(t):
+        return np.where(t == 3.5, 1.0, 1.0 - np.exp(-t))
+
+    def sdot(t):
+        return np.where(t == 1.25, np.nan, np.exp(-t))
+
+    def m(t):
+        return np.broadcast_to(_TARGET, np.shape(t) + _TARGET.shape)
+
+    def mdot(t):
+        # a target that moves at 1e9 per unit time: the diagonal's column sums round off
+        fast = np.array([1e9 / 3.0, -1e9 / 7.0, 0.0])
+        return np.where(np.asarray(t)[..., None] == 2.75, fast, 0.0)
+
+    dyn = ff.MixingDynamics(s, m, sdot, mdot, dimension=3)
+
+    def point(t):
+        return oracles.mixing_generator_point(s, sdot, m, mdot, t)
+
+    want = {
+        k: (ff.DomainError, "mixing weight 1.0 leaves no invertible part at t = 3.5")
+        if t == 3.5
+        else _rate_matrix_error(point(t))
+        for k, t in enumerate(PLANTED_GRID.tolist())
+        if t in (1.25, 2.75, 3.5)
+    }
+    return dyn, want, point
+
+
+def _rate_matrix_error(value):
+    """Type and message of the error ``rate_matrix(value)`` raises, or None."""
+    try:
+        ff.rate_matrix(value)
+    except ff.FisherflowError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestPlantedGridErrors:
+    @pytest.mark.parametrize("make", [_planted_callable, _planted_mixing], ids=["callable", "mixing"])
+    def test_grid_errors_are_the_per_row_errors(self, make):
+        dyn, want, point = make()
+        assert None not in want.values(), "every planted row must fail on its own"
+        grid = ff.generator_grid(dyn, PLANTED_GRID)
+        assert {k: (type(exc), str(exc)) for k, exc in grid.errors.items()} == want
+        assert not grid.generators.flags.writeable
+        for k, t in enumerate(PLANTED_GRID.tolist()):
+            if k in want:
+                assert np.isnan(grid.generators[k]).all()
+            else:
+                assert _bitwise_equal(grid.generators[k], point(t))
+        # the scan reports the same failures, in time order
+        failures = ff.divisibility_scan(dyn, PLANTED_GRID, generators=grid).failures
+        assert failures == tuple((float(PLANTED_GRID[k]), f"{kind.__name__}: {msg}") for k, (kind, msg) in sorted(want.items()))
+
+    def test_propagate_raises_the_earliest_planted_error(self):
+        # steps = 4 on [0, 4] puts the RK4 nodes on PLANTED_GRID
+        dyn, want, _ = _planted_callable()
+        kind, message = want[min(want)]
+        with pytest.raises(kind) as caught:
+            ff.propagate(dyn, 0.0, 4.0, steps=4)
+        assert str(caught.value) == message
 
 
 class TestIntermediateMap:

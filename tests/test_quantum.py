@@ -28,7 +28,7 @@ def _dephasing(d: int, keep: float) -> np.ndarray:
 
 class TestChannelsAndChoi:
     def test_identity_choi_is_entangled_projector(self):
-        c = ff.choi(ff.channel_from_matrix(np.eye(4), 2))
+        c = ff.choi(ff.QuantumChannel(matrix=np.eye(4), dim=2))
         psi = np.eye(2).reshape(-1) / np.sqrt(2.0)
         assert np.allclose(c, np.outer(psi, psi.conj()), atol=1e-14)
         assert np.linalg.eigvalsh(c)[0] == pytest.approx(0.0, abs=1e-14)
@@ -37,7 +37,7 @@ class TestChannelsAndChoi:
         # the channel that erases its input: X -> tr(X) Id / d
         d = 3
         eye_vec = np.eye(d).reshape(-1)
-        erase = ff.channel_from_matrix(np.outer(eye_vec / d, eye_vec), d)
+        erase = ff.QuantumChannel(matrix=np.outer(eye_vec / d, eye_vec), dim=d)
         assert np.allclose(ff.choi(erase), np.eye(d * d) / d**2, atol=1e-14)
         assert ff.cp_check(erase).min_eigenvalue == pytest.approx(1.0 / d**2)
 
@@ -55,7 +55,7 @@ class TestChannelsAndChoi:
         # eigenvalue, so only the exact exponential step is safe to classify
         lind = ff.semiclassical_lindbladian({(0, 1): 0.5, (1, 0): 1.0}, 2)
         dt = 1e-3
-        euler = ff.channel_from_matrix(np.eye(4) + dt * lind.matrix, 2)
+        euler = ff.QuantumChannel(matrix=np.eye(4) + dt * lind.matrix, dim=2)
         assert not ff.cp_check(euler, tol=1e-10).cp
         assert ff.cp_check(ff.channel_step(lind, dt), tol=1e-10).cp
 
@@ -65,7 +65,7 @@ class TestChannelsAndChoi:
         a = -0.5
         lind = ff.semiclassical_lindbladian({(0, 1): a, (1, 0): 1.0}, d)
         dt = 1e-5
-        euler = ff.channel_from_matrix(np.eye(4) + dt * lind.matrix, d)
+        euler = ff.QuantumChannel(matrix=np.eye(4) + dt * lind.matrix, dim=d)
         report = ff.cp_check(euler)
         assert not report.cp
         assert report.min_eigenvalue == pytest.approx(dt * a / d, rel=1e-3)
@@ -85,13 +85,13 @@ class TestChannelsAndChoi:
         # amplitude damping, X -> sum K X K^dagger, is kron(K, conj(K)) summed in row-major order
         k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(0.5)]])
         k1 = np.array([[0.0, np.sqrt(0.5)], [0.0, 0.0]])
-        ch = ff.channel_from_matrix(sum(np.kron(k, k.conj()) for k in (k0, k1)), 2)
+        ch = ff.QuantumChannel(matrix=sum(np.kron(k, k.conj()) for k in (k0, k1)), dim=2)
         assert ff.cp_check(ch).cp
 
     def test_oracle_lift_acts_on_the_system_factor(self):
         # the lift the column oracle extends maps by: T (x) Id on a product operator is T[X] (x) Y
         d = 2
-        ch = ff.channel_from_matrix(_dephasing(d, keep=0.5), d)
+        ch = ff.QuantumChannel(matrix=_dephasing(d, keep=0.5), dim=d)
         lifted = oracles.lift_with_identity(ch.matrix, d)
         rng = np.random.default_rng(2)
         x, y = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(2))
@@ -201,7 +201,7 @@ class TestSemiclassicalGenerator:
 
     def test_dephasing_channel_scales_coherences(self):
         rho = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
-        out = ff.channel_from_matrix(_dephasing(2, keep=0.25), 2).apply(rho)
+        out = ff.QuantumChannel(matrix=_dephasing(2, keep=0.25), dim=2).apply(rho)
         assert np.allclose(out, [[0.6, 0.05 - 0.025j], [0.05 + 0.025j, 0.4]], atol=1e-15)
 
     def test_rate_map_input(self):

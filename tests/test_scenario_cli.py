@@ -24,7 +24,7 @@ SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 MINIMAL = {
     "dynamics": {"kind": "case_study"},
     "grid": {"t1": 3.141592653589793, "points": 64},
-    "analyses": {"figure1": {}},
+    "analyses": {},
 }
 
 
@@ -33,7 +33,7 @@ FIGURE1_SMALL = {
     "dynamics": {"kind": "case_study"},
     "grid": {"t1": 3.141592653589793, "points": 5},
     "perturbation": {"epsilon": 0.001, "theta_points": 7},
-    "analyses": {"figure1": {}},
+    "analyses": {},
 }
 
 
@@ -218,6 +218,8 @@ class TestScenarioParsing:
             ({"grid": {"t0": "x", "points": "y", "t1": 1.0}}, "grid.points must be an integer"),
             ({"analyses": {"quantum": {"dim": "x"}, "no_go": {"copies": "y"}}}, "no_go.copies must be an array of integers"),
             ({"analyses": {"filter": []}}, "analyses.filter must be an object, got list"),
+            # the empty figure1 block is gone: no command read it
+            ({"analyses": {"figure1": {}}}, "unknown key(s) ['figure1'] in analyses"),
         ],
     )
     def test_first_error_is_named(self, change, message):
@@ -229,7 +231,6 @@ class TestScenarioParsing:
         "name, raw, dumped",
         [
             ("divisibility", {}, {"rate_tol": 1e-9}),
-            ("figure1", {}, {}),
             ("witness", {}, {"time": 0.0}),
             ("no_go", {}, {"copies": [1, 2], "ancilla_dims": [0, 2, 4]}),
             ("filter", {}, {"epsilons": [1e-2, 1e-3, 1e-4], "ancilla_displacement": [0.1, -0.1]}),
@@ -253,10 +254,33 @@ class TestScenarioParsing:
         [{"kind": "generator", "matrix": [[-1.0, 1.0], [1.0, -1.0]], "decay_rate": 1.0}, {"kind": "case_study", "decay_rate": 1}],
         ids=["generator", "case_study"],
     )
-    def test_foreign_key_at_its_default_loads(self, dynamics):
-        # every report's scenario echo writes decay_rate, so the echo of any kind loads again
+    def test_foreign_key_at_the_contraction_default_rejected(self, dynamics):
+        # a foreign key is rejected at any value, the contraction's default decay_rate included
+        with pytest.raises(ff.ScenarioError) as caught:
+            ff.parse_scenario(dict(MINIMAL, dynamics=dynamics))
+        assert str(caught.value) == f"dynamics kind {dynamics['kind']!r} takes no key(s) ['decay_rate'] in dynamics"
+
+    @pytest.mark.parametrize(
+        "dynamics",
+        [
+            {"kind": "case_study"},
+            {"kind": "generator", "matrix": [[-1.0, 1.0], [1.0, -1.0]]},
+            {"kind": "contraction", "target": [0.5, 0.5]},
+            {"kind": "contraction", "target": [0.5, 0.5], "decay_rate": 1.0},
+        ],
+        ids=["case_study", "generator", "contraction", "contraction-rate"],
+    )
+    def test_echo_holds_only_the_keys_set(self, dynamics):
         s = ff.parse_scenario(dict(MINIMAL, dynamics=dynamics))
         assert ff.scenario_to_dict(s)["dynamics"] == dynamics
+        assert ff.parse_scenario(ff.scenario_to_dict(s)) == s
+
+    def test_contraction_without_decay_rate_relaxes_at_rate_one(self):
+        s = ff.parse_scenario(dict(MINIMAL, dynamics={"kind": "contraction", "target": [0.3, 0.7]}))
+        grid = np.linspace(0.0, 2.0, 9)
+        got = fisherflow.scenario.build_dynamics(s.dynamics).propagators_at(grid)
+        want = ff.contraction_to_target([0.3, 0.7], decay_rate=1.0).propagators_at(grid)
+        assert np.array_equal(got, want)
 
     def test_dynamics_spec_checks_its_sources(self):
         with pytest.raises(ff.ScenarioError, match="needs a target"):
@@ -380,7 +404,7 @@ class TestCliRuns:
             "grid": {"t1": 3.141592653589793, "points": 128},
             "initial_state": [0.2, 0.4, 0.4],
             "perturbation": {"epsilon": 0.001, "theta_points": 32},
-            "analyses": {"figure1": {}},
+            "analyses": {},
         }
         path = _write(tmp_path, scn)
         code = main(["figure1", "--scenario", path, "--out", str(tmp_path)])
@@ -451,7 +475,7 @@ class TestCliRuns:
                 "dynamics": {"kind": "case_study"},
                 "grid": {"t1": 3.141592653589793, "points": points},
                 "perturbation": {"epsilon": 0.001, "theta_points": 8},
-                "analyses": {"figure1": {}},
+                "analyses": {},
             }
             path = _write(tmp_path, scn, f"figure1_{points}.json")
             assert main(["figure1", "--scenario", path, "--out", str(tmp_path)]) == 0
@@ -488,7 +512,7 @@ class TestCliRuns:
         scn = {
             "dynamics": {"kind": "generator", "matrix": [[-1.0, 1.0], [1.0, -1.0]]},
             "grid": {"t1": 1.0, "points": 8},
-            "analyses": {"figure1": {}},
+            "analyses": {},
         }
         code = main(["figure1", "--scenario", _write(tmp_path, scn), "--out", str(tmp_path)])
         assert code == 1

@@ -17,7 +17,7 @@ FIGURE1 = {
     "grid": {"t1": 3.141592653589793, "points": 5},
     "initial_state": [0.2, 0.4, 0.4],
     "perturbation": {"epsilon": 0.001, "theta_points": 7},
-    "analyses": {"figure1": {}},
+    "analyses": {},
 }
 CASE_STUDY = {"dynamics": {"kind": "case_study"}, "grid": {"t1": 3.141592653589793, "points": 33}, "analyses": {}}
 RELAXATION = {
@@ -92,10 +92,13 @@ EXEMPT = {
 
 
 def _keys(cls, prefix=""):
-    """The dotted path of every leaf key a scenario may set, read off the spec dataclasses."""
+    """The dotted path of every leaf key a scenario may set, read off the spec dataclasses.
+
+    A block with no fields is a leaf itself: its presence is all it can set.
+    """
     for name, hint in get_type_hints(cls).items():
         block = next((arg for arg in (hint, *get_args(hint)) if is_dataclass(arg)), None)
-        if block is not None:
+        if block is not None and get_type_hints(block):
             yield from _keys(block, f"{prefix}{name}.")
         elif name == "tolerances":
             yield from (f"tolerances.{tol}" for tol in TOLERANCE_DEFAULTS)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import fisherflow as ff
+import fisherflow.simplex
 import oracles
 from helpers import random_markovian
 
@@ -152,6 +153,19 @@ class TestStochasticValidation:
 class TestRateMatrix:
     def test_stack_fails_as_the_per_matrix_loop(self):
         _assert_first_failures(ff.rate_matrix, GENERATOR_KINDS)
+
+    def test_failures_are_the_per_matrix_errors(self):
+        # every failing matrix of a stack gets the error rate_matrix raises on it alone
+        for order in itertools.product(sorted(GENERATOR_KINDS), repeat=3):
+            stack = np.array([GENERATOR_KINDS[kind] for kind in order], dtype=float)
+            want = {}
+            for k, mat in enumerate(stack):
+                try:
+                    ff.rate_matrix(mat)
+                except ff.FisherflowError as exc:
+                    want[k] = (type(exc), str(exc))
+            got = fisherflow.simplex.rate_matrix_failures(stack)
+            assert {k: (type(exc), str(exc)) for k, exc in got.items()} == want, order
 
     def test_stack_is_bitwise_the_per_matrix_results(self):
         rng = np.random.default_rng(5)

@@ -98,7 +98,7 @@ def _figure1_runs(seed: int, inputs: str) -> list[list[str]]:
             "grid": {"t1": 3.141592653589793, "points": points},
             "initial_state": [round(rng.uniform(0.05, 1.0), 6) for _ in range(3)],
             "perturbation": {"epsilon": 0.001, "theta_points": angles},
-            "analyses": {"figure1": {}},
+            "analyses": {},
         }
         path = os.path.join(directory, f"figure1_{points}x{angles}.json")
         with open(path, "w", encoding="utf-8") as fh:
