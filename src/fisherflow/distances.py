@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularBaseError
-from .simplex import INTERIOR_FLOOR, is_interior, prob_vec, rate_matrix, zero_sum_basis
+from .simplex import INTERIOR_FLOOR, prob_vec, rate_matrix, zero_sum_basis
 
 __all__ = [
     "fisher_inner",
@@ -61,7 +61,7 @@ def _check_same_dim(*arrays) -> int:
 
 
 def _require_interior(p: np.ndarray, floor: float = INTERIOR_FLOOR) -> None:
-    if not is_interior(p, floor):
+    if not p.min() >= floor:  # a NaN entry fails too
         # with batch axes, name the first base that touches the boundary
         rows = p.reshape(-1, p.shape[-1])
         first = rows[int(np.argmin(rows.min(axis=1) >= floor))]
@@ -80,17 +80,23 @@ def fisher_inner(a, b, p) -> float:
     return float(np.sum(x * y / (2.0 * base)))
 
 
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    # writable view of the diagonals of a C-contiguous stack of square matrices
+    n = a.shape[-1]
+    return a.reshape(a.shape[:-2] + (n * n,))[..., :: n + 1]
+
+
 def _edge_laplacian(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     # Laplacian of S = W + W^T with W[i, j] = r[i, j] p[j] off the diagonal;
     # the rate of d at p is -1/2 u^T L u with u = d / p. Leading axes of p
     # and r are batch axes.
-    diag = np.arange(p.shape[-1])
-    w = r * p[..., None, :]
-    w[..., diag, diag] = 0.0
+    w = np.multiply(r, p[..., None, :], order="C")
+    _diagonal(w)[...] = 0.0
     s = w + np.swapaxes(w, -1, -2)
-    lap = np.zeros_like(s)
-    lap[..., diag, diag] = s.sum(axis=-1)
-    return lap - s
+    # 0 - s rather than -s: an edge of weight +0.0 reads +0.0 in L
+    lap = np.subtract(0.0, s, order="C")
+    _diagonal(lap)[...] = s.sum(axis=-1)
+    return lap
 
 
 def fisher_rate(p, d, r) -> float:
@@ -212,9 +218,14 @@ def contraction_form(p, r, basis: np.ndarray | None = None) -> ContractionForm:
     b = zero_sum_basis(n) if basis is None else np.asarray(basis, dtype=float)
     if b.shape[0] != n:
         raise DimensionMismatchError(f"basis rows {b.shape[0]} != dimension {n}")
-    v = b / base[:, None]
-    m = -0.5 * (v.T @ _edge_laplacian(base, gen) @ v)
-    # exact symmetry keeps eigh independent of which triangle it reads
-    m = 0.5 * (m + m.T)
+    m = _form_matrix(base, _edge_laplacian(base, gen), b)
     return ContractionForm(base=base, generator=gen, basis=b, matrix=m)
+
+
+def _form_matrix(base: np.ndarray, lap: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The form ``-1/2 (P^-1 B)^T L (P^-1 B)`` from the edge Laplacian ``lap`` at an accepted interior ``base``."""
+    v = basis / base[:, None]
+    m = -0.5 * (v.T @ lap @ v)
+    # exact symmetry keeps eigh independent of which triangle it reads
+    return 0.5 * (m + m.T)
 

@@ -222,14 +222,20 @@ class MixingDynamics(Dynamics):
             k: DomainError(f"mixing weight {float(w[k])} leaves no invertible part at t = {times[k]:.6g}")
             for k in np.flatnonzero(dead).tolist()
         }
-        # rows past the ceiling are left out before dividing by 1 - s
-        live = np.flatnonzero(~dead)
+        sdot = np.asarray(self.sdot(times), dtype=float)
+        target = np.asarray(self.m(times), dtype=float)
+        drift = np.asarray(self.mdot(times), dtype=float)
+        # rows past the ceiling are left out before dividing by 1 - s, and
+        # rows with a non-finite input before any arithmetic, which would
+        # warn; both stay NaN, and the check names a non-finite row as such
+        usable = ~dead & np.isfinite(w) & np.isfinite(sdot)
+        for rows in (target, drift):
+            if not np.isfinite(rows).all():  # a row-wise test only when needed: it is the slow one
+                usable &= np.isfinite(rows).all(axis=-1)
+        live = np.flatnonzero(usable)
         wl = w[live]
-        coef = np.asarray(self.sdot(times), dtype=float)[live] / (1.0 - wl)
-        col = (
-            coef[:, None] * np.asarray(self.m(times), dtype=float)[live]
-            + wl[:, None] * np.asarray(self.mdot(times), dtype=float)[live]
-        )
+        coef = sdot[live] / (1.0 - wl)
+        col = coef[:, None] * target[live] + wl[:, None] * drift[live]
         rates = np.repeat(col[:, :, None], n, axis=2)
         diag = np.arange(n)
         rates[:, diag, diag] -= col.sum(axis=1)[:, None]

@@ -20,6 +20,7 @@ from functools import lru_cache
 from typing import Mapping, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     DimensionMismatchError,
@@ -53,7 +54,7 @@ def _as_vector(entries, name: str) -> np.ndarray:
     v = np.array(entries, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise DimensionMismatchError(f"{name} must be a 1-d vector of length >= 2, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InvalidStateError(f"{name} contains non-finite entries")
     return v
 
@@ -106,9 +107,11 @@ def prob_vec(entries) -> np.ndarray:
     negatives are clamped to zero before renormalization.
     """
     p = _as_vector(entries, "state")
-    if np.min(p) < -NEGATIVE_CLAMP:
-        raise InvalidStateError(f"state has a negative entry {np.min(p):.3e}")
-    p = np.where(p < 0.0, 0.0, p)
+    low = p.min()
+    if low < 0.0:
+        if low < -NEGATIVE_CLAMP:
+            raise InvalidStateError(f"state has a negative entry {low:.3e}")
+        p = np.where(p < 0.0, 0.0, p)
     total = p.sum()
     if total <= 0.0:
         raise InvalidStateError("state has zero total mass")
@@ -152,14 +155,16 @@ def stochastic_matrix(entries, *, stack: bool = False) -> np.ndarray:
     return _freeze(np.where(m < 0.0, 0.0, m))
 
 
-def rate_matrix(entries, col_tol: float = COLUMN_TOL, *, stack: bool = False) -> np.ndarray:
+def rate_matrix(entries, col_tol: float = COLUMN_TOL) -> np.ndarray:
     """Validate a generator: column sums must vanish. Signs are not restricted.
 
-    With ``stack`` a ``(T, n, n)`` stack is validated as well, each matrix
-    under the same rules; it fails with the error of its first failing matrix.
+    A stack of generators is checked by :func:`rate_matrix_failures`.
     """
-    r = _as_square(entries, "rate matrix", stack)
-    _raise_first(rate_matrix_failures(r, col_tol))
+    r = _as_square(entries, "rate matrix")
+    # finiteness first, so that no sum meets a non-finite entry; only a
+    # rejected matrix goes on to name its error
+    if not (np.isfinite(r).all() and np.abs(r.sum(axis=0)).max() <= col_tol):
+        _raise_first(rate_matrix_failures(r, col_tol))
     return _freeze(r)
 
 
@@ -216,8 +221,15 @@ def is_markovian_generator(r, rate_tol: float = 1e-9) -> GeneratorCheck:
     Returns the verdict together with the offending entries, so callers can
     report which transitions carry negative rates.
     """
-    m = rate_matrix(r)
-    off = {k: v for k, v in rates_of(m).items() if v < -rate_tol}
+    return _generator_check(rate_matrix(r), rate_tol)
+
+
+def _generator_check(m: np.ndarray, rate_tol: float = 1e-9) -> GeneratorCheck:
+    """:func:`is_markovian_generator` of a generator ``m`` that :func:`rate_matrix` has accepted."""
+    negative = m < -rate_tol
+    np.fill_diagonal(negative, False)
+    rows, cols = np.nonzero(negative)  # row-major, as rates_of lists them
+    off = dict(zip(zip(rows.tolist(), cols.tolist()), m[rows, cols].tolist()))
     return GeneratorCheck(markovian=not off, negative_rates=off)
 
 
@@ -237,15 +249,35 @@ def extend_generator(r, copies: int = 1, ancilla_dim: int = 0, max_dim: int = MA
     total = n**copies * max(ancilla_dim, 1)
     if total > max_dim:
         raise ResourceLimitError(f"tensor dimension {total} exceeds the limit {max_dim}")
-    dim_sys = n**copies
-    out = np.zeros((dim_sys, dim_sys))
+    return _freeze(_extended(m, copies, ancilla_dim))
+
+
+def _extended(m: np.ndarray, copies: int, ancilla_dim: int = 0) -> np.ndarray:
+    """:func:`extend_generator` of a generator ``m`` that :func:`rate_matrix` has accepted.
+
+    The replicas' generator is the sum over l of I x ... x m x ... x I with
+    ``m`` in factor l. Term l adds ``m[x, y]`` at row (i, x, j) and column
+    (i, y, j) for every index i of the factors before l and j of those
+    after it; those entries form a strided view of the output, so each
+    term is one broadcast addition, made in order of l.
+    """
+    n = m.shape[0]
+    dim = n**copies
+    out = np.zeros((dim, dim))
+    item = out.itemsize
     for l in range(copies):
-        left = np.eye(n**l)
-        right = np.eye(n ** (copies - l - 1))
-        out += np.kron(np.kron(left, m), right)
+        after = n ** (copies - l - 1)
+        term = as_strided(
+            out,
+            shape=(n**l, after, n, n),
+            strides=(item * n * after * (dim + 1), item * (dim + 1), item * after * dim, item * after),
+        )
+        term += m
     if ancilla_dim >= 1:
-        out = np.kron(out, np.eye(ancilla_dim))
-    return _freeze(out)
+        # kron(out, I) as one broadcast product
+        total = dim * ancilla_dim
+        out = (out[:, None, :, None] * np.eye(ancilla_dim)[:, None, :]).reshape(total, total)
+    return out
 
 
 @lru_cache(maxsize=64)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distances import contraction_form, fisher_rate, forward_trace_rate
+from .distances import _edge_laplacian, _form_matrix, _require_interior, fisher_rate, forward_trace_rate
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -45,11 +45,13 @@ from .simplex import (
     INTERIOR_FLOOR,
     MAX_TENSOR_DIM,
     GeneratorCheck,
+    _extended,
+    _generator_check,
     extend_generator,
-    is_markovian_generator,
     prob_vec,
     rate_matrix,
     tangent_vec,
+    zero_sum_basis,
 )
 
 __all__ = [
@@ -142,7 +144,7 @@ def dilation_direction_search(r, seed: int = 0) -> WitnessReport:
     """
     m = rate_matrix(r)
     n = m.shape[0]
-    check = is_markovian_generator(m)
+    check = _generator_check(m)
     if check.markovian:
         return WitnessReport(found=False, method="closed-form", generator=m)
     offender, offender_rate = check.offender
@@ -207,6 +209,11 @@ class NoGoReport:
         return self.nonmarkovian and self.condition_met and self.lambda_max_on_image <= -self.margin
 
 
+def _lambda_max(matrix: np.ndarray) -> float:
+    # eigh, as ContractionForm.eigenvalues, so the figure is bitwise the public form's
+    return float(np.linalg.eigh(matrix)[0][-1])
+
+
 def _single_offender_condition(pi: np.ndarray, m: np.ndarray, check: GeneratorCheck) -> tuple[bool, str]:
     """Whether ``m`` has one negative rate, outweighed at ``pi`` by its reverse rate; if not, why not."""
     if len(check.negative_rates) != 1:
@@ -247,17 +254,21 @@ def no_go_verify(
     if total > MAX_TENSOR_DIM:
         raise ResourceLimitError(f"tensor dimension {total} exceeds the limit {MAX_TENSOR_DIM}")
 
-    check = is_markovian_generator(m)
+    check = _generator_check(m)
     condition_met, detail = _single_offender_condition(base_pi, m, check)
     offender, offender_rate = check.offender if len(check.negative_rates) == 1 else (None, None)
 
-    r_sys = extend_generator(m, copies=copies)
-    base = base_pi
+    # the copies' column-sum drifts add up, so the replica generator is checked on its own
+    r_sys = rate_matrix(_extended(m, copies))
+    replicas = base_pi
     for _ in range(copies - 1):
-        base = np.kron(base, base_pi)
-    lam_image = lam_full = contraction_form(base, r_sys).lambda_max
+        replicas = np.multiply.outer(replicas, base_pi).ravel()
+    base = prob_vec(replicas)
+    _require_interior(base)
+    lap = _edge_laplacian(base, r_sys)
+    lam_image = lam_full = _lambda_max(_form_matrix(base, lap, zero_sum_basis(n**copies)))
     if ancilla_dim >= 2:
-        lam_full = ancilla_dim * contraction_form(base, r_sys, basis=np.eye(n**copies)).lambda_max
+        lam_full = ancilla_dim * _lambda_max(_form_matrix(base, lap, np.eye(n**copies)))
         lam_image *= ancilla_dim
 
     if margin is None:
@@ -311,8 +322,11 @@ def regularize_direction(d, r) -> tuple[np.ndarray, tuple[int, ...]]:
     nonzero components to keep the total at zero. Returns the new vector
     and the indices touched.
     """
-    vec = tangent_vec(d)
-    m = rate_matrix(r)
+    return _regularized(tangent_vec(d), rate_matrix(r))
+
+
+def _regularized(vec: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """:func:`regularize_direction` of an accepted tangent vector ``vec`` and generator ``m``."""
     total = float(np.sum(np.abs(vec)))
     if total == 0.0:
         raise InvalidTangentError("zero displacement cannot be regularized")
@@ -349,7 +363,7 @@ def filter_witness_rate(p, d, r, eps: float) -> float:
         raise DimensionMismatchError("state, displacement and generator dimensions differ")
     if not 0.0 < eps <= 1.0:
         raise DomainError(f"filter strength must be in (0, 1], got {eps}")
-    vec, _ = regularize_direction(vec, m)
+    vec, _ = _regularized(vec, m)
     anchor = special_base_point(vec)
     filtered = (1.0 - eps) * anchor + eps * base
     p_dot = m @ base

@@ -264,6 +264,73 @@ def first_failure_loop(check, stack):
     return None
 
 
+def edge_laplacian_loop(p, r) -> np.ndarray:
+    """Laplacian of S[i, j] = r[i, j] p[j] + r[j, i] p[i] (i != j), entry by entry, for one base and generator.
+
+    Off the diagonal L[i, j] = 0 - S[i, j], so an absent edge reads +0.0;
+    L[i, i] is the sum of row i of S with S[i, i] = 0.
+    """
+    p = np.asarray(p, dtype=float)
+    r = np.asarray(r, dtype=float)
+    n = p.size
+    s = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                s[i, j] = r[i, j] * p[j] + r[j, i] * p[i]
+    lap = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            lap[i, j] = s[i].sum() if i == j else 0.0 - s[i, j]
+    return lap
+
+
+def kron_sum_loop(r, copies: int, ancilla_dim: int = 0) -> np.ndarray:
+    """Generator of ``copies`` replicas of ``r`` and an idle ancilla, one ``np.kron`` per factor.
+
+    The sum over l of I x ... x r x ... x I (r in factor l), added in order
+    of l onto zeros, then ``kron(., I_ancilla)`` when ``ancilla_dim >= 1``.
+    """
+    r = np.asarray(r, dtype=float)
+    n = r.shape[0]
+    out = np.zeros((n**copies, n**copies))
+    for l in range(copies):
+        out += np.kron(np.kron(np.eye(n**l), r), np.eye(n ** (copies - l - 1)))
+    if ancilla_dim >= 1:
+        out = np.kron(out, np.eye(ancilla_dim))
+    return out
+
+
+def negative_rates_loop(r, rate_tol: float = 1e-9) -> dict[tuple[int, int], float]:
+    """Off-diagonal rates below ``-rate_tol`` as {(i, j): rate}, walking the matrix in row-major order."""
+    r = np.asarray(r, dtype=float)
+    n = r.shape[0]
+    rates = {(i, j): float(r[i, j]) for i in range(n) for j in range(n) if i != j}
+    return {k: v for k, v in rates.items() if v < -rate_tol}
+
+
+def no_go_two_forms(form, pi, r, copies: int, ancilla_dim: int) -> tuple[float, float]:
+    """``(lambda_max_on_image, lambda_max_full)`` of a no-go check through two calls of ``form``.
+
+    ``form(p, r, basis=None)`` is a contraction-form constructor. ``pi`` is
+    divided by its sum, the base is its ``np.kron`` power and the generator
+    is :func:`kron_sum_loop`. The zero-sum form gives the image figure and,
+    with an ancilla of dimension m >= 2, the form on the identity basis
+    gives the full one, both scaled by m.
+    """
+    pi = np.asarray(pi, dtype=float)
+    pi = pi / pi.sum()
+    base = pi
+    for _ in range(copies - 1):
+        base = np.kron(base, pi)
+    r_sys = kron_sum_loop(r, copies)
+    lam_image = lam_full = form(base, r_sys).lambda_max
+    if ancilla_dim >= 2:
+        lam_full = ancilla_dim * form(base, r_sys, basis=np.eye(base.size)).lambda_max
+        lam_image *= ancilla_dim
+    return lam_image, lam_full
+
+
 def round_trip_direct(t_mat, pi) -> np.ndarray:
     """Round trip A = T_hat T of one map, T_hat built from T with float-noise negatives set to 0.
 

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fisherflow as ff
+import fisherflow.distances
 import oracles
 from helpers import random_forced_negative, random_interior, random_markovian, random_zero_sum
 
@@ -166,6 +167,23 @@ class TestTraceRate:
         n = int(rng.integers(2, 7))
         d = random_zero_sum(rng, n, scale=0.1)
         assert ff.forward_trace_rate(d, random_markovian(rng, n)) <= 1e-12
+
+
+class TestEdgeLaplacian:
+    def test_bitwise_the_entrywise_loop(self):
+        # batch axes broadcast, and zero rates of either sign give +0.0 off the diagonal
+        rng = np.random.default_rng(43)
+        for n in range(2, 10):
+            bases = np.stack([random_interior(rng, n) for _ in range(4)])
+            gens = np.stack([random_forced_negative(rng, n) for _ in range(4)])
+            gens[:, 0, 1] = 0.0
+            gens[:, 1, 0] = -0.0
+            got = fisherflow.distances._edge_laplacian(bases, gens)
+            want = np.stack([oracles.edge_laplacian_loop(p, r) for p, r in zip(bases, gens)])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), n
+            one = fisherflow.distances._edge_laplacian(bases[0], gens)
+            want = np.stack([oracles.edge_laplacian_loop(bases[0], r) for r in gens])
+            assert one.tobytes() == want.tobytes(), n
 
 
 class TestContractionForm:

@@ -509,17 +509,17 @@ def _planted_callable():
 
 
 def _planted_mixing():
-    """A mixing family with a NaN row, a column-sum row and a saturated weight planted.
+    """A mixing family with a NaN row, an inf row, a column-sum row and a saturated weight planted.
 
-    An inf in a mixing column meets -inf on its diagonal, which numpy warns
-    about, so only the callable plants an inf row.
+    The inf row must fail as non-finite without a warning: its column
+    would meet -inf on the diagonal.
     """
 
     def s(t):
         return np.where(t == 3.5, 1.0, 1.0 - np.exp(-t))
 
     def sdot(t):
-        return np.where(t == 1.25, np.nan, np.exp(-t))
+        return np.where(t == 1.25, np.nan, np.where(t == 2.0, np.inf, np.exp(-t)))
 
     def m(t):
         return np.broadcast_to(_TARGET, np.shape(t) + _TARGET.shape)
@@ -537,9 +537,11 @@ def _planted_mixing():
     want = {
         k: (ff.DomainError, "mixing weight 1.0 leaves no invertible part at t = 3.5")
         if t == 3.5
+        else (ff.InvalidStateError, "rate matrix contains non-finite entries")
+        if t == 2.0
         else _rate_matrix_error(point(t))
         for k, t in enumerate(PLANTED_GRID.tolist())
-        if t in (1.25, 2.75, 3.5)
+        if t in (1.25, 2.0, 2.75, 3.5)
     }
     return dyn, want, point
 

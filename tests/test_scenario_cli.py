@@ -578,7 +578,7 @@ class TestCliRuns:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(fisherflow.cli, "is_markovian_generator", counted)
-        monkeypatch.setattr(fisherflow.witnesses, "is_markovian_generator", counted)
+        monkeypatch.setattr(fisherflow.witnesses, "_generator_check", counted)
         code = main(["filter", "--scenario", _scenario("counterexample_filter.json"), "--out", str(tmp_path)])
         assert code == 0
         assert json.loads((tmp_path / "filter.json").read_text())["checks"]["trace_witnesses_positive"]["ok"] is True

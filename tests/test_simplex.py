@@ -1,6 +1,7 @@
 """States, tangent vectors, stochastic maps, generators, tensor tools."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -34,18 +35,28 @@ GENERATOR_KINDS = {
 }
 
 
-def _assert_first_failures(check, kinds):
-    """Every stack of three of ``kinds`` fails with its first failing matrix's error, or passes when all do."""
+def _assert_first_failures(check, stacked, kinds):
+    """``stacked`` fails every stack of three of ``kinds`` with the error ``check`` raises on its first failing matrix.
+
+    A stack whose matrices all pass ``check`` passes ``stacked``.
+    """
     for order in itertools.product(sorted(kinds), repeat=3):
-        stack = np.array([kinds[kind] for kind in order])
+        stack = np.array([kinds[kind] for kind in order], dtype=float)
         want = oracles.first_failure_loop(check, stack)
         if want is None:
-            check(stack, stack=True)
+            stacked(stack)
             continue
         _, kind, message = want
         with pytest.raises(kind) as caught:
-            check(stack, stack=True)
+            stacked(stack)
         assert (type(caught.value), str(caught.value)) == (kind, message), order
+
+
+def _first_rate_failure(stack):
+    """Raise the earliest error ``rate_matrix_failures`` finds in ``stack``, as ``propagate`` does."""
+    errors = fisherflow.simplex.rate_matrix_failures(stack)
+    if errors:
+        raise errors[min(errors)]
 
 
 class TestProbVec:
@@ -147,12 +158,12 @@ class TestStochasticValidation:
             ff.stochastic_matrix(bad, stack=True)
 
     def test_stack_fails_as_the_per_matrix_loop(self):
-        _assert_first_failures(ff.stochastic_matrix, STOCHASTIC_KINDS)
+        _assert_first_failures(ff.stochastic_matrix, lambda s: ff.stochastic_matrix(s, stack=True), STOCHASTIC_KINDS)
 
 
 class TestRateMatrix:
     def test_stack_fails_as_the_per_matrix_loop(self):
-        _assert_first_failures(ff.rate_matrix, GENERATOR_KINDS)
+        _assert_first_failures(ff.rate_matrix, _first_rate_failure, GENERATOR_KINDS)
 
     def test_failures_are_the_per_matrix_errors(self):
         # every failing matrix of a stack gets the error rate_matrix raises on it alone
@@ -168,11 +179,11 @@ class TestRateMatrix:
             assert {k: (type(exc), str(exc)) for k, exc in got.items()} == want, order
 
     def test_stack_is_bitwise_the_per_matrix_results(self):
+        # a stack that passes is used as it stands, and so is each of its matrices
         rng = np.random.default_rng(5)
         stack = np.array([random_markovian(rng, 4) for _ in range(6)])
-        got = ff.rate_matrix(stack, stack=True)
-        assert not got.flags.writeable
-        assert np.array_equal(got, np.stack([ff.rate_matrix(m) for m in stack]))
+        assert fisherflow.simplex.rate_matrix_failures(stack) == {}
+        assert np.array_equal(np.stack([ff.rate_matrix(m) for m in stack]), stack)
 
     def test_accepts_zero_column_sums(self):
         r = ff.rate_matrix(COUNTEREXAMPLE)
@@ -242,6 +253,22 @@ class TestMarkovianCheck:
         np.fill_diagonal(r, -r.sum(axis=0))
         assert ff.is_markovian_generator(r).offender == oracles.min_offdiag(r)
 
+    @pytest.mark.parametrize("rate_tol", [1e-9, 0.0, 0.3])
+    def test_negative_rates_are_the_loop_s(self, rate_tol):
+        # same entries, same values, same order as walking the matrix, zero rates of either sign included
+        rng = np.random.default_rng(41)
+        for n in range(2, 10):
+            for _ in range(5):
+                r = rng.uniform(-1.0, 1.0, size=(n, n))
+                r[rng.random((n, n)) < 0.2] = 0.0
+                r[rng.random((n, n)) < 0.1] = -0.0
+                np.fill_diagonal(r, 0.0)
+                np.fill_diagonal(r, -r.sum(axis=0))
+                check = ff.is_markovian_generator(r, rate_tol)
+                want = oracles.negative_rates_loop(r, rate_tol)
+                assert list(check.negative_rates.items()) == list(want.items())
+                assert check.markovian == (not want)
+
     def test_tolerance_absorbs_noise(self):
         r = ff.rate_matrix_from_rates({(0, 1): -1e-12, (1, 0): 1.0}, 2)
         assert ff.is_markovian_generator(r).markovian
@@ -279,6 +306,21 @@ class TestExtendGenerator:
         step = expm(0.4 * r)
         assert np.allclose(lhs, np.kron(step, step), atol=1e-12)
 
+    @pytest.mark.parametrize("ancilla_dim", [0, 2, 3])
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    def test_bitwise_the_kron_loop(self, copies, ancilla_dim):
+        # zeros of either sign in r included; every entry and its sign bit agree
+        rng = np.random.default_rng(10 * copies + ancilla_dim)
+        for n in range(2, 10):
+            r = random_markovian(rng, n)
+            r[0, 1] = -r[0, 1]
+            r[1, 0] = -0.0
+            np.fill_diagonal(r, 0.0)
+            np.fill_diagonal(r, -r.sum(axis=0))
+            got = ff.extend_generator(r, copies=copies, ancilla_dim=ancilla_dim)
+            want = oracles.kron_sum_loop(r, copies, ancilla_dim)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), n
+
     def test_rejects_bad_counts(self):
         with pytest.raises(ff.DimensionMismatchError):
             ff.extend_generator(COUNTEREXAMPLE, copies=0)
@@ -302,3 +344,71 @@ class TestZeroSumBasis:
         b = ff.zero_sum_basis(4)
         d = ff.tangent_vec([0.3, -0.1, -0.1, -0.1])
         assert np.allclose(b @ (b.T @ d), d, atol=1e-12)
+
+
+GOOD_GENERATOR = [[-1.0, 0.5], [1.0, -0.5]]
+
+#: Bad inputs with the exception type and message each validator raises on them.
+BAD_STATES = [
+    ([np.nan, 1.0], ff.InvalidStateError, "state contains non-finite entries"),
+    ([np.inf, 1.0], ff.InvalidStateError, "state contains non-finite entries"),
+    ([-np.inf, 0.5, 0.6], ff.InvalidStateError, "state contains non-finite entries"),
+    # a non-finite entry is named before a negative one
+    ([-np.inf, -0.5, 2.0], ff.InvalidStateError, "state contains non-finite entries"),
+    ([np.nan, -1.0], ff.InvalidStateError, "state contains non-finite entries"),
+    # and a wrong shape before a non-finite entry
+    ([np.nan], ff.DimensionMismatchError, "state must be a 1-d vector of length >= 2, got shape (1,)"),
+    ([[0.5, np.inf]], ff.DimensionMismatchError, "state must be a 1-d vector of length >= 2, got shape (1, 2)"),
+    ([1.1, -0.1], ff.InvalidStateError, "state has a negative entry -1.000e-01"),
+    ([0.0, 0.0], ff.InvalidStateError, "state has zero total mass"),
+]
+BAD_GENERATORS = [
+    ([[np.nan, 0.5], [1.0, -0.5]], ff.InvalidStateError, "rate matrix contains non-finite entries"),
+    ([[-np.inf, 0.5], [np.inf, -0.5]], ff.InvalidStateError, "rate matrix contains non-finite entries"),
+    # non-finite before negative entries and unbalanced columns
+    ([[np.inf, -1.0], [-np.inf, 2.0]], ff.InvalidStateError, "rate matrix contains non-finite entries"),
+    ([[np.nan, 0.5], [1.0, 0.5]], ff.InvalidStateError, "rate matrix contains non-finite entries"),
+    ([[-1.0, 0.5], [1.0, 0.5]], ff.InvalidGeneratorError, "column sums off by 1.000e+00 (tolerance 1e-09)"),
+    ([[-1.0, 0.5, 0.0], [1.0, -0.5, np.nan]], ff.DimensionMismatchError, "rate matrix must be square with size >= 2, got shape (2, 3)"),
+    ([[np.nan]], ff.DimensionMismatchError, "rate matrix must be square with size >= 2, got shape (1, 1)"),
+    ([GOOD_GENERATOR], ff.DimensionMismatchError, "rate matrix must be square with size >= 2, got shape (1, 2, 2)"),
+]
+
+
+def _raised(call):
+    """Type and message of the error ``call()`` raises, with every warning turned into an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ff.FisherflowError) as caught:
+            call()
+    return type(caught.value), str(caught.value)
+
+
+class TestErrorPrecedence:
+    @pytest.mark.parametrize("entries, kind, message", BAD_STATES)
+    def test_prob_vec(self, entries, kind, message):
+        assert _raised(lambda: ff.prob_vec(entries)) == (kind, message)
+
+    @pytest.mark.parametrize("entries, kind, message", BAD_GENERATORS)
+    def test_rate_matrix(self, entries, kind, message):
+        assert _raised(lambda: ff.rate_matrix(entries)) == (kind, message)
+
+    @pytest.mark.parametrize("entries, kind, message", BAD_STATES)
+    def test_contraction_form_names_the_base_first(self, entries, kind, message):
+        assert _raised(lambda: ff.contraction_form(entries, GOOD_GENERATOR)) == (kind, message)
+        assert _raised(lambda: ff.contraction_form(entries, [[np.nan, 0.5], [1.0, 0.5]])) == (kind, message)
+
+    @pytest.mark.parametrize("entries, kind, message", BAD_GENERATORS)
+    def test_contraction_form_names_a_bad_generator(self, entries, kind, message):
+        assert _raised(lambda: ff.contraction_form([0.5, 0.5], entries)) == (kind, message)
+
+    @pytest.mark.parametrize(
+        "base, kind, message",
+        [
+            ([0.2, 0.3, 0.5], ff.DimensionMismatchError, "operands of length 3 and 2"),
+            ([1e-13, 1.0], ff.SingularBaseError, "base distribution has an entry 1.000e-13 below the interior floor 1e-12"),
+            ([1.0, -1e-13], ff.SingularBaseError, "base distribution has an entry 0.000e+00 below the interior floor 1e-12"),
+        ],
+    )
+    def test_contraction_form_checks_its_valid_inputs_together(self, base, kind, message):
+        assert _raised(lambda: ff.contraction_form(base, GOOD_GENERATOR)) == (kind, message)

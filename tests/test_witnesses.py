@@ -9,7 +9,7 @@ from scipy.linalg import expm
 import fisherflow as ff
 import oracles
 from fisherflow.simplex import INTERIOR_FLOOR
-from helpers import random_forced_negative, random_markovian, random_zero_sum
+from helpers import random_forced_negative, random_interior, random_markovian, random_zero_sum
 
 COUNTEREXAMPLE = np.array([[-1.0, -0.5], [1.0, 0.5]])
 
@@ -177,6 +177,24 @@ class TestNoGo:
         full = oracles.form_eigen_direct(base, gen).max()
         assert report.lambda_max_full == pytest.approx(full, rel=1e-9, abs=1e-12)
         assert report.passed == (fold[0] > 1.0)
+
+    @pytest.mark.parametrize("ancilla_dim", [0, 2, 3])
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    def test_bitwise_the_two_form_route(self, copies, ancilla_dim):
+        # one Laplacian serves both forms; the figures equal two public contraction_form calls
+        rng = np.random.default_rng(10 * copies + ancilla_dim)
+        for n in range(2, 10):
+            pi, r = random_interior(rng, n), random_forced_negative(rng, n)
+            report = ff.no_go_verify(pi, r, copies=copies, ancilla_dim=ancilla_dim)
+            want = oracles.no_go_two_forms(ff.contraction_form, pi, r, copies, ancilla_dim)
+            assert (report.lambda_max_on_image, report.lambda_max_full) == want, n
+
+    def test_replica_generator_is_checked_on_its_own(self):
+        # each copy adds r's column-sum drift, so three copies of a generator that passes can fail
+        r = [[-1.0, -0.5], [1.0 + 6e-10, 0.5]]
+        assert ff.no_go_verify([0.5, 0.5], r).offender == (0, 1)
+        with pytest.raises(ff.InvalidGeneratorError, match=r"column sums off by 1\.800e-09 \(tolerance 1e-09\)"):
+            ff.no_go_verify([0.5, 0.5], r, copies=3)
 
     def test_two_copies_still_contract(self):
         pi, r = ff.single_negative_rate_example()
