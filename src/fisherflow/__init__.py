@@ -43,7 +43,6 @@ from .propagation import (
     GeneratorDynamics,
     GeneratorGrid,
     MixingDynamics,
-    ScanPoint,
     ScanResult,
     Trajectory,
     case_study_dynamics,

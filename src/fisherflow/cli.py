@@ -18,18 +18,16 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import math
 import mmap
 import os
 import signal
 import sys
 import tempfile
 import traceback
-from enum import Enum
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from ._report import _Column, _Records, _report_text
 from .distances import _require_interior, fisher_rates, forward_trace_rate
 from .errors import (
     FisherflowError,
@@ -39,7 +37,7 @@ from .errors import (
     WitnessNotApplicableError,
     WitnessNotFoundError,
 )
-from .propagation import divisibility_scan, generator_grid, generator_of, refinement_stable
+from .propagation import ScanResult, divisibility_scan, generator_grid, generator_of, refinement_stable
 from .quantum import (
     channel_step,
     cp_check,
@@ -89,95 +87,6 @@ _REPORT_SCHEMA = "fisherflow-report-v1"
 _SWEEP_U1 = np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)
 _SWEEP_U2 = np.array([2.0, -1.0, -1.0]) / np.sqrt(6.0)
 _FIGURE1_P0 = (0.2, 0.4, 0.4)
-
-
-def _report_key(key) -> str:
-    if isinstance(key, tuple):
-        return "<-".join(map(str, map(int, key)))
-    return str(key)
-
-
-class _NonFinite(ValueError):
-    """A float that JSON cannot hold; ``path`` locates it in the value being encoded."""
-
-    path = ""
-
-
-def _json_text(value, pad: str) -> str:
-    """JSON text of a report value whose first line starts at indentation ``pad``.
-
-    The bytes are those of ``json.dumps(value, indent=2, sort_keys=True,
-    allow_nan=False)`` once ndarrays, numpy scalars and enums are turned
-    into plain values and keys into strings (``(i, j)`` as ``"i<-j"``). The
-    walk visits the entries of a dict in insertion order and sorts only the
-    finished texts, so a non-finite float is reported at the first place
-    it occurs in insertion order. Finite floats, the bulk of a report, are
-    formatted in the loops instead of by a call each.
-    """
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        raise _NonFinite()
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        pairs = []
-        keyed = {k if type(k) is str else _report_key(k): v for k, v in value.items()}
-        for key, item in keyed.items():
-            if type(item) is float and math.isfinite(item):
-                pairs.append((key, float.__repr__(item)))
-                continue
-            try:
-                pairs.append((key, _json_text(item, inner)))
-            except _NonFinite as exc:
-                exc.path = f".{key}{exc.path}"
-                raise
-        pairs.sort()
-        body = ("," + inner).join([f"{encode_basestring_ascii(k)}: {text}" for k, text in pairs])
-        return "{" + inner + body + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        texts = []
-        for item in value:
-            if type(item) is float and math.isfinite(item):
-                texts.append(float.__repr__(item))
-                continue
-            try:
-                texts.append(_json_text(item, inner))
-            except _NonFinite as exc:
-                exc.path = f"[{len(texts)}]{exc.path}"
-                raise
-        return "[" + inner + ("," + inner).join(texts) + pad + "]"
-    if isinstance(value, np.ndarray):
-        return _json_text(value.tolist(), pad)
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return _json_text(value.item(), pad)
-    if isinstance(value, Enum):
-        return _json_text(value.value, pad)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _report_text(report: dict) -> str:
-    """The report file's text: indented JSON with sorted keys and a final newline.
-
-    Any NaN or infinity raises :class:`NumericalAccuracyError` naming its path.
-    """
-    try:
-        return _json_text(report, "\n") + "\n"
-    except _NonFinite as exc:
-        raise NumericalAccuracyError(f"non-finite value at {exc.path[1:]}") from None
 
 
 def _atomic_write(path: str, chunks, parts=()) -> None:
@@ -459,6 +368,35 @@ def cmd_figure1(scn: Scenario, outdir: str):
 # scan
 
 
+def _violations(result: ScanResult, n: int) -> _Records:
+    """``scan.json``'s violations: ``{"t", "min_rate", "rates"}`` per grid time with a negative rate.
+
+    ``rates`` maps ``(i, j)`` to each rate below ``-rate_tol``, in row-major
+    order, and ``min_rate`` is the smallest of them. Grid times with the
+    same transitions below ``-rate_tol`` share one shape.
+    """
+    index, rates = result.negative_index, result.negative_rate
+    first = np.flatnonzero(np.diff(index, prepend=-1))  # each record's first entry
+    record = np.repeat(np.arange(first.size), np.diff(first, append=index.size))
+    cells = np.zeros((first.size, n * n), dtype=bool)
+    cells[record, result.negative_row * n + result.negative_col] = True
+    # one bytes key per record, which numpy's unique sorts far faster than rows
+    keys = np.packbits(cells, axis=1)
+    _, exemplars, kinds = np.unique(keys.view(f"V{keys.shape[1]}").ravel(), return_index=True, return_inverse=True)
+    shapes = []
+    for row in cells[exemplars]:
+        transitions = np.flatnonzero(row).tolist()
+        rates_of = {divmod(c, n): _Column(2 + m) for m, c in enumerate(transitions)}
+        shapes.append({"t": _Column(0), "min_rate": _Column(1), "rates": rates_of})
+    starts = first + 2 * np.arange(first.size)
+    values = np.empty(index.size + 2 * first.size)
+    values[starts] = result.grid[index[first]]
+    # min() keeps the first of equal rates, so a zero's sign too; so does the stable lexsort
+    values[starts + 1] = rates[np.lexsort((rates, record))[first]]
+    values[np.arange(index.size) + 2 * record + 2] = rates
+    return _Records(shapes, kinds.ravel(), starts, values)
+
+
 def cmd_scan(scn: Scenario, outdir: str):
     """Report every grid time whose generator carries a negative rate."""
     dyn = build_dynamics(scn.dynamics)
@@ -467,22 +405,18 @@ def cmd_scan(scn: Scenario, outdir: str):
     result = divisibility_scan(dyn, times, rate_tol=rate_tol)
     stable = refinement_stable(dyn, result)
 
-    failed = {t for t, _ in result.failures}
-    negatives = {v.t: len(v.negative_rates) for v in result.violations}
-    rows = ["# t,min_rate,n_negative\n"]
-    for t, min_rate in zip(result.grid.tolist(), result.min_rates.tolist()):
-        if t not in failed:
-            rows.append("%.17g,%.17g,%d\n" % (t, min_rate, negatives.get(t, 0)))
-    _atomic_write(os.path.join(outdir, "scan.csv"), rows)
+    # the minimal rate is NaN exactly where extraction failed; those points are left out
+    kept = ~np.isnan(result.min_rates)
+    counts = np.bincount(result.negative_index, minlength=result.grid.size)
+    cells = np.column_stack([result.grid, result.min_rates, counts])[kept]
+    rows = "%.17g,%.17g,%d\n" * cells.shape[0] % tuple(cells.ravel().tolist())
+    _atomic_write(os.path.join(outdir, "scan.csv"), ["# t,min_rate,n_negative\n", rows])
 
     results = {
         "rate_tol": rate_tol,
         "markovian_on_grid": result.markovian_on_grid,
         "windows": [[lo, hi] for lo, hi in result.windows()],
-        "violations": [
-            {"t": v.t, "min_rate": v.min_rate, "rates": v.negative_rates}
-            for v in result.violations
-        ],
+        "violations": _violations(result, dyn.dimension),
         "failures": list(result.failures),
         "refinement_stable": stable,
     }

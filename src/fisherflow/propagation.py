@@ -22,7 +22,7 @@ Each family defines ``propagators_at``, its exact propagators from time 0
 generators in closed form on a time grid with per-point failures;
 ``generator_of`` is the one-point grid. ``divisibility_scan`` classifies
 the grid and reports every transition whose rate dips below
-``-rate_tol``; an empty report certifies divisibility into stochastic
+``-rate_tol``, as arrays; none certifies divisibility into stochastic
 pieces on that grid resolution.
 """
 
@@ -57,7 +57,6 @@ __all__ = [
     "generator_of",
     "GeneratorGrid",
     "generator_grid",
-    "ScanPoint",
     "ScanResult",
     "divisibility_scan",
     "refinement_stable",
@@ -423,32 +422,29 @@ def generator_of(dyn: Dynamics, t: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ScanPoint:
-    t: float
-    negative_rates: dict[tuple[int, int], float]
-
-    @property
-    def min_rate(self) -> float:
-        return min(self.negative_rates.values())
-
-
-@dataclass(frozen=True)
 class ScanResult:
     """Grid points at which some transition rate dips below ``-rate_tol``.
 
     ``min_rates`` holds the smallest off-diagonal rate at each grid point,
-    NaN where extraction failed.
+    NaN where extraction failed. The rates below ``-rate_tol`` are four
+    arrays in row-major order of (grid index, row, column):
+    ``negative_index`` holds the grid index of each, ``negative_row`` and
+    ``negative_col`` its transition ``(i <- j)``, and ``negative_rate`` the
+    rate.
     """
 
     grid: np.ndarray
     rate_tol: float
-    violations: tuple[ScanPoint, ...]
     failures: tuple[tuple[float, str], ...]
     min_rates: np.ndarray
+    negative_index: np.ndarray
+    negative_row: np.ndarray
+    negative_col: np.ndarray
+    negative_rate: np.ndarray
 
     @property
     def markovian_on_grid(self) -> bool:
-        return not self.violations
+        return self.negative_index.size == 0
 
     def windows(self) -> list[tuple[float, float]]:
         """Maximal contiguous grid intervals of points whose minimal rate is below ``-rate_tol``."""
@@ -494,19 +490,18 @@ def divisibility_scan(
     gens = generator_grid(dyn, times) if generators is None else generators
     off, min_rates = _scan_rates(gens)
     # failed rows are NaN and compare False; nonzero walks (time, i, j) in row-major order
-    negative: dict[int, dict[tuple[int, int], float]] = {}
     ks, rows, cols = np.nonzero(off < -rate_tol)
-    for k, i, j, rate in zip(ks.tolist(), rows.tolist(), cols.tolist(), off[ks, rows, cols].tolist()):
-        negative.setdefault(k, {})[(i, j)] = rate
-    t_list = times.tolist()
     return ScanResult(
         grid=times,
         rate_tol=float(rate_tol),
-        violations=tuple(ScanPoint(t=t_list[k], negative_rates=neg) for k, neg in negative.items()),
         failures=tuple(
-            (t_list[k], f"{type(exc).__name__}: {exc}") for k, exc in sorted(gens.errors.items())
+            (float(times[k]), f"{type(exc).__name__}: {exc}") for k, exc in sorted(gens.errors.items())
         ),
         min_rates=min_rates,
+        negative_index=ks,
+        negative_row=rows,
+        negative_col=cols,
+        negative_rate=off[ks, rows, cols],
     )
 
 

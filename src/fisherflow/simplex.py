@@ -44,19 +44,31 @@ COLUMN_TOL = 1e-9
 #: Hard cap on the dimension of an extended generator.
 MAX_TENSOR_DIM = 4096
 
+#: Entries no larger than this in magnitude cannot sum past the float range
+#: over any vector or column that fits in memory (fewer than 1e8 terms).
+_SUM_SAFE = 1e300
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
-def _as_vector(entries, name: str) -> np.ndarray:
+def _as_vector(entries, name: str) -> tuple[np.ndarray, float]:
+    """``entries`` as a finite float vector of length >= 2, and the sum of its entries.
+
+    The sum is infinite, with no warning, when it overflows.
+    """
     v = np.array(entries, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise DimensionMismatchError(f"{name} must be a 1-d vector of length >= 2, got shape {v.shape}")
+    # one pass tests finiteness and a size at which no sum overflows (a NaN fails the comparison)
+    if np.abs(v).max() <= _SUM_SAFE:
+        return v, v.sum()
     if not np.isfinite(v).all():
         raise InvalidStateError(f"{name} contains non-finite entries")
-    return v
+    with np.errstate(over="ignore"):
+        return v, v.sum()
 
 
 def _as_square(entries, name: str, stack: bool = False) -> np.ndarray:
@@ -76,14 +88,16 @@ def _failures(m: np.ndarray, name: str, *rules) -> dict[int, FisherflowError]:
     where the matrix breaks the rule, and a function building the error of
     matrix ``k``.
     """
-    if np.isfinite(m).all():
-        broken = [rule(m) for rule in rules]
-        if not any(bad.any() for bad, _ in broken):
-            return {}
-    stack = m.reshape((-1,) + m.shape[-2:])
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    # zeros stand in for the non-finite matrices, which fail as such before any rule
-    broken = [rule(np.where(finite[:, None, None], stack, 0.0)) for rule in rules]
+    # finite entries may still sum past the float range; such a sum is inf and breaks its rule
+    with np.errstate(over="ignore"):
+        if np.isfinite(m).all():
+            broken = [rule(m) for rule in rules]
+            if not any(bad.any() for bad, _ in broken):
+                return {}
+        stack = m.reshape((-1,) + m.shape[-2:])
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        # zeros stand in for the non-finite matrices, which fail as such before any rule
+        broken = [rule(np.where(finite[:, None, None], stack, 0.0)) for rule in rules]
     failing = ~finite
     for bad, _ in broken:
         failing = failing | bad
@@ -106,13 +120,15 @@ def prob_vec(entries) -> np.ndarray:
     Entries more negative than ``-NEGATIVE_CLAMP`` are rejected; tiny
     negatives are clamped to zero before renormalization.
     """
-    p = _as_vector(entries, "state")
+    p, total = _as_vector(entries, "state")
     low = p.min()
+    if low < -NEGATIVE_CLAMP:
+        raise InvalidStateError(f"state has a negative entry {low:.3e}")
+    if total == np.inf:
+        raise InvalidStateError("state's total mass overflows")
     if low < 0.0:
-        if low < -NEGATIVE_CLAMP:
-            raise InvalidStateError(f"state has a negative entry {low:.3e}")
         p = np.where(p < 0.0, 0.0, p)
-    total = p.sum()
+        total = p.sum()
     if total <= 0.0:
         raise InvalidStateError("state has zero total mass")
     return _freeze(p / total)
@@ -125,9 +141,9 @@ def is_interior(p: np.ndarray, floor: float = INTERIOR_FLOOR) -> bool:
 
 def tangent_vec(entries) -> np.ndarray:
     """Validate a displacement on the simplex: its entries sum to zero within 1e-12."""
-    d = _as_vector(entries, "tangent vector")
-    if abs(d.sum()) > 1e-12:
-        raise InvalidTangentError(f"entries sum to {d.sum():.3e}, expected 0 within 1e-12")
+    d, total = _as_vector(entries, "tangent vector")
+    if abs(total) > 1e-12:
+        raise InvalidTangentError(f"entries sum to {total:.3e}, expected 0 within 1e-12")
     return _freeze(d)
 
 
@@ -161,9 +177,11 @@ def rate_matrix(entries, col_tol: float = COLUMN_TOL) -> np.ndarray:
     A stack of generators is checked by :func:`rate_matrix_failures`.
     """
     r = _as_square(entries, "rate matrix")
-    # finiteness first, so that no sum meets a non-finite entry; only a
-    # rejected matrix goes on to name its error
-    if not (np.isfinite(r).all() and np.abs(r.sum(axis=0)).max() <= col_tol):
+    # entries finite and small enough that no column sum overflows, tested
+    # first in one pass (a NaN fails the comparison), so that no sum meets a
+    # non-finite entry or warns; any other matrix, rejected or not, goes
+    # through the stack check, which names its error
+    if not (np.abs(r).max() <= _SUM_SAFE and np.abs(r.sum(axis=0)).max() <= col_tol):
         _raise_first(rate_matrix_failures(r, col_tol))
     return _freeze(r)
 

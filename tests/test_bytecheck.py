@@ -45,8 +45,8 @@ def test_generated_group_runs_each_command(tmp_path):
         assert group == "generated" and os.path.isfile(path)
         counts[command] = counts.get(command, 0) + 1
     # per seed: one scan, four retro and four quantum inputs; 40 planted and 2 no-go generators;
-    # two figure1 sweeps
-    assert counts == {"scan": 2, "retro": 8, "quantum": 8, "witness": 80, "nogo": 4, "filter": 4, "figure1": 4}
+    # two figure1 sweeps; one scan of an eleven-state generator
+    assert counts == {"scan": 4, "retro": 8, "quantum": 8, "witness": 80, "nogo": 4, "filter": 4, "figure1": 4}
     sweeps = []
     for _, command, path in runs:
         if command == "figure1":
@@ -55,6 +55,15 @@ def test_generated_group_runs_each_command(tmp_path):
     # each sweep is long enough for two writers, and no two start from one state
     assert all(s["grid"]["points"] * s["perturbation"]["theta_points"] > ROWS_PER_WRITER for s in sweeps)
     assert len({tuple(s["initial_state"]) for s in sweeps}) == len(sweeps)
+    # one scan per seed has eleven states, with negative rates at (1, 0) and (10, 0) only
+    generators = []
+    for _, command, path in runs:
+        if command == "scan" and path.endswith("scan_n11.json"):
+            with open(path, encoding="utf-8") as fh:
+                generators.append(json.load(fh)["dynamics"]["matrix"])
+    assert len(generators) == 2 and generators[0] != generators[1]
+    for r in generators:
+        assert [(i, j) for i in range(11) for j in range(11) if i != j and r[i][j] < 0.0] == [(1, 0), (10, 0)]
 
 
 def test_a_differing_run_names_the_files_and_json_paths_that_differ():

@@ -1,5 +1,6 @@
 """Time evolution: integrator, closed forms, intermediate maps, rate scans."""
 
+import dataclasses
 import functools
 import warnings
 
@@ -337,7 +338,7 @@ class TestDivisibilityScan:
         coarse = ff.divisibility_scan(dyn, np.linspace(0.0, 2.0, 9))
         invented = np.where(np.arange(9) == 4, -1.0, coarse.min_rates)
         assert refinement_stable(dyn, coarse)
-        assert not refinement_stable(dyn, ff.ScanResult(coarse.grid, coarse.rate_tol, (), (), invented))
+        assert not refinement_stable(dyn, dataclasses.replace(coarse, min_rates=invented))
 
     def test_failures_collected_not_raised(self):
         # contraction_to_target has closed-form derivatives, but at decay rate 50
@@ -366,6 +367,19 @@ class TestDivisibilityScan:
         dyn = ff.GeneratorDynamics(broken, dimension=2)
         with pytest.raises(TypeError, match="bad generator"):
             ff.divisibility_scan(dyn, np.linspace(0.0, 1.0, 5))
+
+
+def _violations_of(result):
+    """``(t, [((i, j), rate), ...])`` per grid time of a scan's negative-rate arrays, in their order."""
+    out = {}
+    for k, i, j, rate in zip(
+        result.negative_index.tolist(),
+        result.negative_row.tolist(),
+        result.negative_col.tolist(),
+        result.negative_rate.tolist(),
+    ):
+        out.setdefault(k, []).append(((i, j), rate))
+    return [(float(result.grid[k]), entries) for k, entries in out.items()]
 
 
 def _bitwise_equal(a, b):
@@ -461,10 +475,29 @@ class TestGridEvaluation:
         assert list(result.failures) == failures
         assert np.array_equal(np.isnan(result.min_rates), np.isnan(min_rates))
         assert _bitwise_equal(result.min_rates, min_rates)
-        assert [(v.t, list(v.negative_rates.items())) for v in result.violations] == [
-            (t, list(neg.items())) for t, neg in violations
-        ]
+        assert _violations_of(result) == [(t, list(neg.items())) for t, neg in violations]
         assert result.windows() == windows
+
+    def test_negative_rates_of_eleven_states_match_per_point_loop(self):
+        # negative rates at (1, 0), (10, 0) and, from t = 0.5 on, (5, 3)
+        base = np.full((11, 11), 0.05)
+        base[1, 0], base[10, 0] = -0.01, -0.02
+        bump = np.zeros((11, 11))
+        bump[5, 3] = -0.6
+        for r in (base, bump):
+            np.fill_diagonal(r, 0.0)
+            np.fill_diagonal(r, -r.sum(axis=0))
+        dyn = ff.GeneratorDynamics(lambda t: base + (t >= 0.5) * bump, dimension=11)
+        grid = np.linspace(0.0, 1.0, 9)
+        result = ff.divisibility_scan(dyn, grid)
+        min_rates, violations, failures, windows = oracles.scan_loop(
+            functools.partial(ff.generator_of, dyn), grid, 1e-9, ff.FisherflowError
+        )
+        assert not failures and not result.markovian_on_grid
+        assert _bitwise_equal(result.min_rates, min_rates)
+        assert _violations_of(result) == [(t, list(neg.items())) for t, neg in violations]
+        assert [len(neg) for _, neg in violations] == [2] * 4 + [3] * 5
+        assert result.windows() == windows == [(0.0, 1.0)]
 
     def test_case_study_windows_match_per_point_loop(self):
         dyn = ff.case_study_dynamics()

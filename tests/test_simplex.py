@@ -361,6 +361,9 @@ BAD_STATES = [
     ([[0.5, np.inf]], ff.DimensionMismatchError, "state must be a 1-d vector of length >= 2, got shape (1, 2)"),
     ([1.1, -0.1], ff.InvalidStateError, "state has a negative entry -1.000e-01"),
     ([0.0, 0.0], ff.InvalidStateError, "state has zero total mass"),
+    # finite entries whose sum overflows, named after a negative entry
+    ([1e308, 1e308], ff.InvalidStateError, "state's total mass overflows"),
+    ([1e308, 1e308, -1.0], ff.InvalidStateError, "state has a negative entry -1.000e+00"),
 ]
 BAD_GENERATORS = [
     ([[np.nan, 0.5], [1.0, -0.5]], ff.InvalidStateError, "rate matrix contains non-finite entries"),
@@ -369,6 +372,9 @@ BAD_GENERATORS = [
     ([[np.inf, -1.0], [-np.inf, 2.0]], ff.InvalidStateError, "rate matrix contains non-finite entries"),
     ([[np.nan, 0.5], [1.0, 0.5]], ff.InvalidStateError, "rate matrix contains non-finite entries"),
     ([[-1.0, 0.5], [1.0, 0.5]], ff.InvalidGeneratorError, "column sums off by 1.000e+00 (tolerance 1e-09)"),
+    # finite entries whose column sum overflows, named after a non-finite entry
+    ([[1e308, 0.0], [1e308, 0.0]], ff.InvalidGeneratorError, "column sums off by inf (tolerance 1e-09)"),
+    ([[1e308, 0.0], [1e308, np.nan]], ff.InvalidStateError, "rate matrix contains non-finite entries"),
     ([[-1.0, 0.5, 0.0], [1.0, -0.5, np.nan]], ff.DimensionMismatchError, "rate matrix must be square with size >= 2, got shape (2, 3)"),
     ([[np.nan]], ff.DimensionMismatchError, "rate matrix must be square with size >= 2, got shape (1, 1)"),
     ([GOOD_GENERATOR], ff.DimensionMismatchError, "rate matrix must be square with size >= 2, got shape (1, 2, 2)"),
@@ -412,3 +418,33 @@ class TestErrorPrecedence:
     )
     def test_contraction_form_checks_its_valid_inputs_together(self, base, kind, message):
         assert _raised(lambda: ff.contraction_form(base, GOOD_GENERATOR)) == (kind, message)
+
+
+class TestSumsPastTheFloatRange:
+    """Entries too large to sum without overflow raise the validator's own error, never a warning."""
+
+    def test_stack_names_the_overflowing_matrix(self):
+        stack = np.array([GOOD_GENERATOR, [[1e308, 0.0], [1e308, 0.0]], GOOD_GENERATOR])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            failures = ff.simplex.rate_matrix_failures(stack)
+            with pytest.raises(ff.InvalidStochasticMatrixError, match=r"^column sums off by inf"):
+                ff.stochastic_matrix([[1e308, 0.0], [1e308, 1.0]])
+        assert list(failures) == [1]
+        assert str(failures[1]) == "column sums off by inf (tolerance 1e-09)"
+
+    def test_large_entries_that_sum_in_range_pass(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = ff.rate_matrix([[1e308, 0.0], [-1e308, 0.0]])
+            p = ff.prob_vec([1e308, 1.0])
+            d = ff.tangent_vec([1e308, -1e308])
+        assert r.tolist() == [[1e308, 0.0], [-1e308, 0.0]]
+        assert p.tolist() == [1.0, 1e-308]
+        assert d.tolist() == [1e308, -1e308]
+
+    def test_tangent_vec_names_an_overflowing_sum(self):
+        assert _raised(lambda: ff.tangent_vec([1e308, 1e308])) == (
+            ff.InvalidTangentError,
+            "entries sum to inf, expected 0 within 1e-12",
+        )

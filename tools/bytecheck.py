@@ -15,8 +15,11 @@ gitignored ``.bench_build/`` and removed again afterwards. Each tree runs
   ``witness`` scenario per planted generator, seeded with its search
   seed, and one scenario per no-go generator, with its base and the
   sweep's copies and ancilla dimensions, run with ``nogo`` and ``filter``;
-  and, per seed, the case-study ``figure1`` sweeps of ``FIGURE1_SWEEPS``
-  from initial states drawn from the seed.
+  per seed, the case-study ``figure1`` sweeps of ``FIGURE1_SWEEPS``
+  from initial states drawn from the seed; and, per seed, a ``scan`` of a
+  constant generator on ``SCAN_STATES`` states with rates drawn from the
+  seed, negative at (1, 0) and (10, 0), whose keys ``"10<-0"`` and
+  ``"1<-0"`` sort by text.
 
 Scenario paths are passed relative to the tree and every run writes into
 the same output path in both trees, so messages that name a path match.
@@ -59,6 +62,8 @@ FORMS_GRID = {"t0": 0.0, "t1": 1.0, "points": 2}
 #: than 32,768 CSV rows, so two or more CPUs split it among writer processes,
 #: and neither splits evenly into the writers' ranges or their time blocks.
 FIGURE1_SWEEPS = ((129, 300), (1025, 33))
+#: States of the generated ``scan`` generator.
+SCAN_STATES = 11
 
 
 def _scenario_runs(tree: str) -> list[list[str]]:
@@ -83,7 +88,30 @@ def _generated_runs(inputs: str) -> list[list[str]]:
                 runs.append(["generated", command, os.path.join(inputs, path)])
         runs += _forms_runs(gen, seed, inputs)
         runs += _figure1_runs(seed, inputs)
+        runs += _scan_runs(seed, inputs)
     return runs
+
+
+def _scan_runs(seed: int, inputs: str) -> list[list[str]]:
+    """Write a ``scan`` scenario of a ``SCAN_STATES``-state generator drawn from ``seed``; [group, command, path]."""
+    rng = random.Random(seed)
+    n = SCAN_STATES
+    rates = [[0.0 if i == j else round(rng.uniform(0.05, 1.0), 6) for j in range(n)] for i in range(n)]
+    rates[1][0] = -round(rng.uniform(0.01, 0.04), 6)
+    rates[10][0] = -round(rng.uniform(0.01, 0.04), 6)
+    for j in range(n):
+        rates[j][j] = -sum(rates[i][j] for i in range(n))
+    scenario = {
+        "dynamics": {"kind": "generator", "matrix": rates},
+        "grid": {"t0": 0.0, "t1": 1.0, "points": 33},
+        "analyses": {"divisibility": {"rate_tol": 1e-9}},
+    }
+    directory = os.path.join(inputs, f"seed{seed}-scan")
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, f"scan_n{n}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(scenario, fh)
+    return [["generated", "scan", path]]
 
 
 def _figure1_runs(seed: int, inputs: str) -> list[list[str]]:
