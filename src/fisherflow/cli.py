@@ -181,10 +181,6 @@ def _check_true(flag: bool) -> dict:
     return _check(bool(flag), True, bool(flag))
 
 
-def _generator_for(scn: Scenario, t: float) -> np.ndarray:
-    return generator_of(build_dynamics(scn.dynamics), t)
-
-
 def _rate_tol(scn: Scenario) -> float:
     """The tolerance of every divisibility scan: ``analyses.divisibility.rate_tol``, else its default."""
     return (scn.analyses.divisibility or DivisibilitySpec()).rate_tol
@@ -391,8 +387,7 @@ def _violations(result: ScanResult, n: int) -> _Records:
     starts = first + 2 * np.arange(first.size)
     values = np.empty(index.size + 2 * first.size)
     values[starts] = result.grid[index[first]]
-    # min() keeps the first of equal rates, so a zero's sign too; so does the stable lexsort
-    values[starts + 1] = rates[np.lexsort((rates, record))[first]]
+    values[starts + 1] = np.minimum.reduceat(rates, first)
     values[np.arange(index.size) + 2 * record + 2] = rates
     return _Records(shapes, kinds.ravel(), starts, values)
 
@@ -434,7 +429,7 @@ def cmd_scan(scn: Scenario, outdir: str):
 def cmd_witness(scn: Scenario, outdir: str):
     """Build a base and direction with a positive squared-Fisher rate, in closed form."""
     block = scn.analyses.witness or WitnessSpec()
-    r = _generator_for(scn, block.time)
+    r = generator_of(build_dynamics(scn.dynamics), block.time)
     verdict = is_markovian_generator(r)
     report = dilation_direction_search(r)
 
@@ -466,7 +461,7 @@ def cmd_witness(scn: Scenario, outdir: str):
 def cmd_nogo(scn: Scenario, outdir: str):
     """Certify strict contraction on replicated and ancilla-extended spaces."""
     block = scn.analyses.no_go or NoGoSpec()
-    r = _generator_for(scn, 0.0)
+    r = generator_of(build_dynamics(scn.dynamics), 0.0)
     n = r.shape[0]
     pi = prob_vec(block.base if block.base is not None else np.full(n, 1.0 / n))
 
@@ -515,7 +510,7 @@ def cmd_nogo(scn: Scenario, outdir: str):
 def cmd_filter(scn: Scenario, outdir: str):
     """Run the filtered-distance witness on an ancilla extension."""
     block = scn.analyses.filter or FilterSpec()
-    r = _generator_for(scn, 0.0)
+    r = generator_of(build_dynamics(scn.dynamics), 0.0)
     verdict = is_markovian_generator(r)
     if verdict.markovian:
         raise WitnessNotApplicableError("filter witness needs a negative rate")
@@ -584,7 +579,8 @@ def cmd_retro(scn: Scenario, outdir: str):
     ctx = retrodiction_context(block.prior, dyn, grid)
     prior = ctx.prior
 
-    scan = divisibility_scan(dyn, grid, rate_tol=_rate_tol(scn))
+    gens = generator_grid(dyn, grid)
+    scan = divisibility_scan(dyn, grid, rate_tol=_rate_tol(scn), generators=gens)
     markovian = scan.markovian_on_grid and not scan.failures
 
     # the indices ascend, so dropping repeats keeps them sorted with no sort call (numpy's
@@ -596,33 +592,23 @@ def cmd_retro(scn: Scenario, outdir: str):
     spec_min = float(spectra.min())
     spec_max = float(spectra.max())
 
-    n = prior.shape[0]
-    bump = 1e-3 * float(prior.min()) * zero_sum_basis(n)[:, 0]
-    p0 = prior + bump
+    p0 = prior + 1e-3 * float(prior.min()) * zero_sum_basis(prior.shape[0])[:, 0]
     retro_curve = retrodiction_distance_sq(p0, ctx, grid)
     monotone = bool(np.all(np.diff(retro_curve) >= -1e-12))
 
-    if block.equivalence_times is not None:
-        eq_times = list(block.equivalence_times)
-    else:
-        eq_times = sorted(
-            {float(grid[int(f * (grid.shape[0] - 1))]) for f in (0.25, 0.5, 0.75)} - {float(grid[0])}
-        )
+    defaults = sorted({int(f * (grid.shape[0] - 1)) for f in (0.25, 0.5, 0.75)} - {0})
+    rows = defaults if block.equivalence_times is None else ctx.indices_of(block.equivalence_times).tolist()
     band = scn.tolerance("equivalence_band")
-    equivalence = []
-    verdicts_ok = True
-    for t in eq_times:
-        rep = retrodiction_equivalence_check(ctx, t, band=band)
-        verdicts_ok = verdicts_ok and rep.verdict != "inconsistent"
-        equivalence.append(
-            {
-                "t": rep.time,
-                "lambda_max": rep.lambda_max,
-                "curvature_min": rep.curvature_min,
-                "band": band,
-                "verdict": rep.verdict,
-            }
-        )
+    # a requested time whose generator failed raises; any other has no verdict, and the scan reports it
+    for k in rows:
+        if k in gens.errors:
+            raise gens.errors[k]
+    rep = retrodiction_equivalence_check(ctx, grid, band=band, generators=gens)
+    lows = rep.curvature_min
+    equivalence = [
+        dict(t=grid[k], lambda_max=rep.lambda_max[k], curvature_min=lows[k], band=band, verdict=rep.verdict[k])
+        for k in rows
+    ]
 
     results = {
         "prior": prior,
@@ -638,7 +624,7 @@ def cmd_retro(scn: Scenario, outdir: str):
     }
     checks = {
         "adjoint_identity": _check_max(adjoint_max, scn.tolerance("adjoint")),
-        "no_inconsistent_verdicts": _check_true(verdicts_ok),
+        "no_inconsistent_verdicts": _check_true(not np.any(rep.verdict == "inconsistent")),
     }
     if markovian:
         slack = scn.tolerance("spectrum_slack")

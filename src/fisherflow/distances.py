@@ -61,7 +61,7 @@ def _check_same_dim(*arrays) -> int:
 
 
 def _require_interior(p: np.ndarray, floor: float = INTERIOR_FLOOR) -> None:
-    if not p.min() >= floor:  # a NaN entry fails too
+    if not p.min(initial=np.inf) >= floor:  # a NaN entry fails too; an empty stack passes
         # with batch axes, name the first base that touches the boundary
         rows = p.reshape(-1, p.shape[-1])
         first = rows[int(np.argmin(rows.min(axis=1) >= floor))]
@@ -223,9 +223,9 @@ def contraction_form(p, r, basis: np.ndarray | None = None) -> ContractionForm:
 
 
 def _form_matrix(base: np.ndarray, lap: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The form ``-1/2 (P^-1 B)^T L (P^-1 B)`` from the edge Laplacian ``lap`` at an accepted interior ``base``."""
-    v = basis / base[:, None]
-    m = -0.5 * (v.T @ lap @ v)
+    """The form ``-1/2 (P^-1 B)^T L (P^-1 B)`` from ``lap`` at an accepted interior ``base``; leading axes batch."""
+    v = basis / base[..., :, None]
+    m = -0.5 * (v.swapaxes(-1, -2) @ lap @ v)
     # exact symmetry keeps eigh independent of which triangle it reads
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + m.swapaxes(-1, -2))
 

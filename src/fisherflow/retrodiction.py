@@ -14,10 +14,11 @@ Differentiating it with dT/dt = L T gives <d, dA/dt d>_pi as the rate of
 the squared Fisher distance of T d at T pi under L: the symmetrized
 -dA/dt on the pi-orthonormal basis is the contraction form at the evolved
 prior, pulled back by ``T`` and negated. ``retrodiction_equivalence_check``
-reads it off that form in closed form; by Sylvester's law of inertia its
-signs are the negated signs of the form's eigenvalues wherever ``T`` is
-invertible on zero-sum vectors, so recovery quality improves along some
-direction exactly when some direction dilates.
+reads it off that form in closed form, at one time or in one stacked pass
+over an array of times; by Sylvester's law of inertia its signs are the
+negated signs of the form's eigenvalues wherever ``T`` is invertible on
+zero-sum vectors, so recovery quality improves along some direction
+exactly when some direction dilates.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distances import _require_interior, contraction_form, fisher_inner
+from .distances import _edge_laplacian, _form_matrix, _require_interior, fisher_inner
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -36,13 +37,14 @@ from .errors import (
 )
 from .propagation import (
     Dynamics,
+    GeneratorGrid,
     Trajectory,
-    generator_of,
+    generator_grid,
     nearest_index,
     propagate,
     snap_index,
 )
-from .simplex import is_interior, prob_vec, stochastic_matrix
+from .simplex import is_interior, prob_vec, stochastic_matrix, zero_sum_basis
 
 __all__ = [
     "bayes_inverse",
@@ -246,10 +248,9 @@ def adjoint_identity_check(ctx: RetrodictionContext, t):
     idx = ctx.indices_of(times.ravel())
     fwd = ctx.forward_maps[idx]
     a = ctx.round_trips[idx]
-    pushed = np.empty(fwd.shape[:-1])
-    for k, image in enumerate(fwd @ ctx.prior):
-        pushed[k] = prob_vec(image)
-        _require_interior(pushed[k])
+    pushed = fwd @ ctx.prior
+    pushed /= pushed.sum(axis=-1, keepdims=True)
+    _require_interior(pushed)
     tb = fwd @ ctx.basis
     gram = ctx._project(a) - tb.swapaxes(-1, -2) @ (tb / (2.0 * pushed[:, :, None]))
     worst = np.max(np.abs(np.linalg.eigvalsh(0.5 * (gram + gram.swapaxes(-1, -2)))), axis=-1)
@@ -259,75 +260,83 @@ def adjoint_identity_check(ctx: RetrodictionContext, t):
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Two readings of local Fisher expansivity at one grid time.
+    """Two readings of local Fisher expansivity at one grid time, or stacked over many.
 
     ``recovery_curvature`` holds the eigenvalues of the symmetrized
     -dA/dt on zero-sum directions; ``lambda_max`` is the top of the
     contraction form at the evolved prior. The verdict compares their
-    signs outside the indeterminate band.
+    signs outside the indeterminate band. Stacked, every field has one entry
+    per time, ``retro_rates_along_negative`` is NaN off the curvatures below
+    ``-band``, and a failed generator reads NaN with the verdict ``"failed"``.
     """
 
-    time: float
+    time: float | np.ndarray
     recovery_curvature: np.ndarray
-    lambda_max: float
-    retro_rates_along_negative: tuple[float, ...]
-    verdict: str
+    lambda_max: float | np.ndarray
+    retro_rates_along_negative: tuple[float, ...] | np.ndarray
+    verdict: str | np.ndarray
 
     @property
-    def curvature_min(self) -> float:
-        return float(self.recovery_curvature.min())
+    def curvature_min(self) -> float | np.ndarray:
+        low = self.recovery_curvature.min(axis=-1)
+        return float(low) if low.ndim == 0 else low
 
     @property
-    def consistent(self) -> bool | None:
-        if self.verdict == "inconclusive":
-            return None
-        return self.verdict == "consistent"
+    def consistent(self) -> bool | None | np.ndarray:
+        flags = np.where(np.isin(self.verdict, ("consistent", "inconsistent")), self.verdict == "consistent", None)
+        return flags.item() if flags.ndim == 0 else flags
 
 
 def retrodiction_equivalence_check(
-    ctx: RetrodictionContext, t: float, band: float = INDETERMINATE_BAND
+    ctx: RetrodictionContext, t, band: float = INDETERMINATE_BAND, generators: GeneratorGrid | None = None
 ) -> EquivalenceReport:
     """Compare recovery-quality decay against the Fisher contraction form.
 
     ``t`` snaps to the context grid. The contraction form at the evolved
     prior under the generator there gives ``lambda_max``; pulled back by
-    the forward map onto the prior-orthonormal basis and negated, the same
-    form is the symmetrized -dA/dt, whose eigenvalues are the recovery
-    curvature. Outside the indeterminate ``band`` the two must agree in
-    sign: some negative curvature exactly when some direction dilates.
-    For every curvature ``mu`` below ``-band``, with unit eigenvector
-    ``e`` on that basis, the rate of the squared retrodiction residual
-    along that direction is reported as well: ``-2 <(I - A) d, dA/dt d>``,
-    which is ``2 mu (1 - e^T A e)`` because dA/dt is self-adjoint in the
-    prior inner product; it is expected negative (recovery improving).
-    """
-    k = ctx.index_of(t)
-    time = float(ctx.grid[k])
-    fwd = ctx.forward_maps[k]
-    form = contraction_form(prob_vec(fwd @ ctx.prior), generator_of(ctx.dynamics, time))
-    lam = form.lambda_max
-    pull = form.basis.T @ fwd @ ctx.basis
-    eigvals, eigvecs = np.linalg.eigh(-(pull.T @ form.matrix @ pull))
-    trip = ctx._project(ctx.round_trips[k])
-    retro_rates = tuple(
-        2.0 * float(eigvals[j]) * (1.0 - float(eigvecs[:, j] @ trip @ eigvecs[:, j]))
-        for j in np.flatnonzero(eigvals < -band)
-    )
+    the forward map onto the prior-orthonormal basis and negated, it is
+    the symmetrized -dA/dt, whose eigenvalues are the recovery curvature.
+    Outside the indeterminate ``band`` the two must agree in sign: some
+    negative curvature exactly when some direction dilates. Along each
+    curvature ``mu`` below ``-band``, with unit eigenvector ``e`` on that
+    basis, the rate of the squared retrodiction residual is reported too:
+    ``-2 <(I - A) d, dA/dt d> = 2 mu (1 - e^T A e)``, as dA/dt is
+    self-adjoint in the prior inner product; it is expected negative.
 
-    neg_curv = float(eigvals.min()) < -band
-    pos_curv_only = float(eigvals.min()) > band
-    if lam > band and neg_curv:
-        verdict = "consistent"
-    elif lam < -band and pos_curv_only:
-        verdict = "consistent"
-    elif abs(lam) <= band or (not neg_curv and not pos_curv_only):
-        verdict = "inconclusive"
-    else:
-        verdict = "inconsistent"
-    return EquivalenceReport(
-        time=time,
-        recovery_curvature=eigvals,
-        lambda_max=lam,
-        retro_rates_along_negative=retro_rates,
-        verdict=verdict,
-    )
+    An array of times gives a stacked report from one batched form and two
+    stacked eigensolves. ``generators`` is the :func:`generator_grid` of
+    ``ctx.dynamics`` on ``ctx.grid`` if the caller has it. A float ``t``
+    raises its generator's failure; every evolved prior must be interior.
+    """
+    times = np.asarray(t, dtype=float)
+    idx = ctx.indices_of(times.ravel())
+    gens = generator_grid(ctx.dynamics, ctx.grid[idx]) if generators is None else generators
+    rows = np.arange(idx.size) if generators is None else idx
+    live = ~np.isin(rows, list(gens.errors))
+    if times.ndim == 0 and not live[0]:
+        raise gens.errors[int(rows[0])]
+    fwd = ctx.forward_maps[idx[live]]
+    base = fwd @ ctx.prior
+    base /= base.sum(axis=-1, keepdims=True)
+    _require_interior(base)
+    basis = zero_sum_basis(ctx.dimension)
+    form = _form_matrix(base, _edge_laplacian(base, gens.generators[rows[live]]), basis)
+    lam = np.full(idx.size, np.nan)
+    lam[live] = np.linalg.eigh(form)[0][:, -1]
+    pull = basis.T @ fwd @ ctx.basis
+    curv = np.full(idx.shape + basis.shape[1:], np.nan)
+    curv[live], vecs = np.linalg.eigh(-(pull.swapaxes(-1, -2) @ form @ pull))
+    trip = ctx._project(ctx.round_trips[idx[live]])
+    rates = np.full_like(curv, np.nan)
+    quad = np.sum(vecs * (trip @ vecs), axis=-2)  # e^T A e of each eigenvector
+    rates[live] = np.where(curv[live] < -band, 2.0 * curv[live] * (1.0 - quad), np.nan)
+    neg_curv, pos_curv_only = curv[:, 0] < -band, curv[:, 0] > band
+    agree = (lam > band) & neg_curv | (lam < -band) & pos_curv_only
+    inconclusive = (np.abs(lam) <= band) | ~(neg_curv | pos_curv_only)
+    verdict = np.select([agree, inconclusive], ["consistent", "inconclusive"], "inconsistent")
+    verdict[~live] = "failed"
+    if times.ndim:
+        fields = (ctx.grid[idx], curv, lam, rates, verdict)
+        return EquivalenceReport(*(a.reshape(times.shape + a.shape[1:]) for a in fields))
+    along = tuple(rates[0][curv[0] < -band].tolist())
+    return EquivalenceReport(float(ctx.grid[idx[0]]), curv[0], float(lam[0]), along, str(verdict[0]))

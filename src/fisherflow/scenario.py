@@ -221,6 +221,10 @@ class DynamicsSpec:
 class DivisibilitySpec:
     rate_tol: float = 1e-9
 
+    def __post_init__(self) -> None:
+        if self.rate_tol < 0.0:  # a zero rate would count as a violation
+            raise ScenarioError("divisibility.rate_tol must be at least 0")
+
 
 @dataclass(frozen=True)
 class WitnessSpec:

@@ -373,6 +373,68 @@ def recovery_spectrum_loop(round_trips, pi, basis) -> np.ndarray:
     return np.array(out)
 
 
+def equivalence_loop(fwd_maps, round_trips, prior, basis, generator_at, times, band: float, errors):
+    """The contraction/retrodiction equivalence check one grid time at a time.
+
+    The per-time route the stacked check replaced, written out: at time
+    ``times[k]``, with forward map T, round trip A and the generator
+    ``generator_at(t)`` (a time where it raises one of ``errors`` gets no
+    reading), the evolved prior q = T pi is normalized, and normalized
+    again as the form's base. The form on the orthonormal zero-sum basis
+    U (columns proportional to (1, ..., 1, -k, 0, ...)) is
+    M = -1/2 V^T Lap V with V = U / q row-wise and Lap the Laplacian of
+    S = W + W^T, W[i, j] = L[i, j] q[j] off the diagonal; ``lambda_max`` is
+    its top eigenvalue. With g = U^T T ``basis``, the eigenpairs (mu, e)
+    of -(g^T M g) are the curvature, and 2 mu (1 - e^T A' e), with A' the
+    round trip on ``basis`` (W^T A B, W = B / (2 pi) row-wise), the rate
+    along each mu below -``band``. Returns ``lambda_max`` and the smallest
+    curvature per time (NaN where the generator failed), the verdicts
+    (None there) and the rates as a list of tuples.
+    """
+    pi = np.asarray(prior, dtype=float)
+    n = pi.size
+    frame = np.zeros((n, n - 1))
+    for k in range(1, n):
+        frame[:k, k - 1] = 1.0
+        frame[k, k - 1] = -float(k)
+        frame[:, k - 1] /= np.sqrt(k * (k + 1.0))
+    weighted = basis / (2.0 * pi)[:, None]
+    out = []
+    for t, fwd, trip in zip(times, fwd_maps, round_trips):
+        try:
+            r = np.asarray(generator_at(float(t)), dtype=float)
+        except errors:
+            out.append((np.nan, np.nan, None, ()))
+            continue
+        q = fwd @ pi
+        q = q / q.sum()
+        q = q / q.sum()
+        w = r * q[None, :]
+        np.fill_diagonal(w, 0.0)
+        sym = w + w.T
+        lap = np.diag(sym.sum(axis=1)) - sym
+        v = frame / q[:, None]
+        m = -0.5 * (v.T @ lap @ v)
+        m = 0.5 * (m + m.T)
+        lam = float(np.linalg.eigh(m)[0][-1])
+        g = frame.T @ fwd @ basis
+        mu, e = np.linalg.eigh(-(g.T @ m @ g))
+        projected = weighted.T @ trip @ basis
+        rates = tuple(
+            2.0 * float(mu[j]) * (1.0 - float(e[:, j] @ projected @ e[:, j])) for j in range(mu.size) if mu[j] < -band
+        )
+        neg, pos_only = float(mu.min()) < -band, float(mu.min()) > band
+        if (lam > band and neg) or (lam < -band and pos_only):
+            verdict = "consistent"
+        elif abs(lam) <= band or (not neg and not pos_only):
+            verdict = "inconclusive"
+        else:
+            verdict = "inconsistent"
+        out.append((lam, float(mu.min()), verdict, rates))
+    lams, lows, verdicts, rates = zip(*out)
+    return np.array(lams), np.array(lows), list(verdicts), list(rates)
+
+
 def curvature_loop(round_trip_at, pi, basis, t: float, h: float, band: float):
     """Richardson-extrapolated central differences of the recovery curvature at ``t``.
 

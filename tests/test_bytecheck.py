@@ -4,6 +4,8 @@ import importlib.util
 import json
 import os
 
+import numpy as np
+
 from fisherflow.cli import _FIGURE1_ROWS_PER_WORKER as ROWS_PER_WRITER, main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -45,8 +47,8 @@ def test_generated_group_runs_each_command(tmp_path):
         assert group == "generated" and os.path.isfile(path)
         counts[command] = counts.get(command, 0) + 1
     # per seed: one scan, four retro and four quantum inputs; 40 planted and 2 no-go generators;
-    # two figure1 sweeps; one scan of an eleven-state generator
-    assert counts == {"scan": 4, "retro": 8, "quantum": 8, "witness": 80, "nogo": 4, "filter": 4, "figure1": 4}
+    # two figure1 sweeps; one scan of an eleven-state generator; one case-study retro
+    assert counts == {"scan": 4, "retro": 10, "quantum": 8, "witness": 80, "nogo": 4, "filter": 4, "figure1": 4}
     sweeps = []
     for _, command, path in runs:
         if command == "figure1":
@@ -64,6 +66,14 @@ def test_generated_group_runs_each_command(tmp_path):
     assert len(generators) == 2 and generators[0] != generators[1]
     for r in generators:
         assert [(i, j) for i in range(11) for j in range(11) if i != j and r[i][j] < 0.0] == [(1, 0), (10, 0)]
+    # one retro per seed runs the case study on 1,024 points of [0, pi], each from a prior of its own
+    retros = []
+    for _, command, path in runs:
+        if command == "retro" and path.endswith("retro_case_study_1024.json"):
+            with open(path, encoding="utf-8") as fh:
+                retros.append(json.load(fh))
+    assert [(s["dynamics"]["kind"], s["grid"]["points"], s["grid"]["t1"]) for s in retros] == [("case_study", 1024, np.pi)] * 2
+    assert retros[0]["analyses"]["retrodiction"]["prior"] != retros[1]["analyses"]["retrodiction"]["prior"]
 
 
 def test_a_differing_run_names_the_files_and_json_paths_that_differ():

@@ -250,17 +250,18 @@ def test_scan_edge_cases_are_covered(tmp_path, capsys):
     assert len(violations) > 1600 and len({tuple(v["rates"]) for v in violations}) > 1
 
 
-def test_min_rate_of_signed_zeros_is_min_s(tmp_path, capsys):
-    # at a negative tolerance zero rates count, and min() keeps the first of 0.0 and -0.0
+def test_negative_rate_tol_exits_1(tmp_path, capsys):
+    # a negative tolerance would count zero rates, of either sign, as violations
     scenario = {
         "dynamics": {"kind": "generator", "matrix": [[-1.0, 0.0, 1.0], [1.0, -1.0, -0.0], [-0.0, 1.0, -1.0]]},
         "grid": {"t0": 0.0, "t1": 1.0, "points": 3},
         "analyses": {"divisibility": {"rate_tol": -0.5}},
     }
-    _, code, text, _ = _scan_run(tmp_path, scenario)
-    violations = json.loads(text)["results"]["violations"]
-    assert code == 0 and len(violations) == 3
-    assert text.count('"min_rate": 0.0,') == 3 and '"min_rate": -0.0' not in text
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["scan", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "fisherflow: invalid input: divisibility.rate_tol must be at least 0\n"
+    assert not (tmp_path / "scan.json").exists()
 
 
 def test_failed_scan_names_scan_clean(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Bayes recovery maps, round trips, and the curvature equivalence check."""
 
 import dataclasses
+import glob
+import importlib.util
 import json
 import os
 import warnings
@@ -10,6 +12,7 @@ import pytest
 from scipy.linalg import expm
 
 import fisherflow as ff
+import fisherflow.cli
 import fisherflow.propagation
 import oracles
 from fisherflow.cli import main
@@ -409,3 +412,156 @@ def test_retro_calls_expm_once_for_the_grid(tmp_path, monkeypatch):
     equivalence = json.loads((tmp_path / "retro.json").read_text())["results"]["equivalence"]
     assert len(equivalence) == 3
     assert shapes == [(61, 2, 2)]
+
+
+def _gen_module():
+    spec = importlib.util.spec_from_file_location("equivalence_gen", os.path.join(SCENARIO_DIR, "..", "bench", "gen.py"))
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def _retro_inputs():
+    """Paths of the bundled and edge scenarios whose retrodiction context builds."""
+    paths = []
+    for path in sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.json")) + glob.glob(os.path.join(SCENARIO_DIR, "edge", "*.json"))):
+        try:
+            scn = ff.load_scenario(path)
+            if scn.analyses.retrodiction is not None:
+                ff.retrodiction_context(scn.analyses.retrodiction.prior, ff.build_dynamics(scn.dynamics), scn.grid.times())
+                paths.append(os.path.relpath(path, SCENARIO_DIR))
+        except ff.FisherflowError:
+            pass
+    return paths
+
+
+@pytest.fixture(scope="module")
+def generated_retro_inputs(tmp_path_factory):
+    """The generated retro scenarios of the benchmark's dynamics inputs, seeds 1 and 2."""
+    root = str(tmp_path_factory.mktemp("generated"))
+    gen = _gen_module()
+    paths = []
+    for seed in (1, 2):
+        manifest = gen.generate("dynamics", seed, root, f"seed{seed}")
+        paths += [os.path.join(root, path) for command, path, _ in manifest["cli"] if command == "retro" and "seed" in path]
+    return paths
+
+
+class TestStackedEquivalence:
+    """The stacked check over every grid time against the per-time route it replaced."""
+
+    @staticmethod
+    def _compare(prior, dyn, grid, band=ff.retrodiction.INDETERMINATE_BAND):
+        ctx = ff.retrodiction_context(prior, dyn, grid)
+        gens = ff.generator_grid(dyn, grid)
+        report = ff.retrodiction_equivalence_check(ctx, grid, band=band, generators=gens)
+        lams, lows, verdicts, rates = oracles.equivalence_loop(
+            ctx.forward_maps, ctx.round_trips, ctx.prior, ctx.basis,
+            lambda t: ff.generator_of(dyn, t), grid, band, ff.FisherflowError,
+        )
+        assert report.verdict.tolist() == [v or "failed" for v in verdicts]
+        assert report.consistent.tolist() == [None if v == "inconclusive" else v and v == "consistent" for v in verdicts]
+        failed = np.isnan(lams)
+        assert np.array_equal(np.isnan(report.lambda_max), failed)
+        assert np.allclose(report.lambda_max[~failed], lams[~failed], rtol=1e-12, atol=0.0)
+        assert np.allclose(report.curvature_min[~failed], lows[~failed], rtol=1e-12, atol=0.0)
+        for got, want in zip(report.retro_rates_along_negative, rates):
+            assert np.allclose(got[~np.isnan(got)], want, rtol=1e-9, atol=0.0)
+        return report
+
+    @pytest.mark.parametrize("name", _retro_inputs())
+    def test_bundled_and_edge_scenarios(self, name):
+        scn = ff.load_scenario(os.path.join(SCENARIO_DIR, name))
+        report = self._compare(scn.analyses.retrodiction.prior, ff.build_dynamics(scn.dynamics), scn.grid.times())
+        assert "inconsistent" not in report.verdict
+
+    def test_generated_scenarios(self, generated_retro_inputs):
+        assert len(generated_retro_inputs) == 8
+        for path in generated_retro_inputs:
+            scn = ff.load_scenario(path)
+            report = self._compare(scn.analyses.retrodiction.prior, ff.build_dynamics(scn.dynamics), scn.grid.times())
+            assert "inconsistent" not in report.verdict
+
+    @pytest.mark.parametrize("prior", [[0.2, 0.4, 0.4], [0.2, 0.3, 0.5], [0.7, 0.2, 0.1]])
+    def test_case_study_at_1024_points(self, prior):
+        report = self._compare(prior, ff.case_study_dynamics(), np.linspace(0.0, np.pi, 1024))
+        verdicts = set(report.verdict.tolist())
+        assert "consistent" in verdicts and "inconsistent" not in verdicts
+
+    def test_a_float_time_is_its_row_of_the_stack(self, stack_case):
+        ctx, _ = stack_case
+        stacked = ff.retrodiction_equivalence_check(ctx, ctx.grid)
+        for k in (0, 9, 32):
+            one = ff.retrodiction_equivalence_check(ctx, float(ctx.grid[k]))
+            assert (one.time, one.lambda_max, one.verdict) == (ctx.grid[k], stacked.lambda_max[k], stacked.verdict[k])
+            assert np.array_equal(one.recovery_curvature, stacked.recovery_curvature[k])
+            assert one.curvature_min == stacked.curvature_min[k]
+            rates = stacked.retro_rates_along_negative[k]
+            assert one.retro_rates_along_negative == tuple(rates[~np.isnan(rates)].tolist())
+
+    def test_a_failed_generator_raises_at_a_float_time_and_has_no_verdict_in_a_stack(self):
+        dyn = ff.contraction_to_target([0.2, 0.3, 0.5], decay_rate=50.0)
+        ctx = ff.retrodiction_context([0.3, 0.3, 0.4], dyn, np.linspace(0.0, 1.0, 17))
+        with pytest.raises(ff.DomainError, match="mixing weight 1.0 leaves no invertible part at t = 0.75"):
+            ff.retrodiction_equivalence_check(ctx, 0.75)
+        report = ff.retrodiction_equivalence_check(ctx, ctx.grid.reshape(1, 17))
+        assert report.verdict.shape == report.lambda_max.shape == (1, 17)
+        assert report.recovery_curvature.shape == (1, 17, 2)
+        assert (report.verdict[0] == "failed").sum() == 8
+        assert np.array_equal(np.isnan(report.lambda_max[0]), report.verdict[0] == "failed")
+
+
+def test_retro_evaluates_a_constant_generator_once(tmp_path, monkeypatch):
+    # the scan and the equivalence check share one generator grid
+    calls = []
+    real = ff.GeneratorDynamics._generator_grid
+
+    def counted(self, times):
+        calls.append(times.shape)
+        return real(self, times)
+
+    monkeypatch.setattr(ff.GeneratorDynamics, "_generator_grid", counted)
+    scenario = os.path.join(SCENARIO_DIR, "relaxation_retro.json")
+    assert main(["retro", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+    assert calls == [(61,)]
+
+
+def test_an_inconsistent_verdict_at_an_unreported_time_fails_the_run(tmp_path, monkeypatch, capsys):
+    # every grid time counts toward no_inconsistent_verdicts, not only the reported ones
+    real = fisherflow.cli.retrodiction_equivalence_check
+
+    def flipped(ctx, t, *args, **kwargs):
+        report = real(ctx, t, *args, **kwargs)
+        if isinstance(report.verdict, str):
+            return report
+        verdict = report.verdict.copy()
+        verdict[1] = "inconsistent"
+        return dataclasses.replace(report, verdict=verdict)
+
+    monkeypatch.setattr(fisherflow.cli, "retrodiction_equivalence_check", flipped)
+    scenario = os.path.join(SCENARIO_DIR, "relaxation_retro.json")
+    assert main(["retro", "--scenario", scenario, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "fisherflow: numerical accuracy: retro: failed checks: no_inconsistent_verdicts\n"
+    report = json.loads((tmp_path / "retro.json").read_text())
+    assert [entry["t"] for entry in report["results"]["equivalence"]] == [0.375, 0.75, 1.125]
+    assert {entry["verdict"] for entry in report["results"]["equivalence"]} == {"consistent"}
+
+
+def test_a_generator_failure_at_an_unrequested_time_leaves_that_time_without_a_verdict(tmp_path, capsys):
+    # saturated_mixing_weight's generator fails from t = 0.5625 on; the first requested times lie before
+    with open(os.path.join(SCENARIO_DIR, "edge", "saturated_mixing_weight.json"), encoding="utf-8") as fh:
+        scenario = json.load(fh)
+    scenario["analyses"]["retrodiction"]["equivalence_times"] = [0.25, 0.5]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["retro", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "retro.json").read_text())
+    assert [entry["t"] for entry in report["results"]["equivalence"]] == [0.25, 0.5]
+    assert report["checks"]["no_inconsistent_verdicts"]["ok"] is True
+    scenario["analyses"]["retrodiction"]["equivalence_times"] = [0.5, 0.75, 0.875]
+    path.write_text(json.dumps(scenario))
+    assert main(["retro", "--scenario", str(path), "--out", str(tmp_path / "failed")]) == 1
+    assert capsys.readouterr().err == (
+        "fisherflow: invalid input: mixing weight 1.0 leaves no invertible part at t = 0.75\n"
+    )

@@ -16,10 +16,12 @@ gitignored ``.bench_build/`` and removed again afterwards. Each tree runs
   seed, and one scenario per no-go generator, with its base and the
   sweep's copies and ancilla dimensions, run with ``nogo`` and ``filter``;
   per seed, the case-study ``figure1`` sweeps of ``FIGURE1_SWEEPS``
-  from initial states drawn from the seed; and, per seed, a ``scan`` of a
+  from initial states drawn from the seed; per seed, a ``scan`` of a
   constant generator on ``SCAN_STATES`` states with rates drawn from the
   seed, negative at (1, 0) and (10, 0), whose keys ``"10<-0"`` and
-  ``"1<-0"`` sort by text.
+  ``"1<-0"`` sort by text; and, per seed, a ``retro`` of the case-study
+  family over [0, pi] on ``RETRO_POINTS`` points from a prior drawn from
+  the seed, whose equivalence check covers every grid time.
 
 Scenario paths are passed relative to the tree and every run writes into
 the same output path in both trees, so messages that name a path match.
@@ -64,6 +66,8 @@ FORMS_GRID = {"t0": 0.0, "t1": 1.0, "points": 2}
 FIGURE1_SWEEPS = ((129, 300), (1025, 33))
 #: States of the generated ``scan`` generator.
 SCAN_STATES = 11
+#: Grid points of the generated case-study ``retro``.
+RETRO_POINTS = 1024
 
 
 def _scenario_runs(tree: str) -> list[list[str]]:
@@ -89,7 +93,24 @@ def _generated_runs(inputs: str) -> list[list[str]]:
         runs += _forms_runs(gen, seed, inputs)
         runs += _figure1_runs(seed, inputs)
         runs += _scan_runs(seed, inputs)
+        runs += _retro_runs(seed, inputs)
     return runs
+
+
+def _retro_runs(seed: int, inputs: str) -> list[list[str]]:
+    """Write a case-study ``retro`` scenario with a prior drawn from ``seed``; [group, command, path]."""
+    rng = random.Random(seed)
+    scenario = {
+        "dynamics": {"kind": "case_study"},
+        "grid": {"t1": 3.141592653589793, "points": RETRO_POINTS},
+        "analyses": {"retrodiction": {"prior": [round(rng.uniform(0.05, 1.0), 6) for _ in range(3)]}},
+    }
+    directory = os.path.join(inputs, f"seed{seed}-retro")
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, f"retro_case_study_{RETRO_POINTS}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(scenario, fh)
+    return [["generated", "retro", path]]
 
 
 def _scan_runs(seed: int, inputs: str) -> list[list[str]]:
