@@ -2,7 +2,7 @@
 
 ``_report_text`` gives the bytes of ``json.dumps(report, indent=2,
 sort_keys=True, allow_nan=False)`` plus a final newline, in one walk that
-converts numpy values, enums and tuple keys as it goes. A list of records
+converts numpy values and tuple keys as it goes. A list of records
 of a few shapes, such as ``scan.json``'s violations, can be handed to it
 as :class:`_Records`, which it writes by one template per shape.
 """
@@ -10,7 +10,6 @@ as :class:`_Records`, which it writes by one template per shape.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -69,7 +68,7 @@ def _json_text(value, pad: str) -> str:
     """JSON text of a report value whose first line starts at indentation ``pad``.
 
     The bytes are those of ``json.dumps(value, indent=2, sort_keys=True,
-    allow_nan=False)`` once ndarrays, numpy scalars and enums are turned
+    allow_nan=False)`` once ndarrays and numpy scalars are turned
     into plain values and keys into strings (``(i, j)`` as ``"i<-j"``). The
     walk visits the entries of a dict in insertion order and sorts only the
     finished texts, so a non-finite float is reported at the first place
@@ -131,8 +130,6 @@ def _json_text(value, pad: str) -> str:
         return _json_text(value.tolist(), pad)
     if isinstance(value, (np.floating, np.integer, np.bool_)):
         return _json_text(value.item(), pad)
-    if isinstance(value, Enum):
-        return _json_text(value.value, pad)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

@@ -23,7 +23,10 @@ generators in closed form on a time grid with per-point failures;
 ``generator_of`` is the one-point grid. ``divisibility_scan`` classifies
 the grid and reports every transition whose rate dips below
 ``-rate_tol``, as arrays; none certifies divisibility into stochastic
-pieces on that grid resolution.
+pieces on that grid resolution. ``refinement_stable`` reads the
+generator once more, at the step midpoints only, and fails when a
+midpoint has a rate below ``-rate_tol`` while both ends of its step are
+clean: a window the grid stepped over.
 """
 
 from __future__ import annotations
@@ -448,16 +451,11 @@ class ScanResult:
 
     def windows(self) -> list[tuple[float, float]]:
         """Maximal contiguous grid intervals of points whose minimal rate is below ``-rate_tol``."""
-        return _windows(self.grid, self.min_rates, self.rate_tol)
-
-
-def _windows(grid: np.ndarray, min_rates: np.ndarray, rate_tol: float) -> list[tuple[float, float]]:
-    """Maximal contiguous runs of grid points whose minimal rate is below ``-rate_tol``."""
-    bad = min_rates < -rate_tol
-    edges = np.diff(bad.astype(np.int8), prepend=0, append=0)
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1) - 1
-    return [(float(grid[a]), float(grid[b])) for a, b in zip(starts, ends)]
+        bad = self.min_rates < -self.rate_tol
+        edges = np.diff(bad.astype(np.int8), prepend=0, append=0)
+        starts = np.flatnonzero(edges == 1)
+        ends = np.flatnonzero(edges == -1) - 1
+        return [(float(self.grid[a]), float(self.grid[b])) for a, b in zip(starts, ends)]
 
 
 def _scan_rates(gens: GeneratorGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -506,12 +504,14 @@ def divisibility_scan(
 
 
 def refinement_stable(dyn: Dynamics, coarse: ScanResult) -> bool:
-    """True when rescanning ``coarse.grid`` with every step halved preserves every violation window."""
-    times = coarse.grid
-    fine = np.linspace(times[0], times[-1], 2 * times.size - 1)
-    # only the refined grid's windows are compared, so no scan points are built for it
-    fine_windows = _windows(fine, _scan_rates(generator_grid(dyn, fine))[1], coarse.rate_tol)
-    return all(
-        any(flo <= hi and lo <= fhi for flo, fhi in fine_windows) for lo, hi in coarse.windows()
-    )
+    """False when a step's midpoint has a rate below ``-rate_tol`` and both ends of the step have none.
 
+    Such a step holds a violation window that ``coarse.grid`` steps over
+    entirely. The midpoints are RK4's, so one :func:`generator_grid` on
+    them completes the scan's grid to its step-halved grid. A step whose
+    end failed extraction is not judged: ``coarse.failures`` reports it.
+    """
+    tol = coarse.rate_tol
+    mid = _scan_rates(generator_grid(dyn, _with_midpoints(coarse.grid)[1::2]))[1]
+    ends_clean = coarse.min_rates >= -tol
+    return not np.any((mid < -tol) & ends_clean[:-1] & ends_clean[1:])

@@ -258,8 +258,8 @@ def no_go_verify(
     condition_met, detail = _single_offender_condition(base_pi, m, check)
     offender, offender_rate = check.offender if len(check.negative_rates) == 1 else (None, None)
 
-    # the copies' column-sum drifts add up, so the replica generator is checked on its own
-    r_sys = rate_matrix(_extended(m, copies))
+    # every copy adds entries of the accepted m, and the Laplacian never reads the diagonal
+    r_sys = _extended(m, copies)
     replicas = base_pi
     for _ in range(copies - 1):
         replicas = np.multiply.outer(replicas, base_pi).ravel()

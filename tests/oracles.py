@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -481,8 +480,6 @@ def bayes_direct(t_mat, pi):
 
 def _plain(value):
     """Recursively convert report payloads to JSON-compatible plain types."""
-    if isinstance(value, Enum):
-        return value.value
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (np.floating, np.integer, np.bool_)):

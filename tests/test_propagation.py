@@ -321,24 +321,55 @@ class TestDivisibilityScan:
         "make, t1, points",
         [
             (ff.case_study_dynamics, np.pi, 9),
+            (ff.case_study_dynamics, np.pi, 17),
             (ff.case_study_dynamics, np.pi, 257),
             (ff.case_study_dynamics, 40.0, 65),
+            (ff.case_study_dynamics, 40.0, 257),
         ],
     )
     def test_refinement_matches_per_point_rescan(self, make, t1, points):
+        # stable exactly when every window of the step-halved rescan meets a window of the scan
         dyn = make()
         coarse = ff.divisibility_scan(dyn, np.linspace(0.0, t1, points))
         fine = np.linspace(0.0, t1, 2 * points - 1)
         _, _, _, fine_windows = oracles.scan_loop(functools.partial(ff.generator_of, dyn), fine, 1e-9, ff.FisherflowError)
-        want = all(any(flo <= hi and lo <= fhi for flo, fhi in fine_windows) for lo, hi in coarse.windows())
+        want = all(any(flo <= hi and lo <= fhi for lo, hi in coarse.windows()) for flo, fhi in fine_windows)
         assert refinement_stable(dyn, coarse) == want
 
-    def test_refinement_flags_a_window_the_rescan_lacks(self):
-        dyn = ff.contraction_to_target([0.2, 0.3, 0.5])
-        coarse = ff.divisibility_scan(dyn, np.linspace(0.0, 2.0, 9))
-        invented = np.where(np.arange(9) == 4, -1.0, coarse.min_rates)
+    def test_refinement_flags_a_window_the_grid_steps_over(self):
+        # on 9 points over [0, pi] the midpoint pi/16 dips to -0.172, inside the window
+        # (0.135, 0.307) of a 257-point scan, while both ends of its step are clean
+        dyn = ff.case_study_dynamics()
+        coarse = ff.divisibility_scan(dyn, np.linspace(0.0, np.pi, 9))
+        assert not any(lo <= np.pi / 16.0 <= hi for lo, hi in coarse.windows())
+        assert ff.divisibility_scan(dyn, [np.pi / 16.0]).min_rates[0] == pytest.approx(-0.172, abs=1e-3)
+        assert not refinement_stable(dyn, coarse)
+
+    def test_refinement_leaves_a_step_with_a_failed_end_to_the_scan(self):
+        # the midpoint 0.5 is negative, but its step starts at a failed point, which scan_clean reports
+        negative = np.array([[-1.0, -0.5], [1.0, 0.5]])
+
+        def rate(t):
+            return np.eye(3) if t == 0.0 else negative if t == 0.5 else SYM
+
+        dyn = ff.GeneratorDynamics(rate, dimension=2)
+        coarse = ff.divisibility_scan(dyn, [0.0, 1.0, 2.0])
+        assert [t for t, _ in coarse.failures] == [0.0] and coarse.windows() == []
         assert refinement_stable(dyn, coarse)
-        assert not refinement_stable(dyn, dataclasses.replace(coarse, min_rates=invented))
+        assert not refinement_stable(dyn, dataclasses.replace(coarse, min_rates=np.ones(3)))
+
+    def test_scan_and_refinement_evaluate_each_node_once(self):
+        calls = []
+
+        def rate(t):
+            calls.append(t)
+            return SYM
+
+        dyn = ff.GeneratorDynamics(rate, dimension=2)
+        grid = np.linspace(0.0, 1.0, 9)
+        assert refinement_stable(dyn, ff.divisibility_scan(dyn, grid))
+        assert len(calls) == 17
+        assert sorted(calls) == pytest.approx(np.linspace(0.0, 1.0, 17).tolist())
 
     def test_failures_collected_not_raised(self):
         # contraction_to_target has closed-form derivatives, but at decay rate 50

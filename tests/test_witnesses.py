@@ -190,11 +190,10 @@ class TestNoGo:
             assert (report.lambda_max_on_image, report.lambda_max_full) == want, n
 
     def test_replica_generator_is_checked_on_its_own(self):
-        # each copy adds r's column-sum drift, so three copies of a generator that passes can fail
+        # each copy adds r's column-sum drift, so the replicas' sums are off by 1.8e-9; only r is checked
         r = [[-1.0, -0.5], [1.0 + 6e-10, 0.5]]
         assert ff.no_go_verify([0.5, 0.5], r).offender == (0, 1)
-        with pytest.raises(ff.InvalidGeneratorError, match=r"column sums off by 1\.800e-09 \(tolerance 1e-09\)"):
-            ff.no_go_verify([0.5, 0.5], r, copies=3)
+        assert ff.no_go_verify([0.5, 0.5], r, copies=3).offender == (0, 1)
 
     def test_two_copies_still_contract(self):
         pi, r = ff.single_negative_rate_example()
