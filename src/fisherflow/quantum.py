@@ -89,17 +89,25 @@ def _as_square_complex(entries, name: str) -> np.ndarray:
     return a
 
 
-def density_matrix(entries) -> np.ndarray:
-    """Validated density matrix: Hermitian, unit trace, eigenvalues >= -1e-10."""
+def _unit_trace_hermitian(entries) -> np.ndarray:
+    """A state's entries checked Hermitian with unit trace, then symmetrized; its spectrum is not checked."""
     a = _as_square_complex(entries, "state")
     if np.max(np.abs(a - a.conj().T)) > HERMITIAN_TOL:
         raise InvalidStateError("state is not Hermitian")
     if abs(np.trace(a).real - 1.0) > TRACE_TOL or abs(np.trace(a).imag) > TRACE_TOL:
         raise InvalidStateError(f"state trace {np.trace(a):.6g} != 1")
-    a = 0.5 * (a + a.conj().T)
-    low = float(np.linalg.eigvalsh(a).min())
+    return 0.5 * (a + a.conj().T)
+
+
+def _check_psd(low: float) -> None:
     if low < -PSD_TOL:
         raise InvalidStateError(f"state has eigenvalue {low:.3e} below -{PSD_TOL:.0e}")
+
+
+def density_matrix(entries) -> np.ndarray:
+    """Validated density matrix: Hermitian, unit trace, eigenvalues >= -1e-10."""
+    a = _unit_trace_hermitian(entries)
+    _check_psd(float(np.linalg.eigvalsh(a).min()))
     a.flags.writeable = False
     return a
 
@@ -236,9 +244,11 @@ def metric_kernel(kind: MonotoneKind, x, y) -> np.ndarray:
 
 
 def _eigensystem(rho) -> tuple[np.ndarray, np.ndarray]:
-    state = density_matrix(rho)
-    vals, vecs = np.linalg.eigh(state)
-    if float(vals.min()) < FULL_RANK_FLOOR:
+    """Spectrum of a validated full-rank state; one ``eigh`` serves the positivity check too."""
+    vals, vecs = np.linalg.eigh(_unit_trace_hermitian(rho))
+    low = float(vals.min())
+    _check_psd(low)
+    if low < FULL_RANK_FLOOR:
         raise SingularBaseError(
             f"state eigenvalue {vals.min():.3e} below floor {FULL_RANK_FLOOR:.0e}"
         )
@@ -297,18 +307,18 @@ def semiclassical_lindbladian(rates, d: int) -> SuperOperator:
         pairs = dict(rates)
     else:
         pairs = rates_of(rates)
-    s = np.zeros((d**2, d**2), dtype=complex)
-    eye = np.eye(d, dtype=complex)
+    # entry ((a, b), (c, e)) of the superoperator is s[a, b, c, e]: E_ij rho E_ji moves
+    # rho[j, j] to [i, i], and -(1/2){E_jj, rho} scales row j and column j of rho
+    s = np.zeros((d, d, d, d), dtype=complex)
     for (i, j), a in pairs.items():
         if not (0 <= i < d and 0 <= j < d) or i == j:
             raise DimensionMismatchError(f"rate index {(i, j)} invalid for dimension {d}")
-        e_ij = np.zeros((d, d), dtype=complex)
-        e_ij[i, j] = 1.0
-        e_jj = np.zeros((d, d), dtype=complex)
-        e_jj[j, j] = 1.0
-        s += a * np.kron(e_ij, e_ij)
-        s -= 0.5 * a * (np.kron(e_jj, eye) + np.kron(eye, e_jj))
-    op = SuperOperator(matrix=s, dim=d)
+        rest = np.flatnonzero(np.arange(d) != j)
+        s[i, i, j, j] += a
+        s[j, rest, j, rest] -= 0.5 * a
+        s[rest, j, rest, j] -= 0.5 * a
+        s[j, j, j, j] -= a  # row j meets column j: both halves in one subtraction
+    op = SuperOperator(matrix=s.reshape(d * d, d * d), dim=d)
     defect = op.trace_annihilation_defect()
     if defect > 1e-10:
         raise ChannelRepresentationError(f"generator trace defect {defect:.3e}")

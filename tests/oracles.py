@@ -584,6 +584,23 @@ def choi_by_basis_sum(superop: np.ndarray, d: int) -> np.ndarray:
     return c / d
 
 
+def semiclassical_lindbladian_kron(pairs, d: int) -> np.ndarray:
+    """Superoperator sum a_ij (E_ij (x) E_ij - (1/2) a_ij (E_jj (x) I + I (x) E_jj)), three krons per rate.
+
+    ``pairs`` maps (i, j) to a(i <- j); the rates are added in its order.
+    """
+    s = np.zeros((d * d, d * d), dtype=complex)
+    eye = np.eye(d, dtype=complex)
+    for (i, j), a in pairs.items():
+        e_ij = np.zeros((d, d), dtype=complex)
+        e_ij[i, j] = 1.0
+        e_jj = np.zeros((d, d), dtype=complex)
+        e_jj[j, j] = 1.0
+        s += a * np.kron(e_ij, e_ij)
+        s -= 0.5 * a * (np.kron(e_jj, eye) + np.kron(eye, e_jj))
+    return s
+
+
 def lift_with_identity(superop: np.ndarray, d: int) -> np.ndarray:
     """Superoperator of T (x) Id on system (x) copy: a d^4 x d^4 matrix, rows ((a, b), (p, P))."""
     s4 = np.asarray(superop).reshape(d, d, d, d)

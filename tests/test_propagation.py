@@ -2,16 +2,23 @@
 
 import dataclasses
 import functools
+import json
+import os
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import fisherflow as ff
+from fisherflow import propagation
 from fisherflow.propagation import refinement_stable
+from helpers import random_markovian
 import oracles
 
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
 
@@ -26,6 +33,15 @@ def _oscillating(n: int, amplitude: float):
         parts.append(r)
     steady, oscillating = parts
     return lambda t: steady + np.sin(6.0 * t) * oscillating
+
+
+def _rk4_rate(n: int, kind: str):
+    """``_oscillating(n, 0.3)``, or its value at t = 0 as a constant callable (integrated with RK4 all the same)."""
+    rate = _oscillating(n, amplitude=0.3)
+    if kind == "constant":
+        steady = rate(0.0)
+        return lambda t: steady
+    return rate
 
 
 GRID_FAMILIES = {
@@ -61,10 +77,13 @@ class TestPropagate:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_constant_generator_is_its_exponential(self, n):
-        # bitwise the matrix exponential at every grid time, with no RK4 sweep
+        # bitwise the library's matrix exponential at every grid time, with no RK4 sweep,
+        # and scipy's to 1e-13
         r = _oscillating(n, amplitude=0.0)(0.0)
         traj = ff.propagate(ff.GeneratorDynamics(r), 0.0, 2.0, steps=16)
-        assert _bitwise_equal(traj.propagators, np.stack([expm(float(t) * r) for t in traj.times]))
+        assert _bitwise_equal(traj.propagators, np.stack([propagation.expm(float(t) * r) for t in traj.times]))
+        want = np.stack([expm(float(t) * r) for t in traj.times])
+        assert np.allclose(traj.propagators, want, rtol=0.0, atol=1e-13)
         assert traj.max_column_drift == float(np.max(np.abs(traj.propagators.sum(axis=1) - 1.0)))
 
     def test_constant_generator_from_t0_divides_out_the_start(self):
@@ -124,13 +143,31 @@ class TestPropagate:
     @pytest.mark.parametrize("kind", ["constant", "callable"])
     @pytest.mark.parametrize("t0, t1, steps", [(0.0, 1.0, 64), (0.3, 1.7, 128)])
     def test_step_matrix_product_matches_per_step_loop(self, n, kind, t0, t1, steps):
-        rate = _oscillating(n, amplitude=0.3)
-        if kind == "constant":
-            # a callable is integrated with RK4 even when it is constant
-            steady = rate(0.0)
-            rate = lambda t: steady
+        rate = _rk4_rate(n, kind)
         traj = ff.propagate(ff.GeneratorDynamics(rate, dimension=n), t0, t1, steps=steps)
         assert np.allclose(traj.propagators, oracles.rk4_loop(rate, traj.times), rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    @pytest.mark.parametrize("kind", ["constant", "callable"])
+    @pytest.mark.parametrize("t0, t1, steps", [(0.0, 1.0, 64), (0.3, 1.7, 128)])
+    def test_pairwise_endpoint_matches_running_product(self, n, kind, t0, t1, steps):
+        # the step-halving check's endpoint: the half-step sweep's step matrices multiplied
+        # pairwise, against the last row of their drift-corrected running product
+        fine = propagation._with_midpoints(np.linspace(t0, t1, steps + 1))
+        dyn = ff.GeneratorDynamics(_rk4_rate(n, kind), dimension=n)
+        gens = ff.generator_grid(dyn, propagation._with_midpoints(fine))
+        running, _ = propagation._rk4_sweep(gens.generators, fine, n)
+        pairwise = propagation._pairwise_product(propagation._rk4_steps(gens.generators, fine, n))
+        assert np.allclose(pairwise, running[-1], rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 8])
+    def test_pairwise_product_keeps_the_order(self, count):
+        # non-commuting factors: the product is mats[-1] @ ... @ mats[0], odd levels included
+        mats = np.random.default_rng(count).standard_normal((count, 3, 3))
+        want = np.eye(3)
+        for m in mats:
+            want = m @ want
+        assert np.allclose(propagation._pairwise_product(mats), want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_column_drift_is_that_of_the_uncorrected_product(self, n):
@@ -154,7 +191,7 @@ class TestPropagate:
                 ff.propagate(ff.GeneratorDynamics(lambda t: SYM, dimension=2), 0.0, 1e308, steps=4)
 
     def test_overflowing_exponential_raises_without_warnings(self):
-        # scipy's expm returns NaN for 2.5e307 SYM without a warning; no propagator may be NaN
+        # expm gives NaN for 2.5e307 SYM without a warning; no propagator may be NaN
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ff.NumericalAccuracyError, match="non-finite"):
@@ -243,6 +280,66 @@ class TestPropagate:
     def test_endpoint_exact_when_available(self):
         dyn = ff.case_study_dynamics()
         assert _bitwise_equal(ff.propagate(dyn, 0.0, 0.7).propagators[-1], dyn.propagators_at([0.7])[0])
+
+
+class TestExpm:
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_scipy_at_every_squaring_count(self, seed):
+        # one time per squaring count s = 0..16, its 1-norm well inside (theta 2^(s-1), theta 2^s]
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        r = rng.uniform(0.0, 1.0, size=(n, n)) * np.exp(rng.uniform(-3.0, 3.0, size=(n, n)))
+        np.fill_diagonal(r, 0.0)
+        np.fill_diagonal(r, -r.sum(axis=0))
+        squarings = np.arange(17)
+        norm = np.abs(r).sum(axis=0).max()
+        times = propagation._THETA13 * 2.0**squarings * rng.uniform(0.51, 0.99, size=17) / norm
+        a = np.multiply.outer(times, r)
+        norms = np.abs(a).sum(axis=1).max(axis=1)
+        assert np.array_equal(np.ceil(np.log2(norms / propagation._THETA13)).clip(0), squarings)
+        err = np.abs(propagation.expm(a) - expm(a)).max(axis=(1, 2))
+        assert err[squarings <= 6].max() <= 1e-13
+        assert err.max() <= 1e-10
+
+    def test_zero_rows_are_the_identity_bitwise(self):
+        # t = 0 rows hold -0.0 where the generator is negative
+        a = np.multiply.outer([0.0, 0.5, 0.0, 3.0], random_markovian(np.random.default_rng(3), 3))
+        stack = propagation.expm(a)
+        assert _bitwise_equal(stack[[0, 2]], np.stack([np.eye(3)] * 2))
+        assert _bitwise_equal(propagation.expm(np.zeros((4, 3, 3))), np.stack([np.eye(3)] * 4))
+
+    def test_rows_past_sixteen_squarings_are_scipys_bitwise(self):
+        with open(os.path.join(SCENARIO_DIR, "edge", "retro_stiff_block.json"), encoding="utf-8") as fh:
+            scenario = json.load(fh)
+        grid = scenario["grid"]
+        times = np.linspace(grid["t0"], grid["t1"], grid["points"])
+        a = np.multiply.outer(times, np.array(scenario["dynamics"]["matrix"]))
+        got = propagation.expm(a)
+        past = np.abs(a).sum(axis=1).max(axis=1) > propagation._THETA13 * 2.0**16
+        assert past.tolist() == [False] + [True] * (grid["points"] - 1)
+        assert _bitwise_equal(got[0], np.eye(4))
+        assert _bitwise_equal(got[past], np.stack([expm(m) for m in a[past]]))
+
+    def test_overflow_is_non_finite_where_scipys_is(self):
+        a = np.multiply.outer(10.0 ** np.arange(309), SYM)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = propagation.expm(a)
+        with np.errstate(all="ignore"):
+            want = np.stack([expm(m) for m in a])
+        finite = np.isfinite(want).all(axis=(1, 2))
+        assert finite.any() and not finite.all()
+        assert np.array_equal(np.isfinite(got).all(axis=(1, 2)), finite)
+
+    def test_a_nan_row_leaves_the_others_unchanged(self):
+        # the rows need 0 to 7 squarings, so the squarings' masks differ between them
+        a = np.multiply.outer(np.linspace(0.0, 40.0, 9), random_markovian(np.random.default_rng(5), 4))
+        clean = propagation.expm(a)
+        a[3] = np.nan
+        got = propagation.expm(a)
+        assert np.isnan(got[3]).all()
+        rest = np.arange(9) != 3
+        assert _bitwise_equal(got[rest], clean[rest])
 
 
 class TestTrajectoryIndex:
@@ -460,7 +557,8 @@ class TestGridEvaluation:
         r = np.array([[-1.0, 0.4], [1.0, -0.4]])
         grid = np.linspace(0.0, 2.0, 9)
         stack = ff.GeneratorDynamics(r).propagators_at(grid)
-        assert _bitwise_equal(stack, np.stack([expm(float(t) * r) for t in grid]))
+        assert _bitwise_equal(stack, np.stack([propagation.expm(float(t) * r) for t in grid]))
+        assert np.allclose(stack, np.stack([expm(float(t) * r) for t in grid]), rtol=0.0, atol=1e-13)
         assert ff.GeneratorDynamics(lambda t: r, dimension=2).propagators_at(grid) is None
 
     def test_callable_generator_called_per_point(self):

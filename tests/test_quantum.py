@@ -150,6 +150,18 @@ class TestPetzMetric:
         assert sld <= wy + 1e-15
         assert wy <= kmb + 1e-15
 
+    def test_negative_state_rejected_from_its_own_spectrum(self, monkeypatch):
+        # the positivity check reads the metric's eigh spectrum; no eigvalsh runs
+        def unused(a):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", unused)
+        rho = np.diag([1.0 + 2e-10, -2e-10])
+        with pytest.raises(ff.InvalidStateError, match=r"^state has eigenvalue -2.000e-10 below -1e-10$"):
+            ff.petz_metric(rho, np.diag([0.1, -0.1]), np.diag([0.1, -0.1]))
+        drho = np.diag([0.01, -0.01])
+        assert ff.petz_metric(np.diag([0.5, 0.5]), drho, drho) == pytest.approx(2e-4)
+
     def test_rank_deficient_rejected(self):
         with pytest.raises(ff.SingularBaseError):
             ff.petz_metric(np.diag([1.0, 0.0]), np.diag([0.1, -0.1]), np.diag([0.1, -0.1]))
@@ -215,6 +227,17 @@ class TestSemiclassicalGenerator:
             r = random_markovian(rng, d)
             lind = ff.semiclassical_lindbladian(r, d)
             assert np.allclose(ff.classical_action(lind), r, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_superoperator_is_the_kron_sum_bitwise(self, d):
+        # random subsets of the rates, negative ones included, in shuffled order
+        rng = np.random.default_rng(37 + d)
+        pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+        for _ in range(20):
+            chosen = [pairs[k] for k in rng.permutation(len(pairs)) if rng.random() < 0.8]
+            rates = {pair: float(rng.uniform(-2.0, 2.0)) for pair in chosen}
+            got = ff.semiclassical_lindbladian(rates, d).matrix
+            assert got.tobytes() == oracles.semiclassical_lindbladian_kron(rates, d).tobytes()
 
     def test_reduction_rate_matches_classical(self):
         lind = ff.semiclassical_lindbladian(np.array([[-1.0, 1.0], [1.0, -1.0]]), 2)
