@@ -28,7 +28,7 @@ import traceback
 import numpy as np
 
 from ._report import _Column, _Records, _report_text
-from .distances import _require_interior, fisher_rates, forward_trace_rate
+from .distances import _forward_trace_rate, _require_interior, fisher_rates
 from .errors import (
     FisherflowError,
     InvalidInputError,
@@ -528,7 +528,7 @@ def cmd_filter(scn: Scenario, outdir: str):
     rates = {eps: filter_witness_rate(base, direction, extended, eps) for eps in block.epsilons}
     ratios = {eps: rate / eps**2 for eps, rate in rates.items()}
     strength = float(np.abs(direction).sum())
-    reference = 2.0 * strength * forward_trace_rate(direction, extended)
+    reference = 2.0 * strength * _forward_trace_rate(direction, extended)
 
     ancilla_rep = trace_ancilla_witness(r, verdict, mode="ancilla-M2")
     extra_rep = trace_ancilla_witness(r, verdict, mode="extra-state")

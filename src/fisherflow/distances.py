@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularBaseError
-from .simplex import INTERIOR_FLOOR, prob_vec, rate_matrix, zero_sum_basis
+from .simplex import INTERIOR_FLOOR, prob_vec, rate_matrix, tangent_vec, zero_sum_basis
 
 __all__ = [
     "fisher_inner",
@@ -123,28 +123,36 @@ class TraceRate(NamedTuple):
 def trace_rate(d, r) -> TraceRate:
     """One-sided derivative of the trace distance, using sign(0) = 0.
 
+    ``d`` is checked as a tangent vector and ``r`` as a generator.
     ``smooth`` is False when some component of ``d`` vanishes; there the
     trace distance has a kink and the sign convention matters (see
     :func:`forward_trace_rate` for the forward derivative).
     """
-    disp = np.asarray(d, dtype=float)
-    gen = np.asarray(r, dtype=float)
-    _check_same_dim(disp, gen)
-    signs = np.sign(disp)
-    value = float(signs @ (gen @ disp))
+    disp, gen = _trace_operands(d, r)
+    value = float(np.sign(disp) @ (gen @ disp))
     return TraceRate(value=value, smooth=bool(np.all(disp != 0.0)))
 
 
 def forward_trace_rate(d, r) -> float:
     """Forward-in-time derivative of the trace distance.
 
+    ``d`` is checked as a tangent vector and ``r`` as a generator.
     Components of ``d`` that are exactly zero contribute ``|velocity|``:
     immediately after t the evolved component is nonzero and its absolute
     value grows at that speed.
     """
-    disp = np.asarray(d, dtype=float)
-    gen = np.asarray(r, dtype=float)
+    return _forward_trace_rate(*_trace_operands(d, r))
+
+
+def _trace_operands(d, r) -> tuple[np.ndarray, np.ndarray]:
+    disp = tangent_vec(d)
+    gen = rate_matrix(r)
     _check_same_dim(disp, gen)
+    return disp, gen
+
+
+def _forward_trace_rate(disp: np.ndarray, gen: np.ndarray) -> float:
+    """:func:`forward_trace_rate` of a tangent vector and a generator that are already accepted."""
     vel = gen @ disp
     zero = disp == 0.0
     return float(np.sign(disp) @ vel + np.sum(np.abs(vel[zero])))

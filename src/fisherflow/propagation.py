@@ -94,7 +94,7 @@ _MAX_SQUARINGS = 16
 
 
 def expm(a) -> np.ndarray:
-    """Matrix exponential of each matrix of a real ``(..., n, n)`` stack.
+    """Matrix exponential of each matrix of a real or complex ``(..., n, n)`` stack.
 
     Pade-13 scaling and squaring over the whole stack (Higham 2005, SIAM J.
     Matrix Anal. Appl. 26(4):1179-1193): each matrix is scaled by its own
@@ -105,9 +105,11 @@ def expm(a) -> np.ndarray:
     scaling keeps a stiff generator's column sums and which gives NaN
     where the exponential overflows. Every matrix is computed on its own,
     so no row of the stack changes another, and no numpy floating-point
-    error warns or raises.
+    error warns or raises. Integer input is promoted to float, and the
+    result is float for real input and complex for complex input.
     """
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a, float), copy=False)
     n = a.shape[-1]
     stack = a.reshape(-1, n, n)
     out = np.empty_like(stack)
@@ -118,7 +120,8 @@ def expm(a) -> np.ndarray:
         if not pade.all():
             out[~pade] = scipy.linalg.expm(stack[~pade])
         s = s[pade].astype(int)
-        x = np.ldexp(stack[pade], -s[:, None, None])
+        # times the exact factor 2^-s, which np.ldexp would not take on complex input
+        x = stack[pade] * np.ldexp(1.0, -s)[:, None, None]
         b = _PADE13
         eye = np.eye(n)
         x2 = x @ x
@@ -446,8 +449,9 @@ def propagate(dyn: Dynamics, t0: float, t1: float, steps: int = 256) -> Trajecto
     condition number ``COND_LIMIT``. Callable generators are integrated
     with fixed-step RK4 on the generator grid of its nodes, whose earliest
     failed node raises its error, and its endpoint is compared with the
-    half-step endpoint: a Richardson disagreement beyond ``RICHARDSON_TOL``,
-    or one that is not finite, raises :class:`IntegrationAccuracyError`.
+    half-step endpoint: a Richardson disagreement beyond ``RICHARDSON_TOL``
+    raises :class:`IntegrationAccuracyError`, and one that is not finite,
+    from a sweep that overflows, raises :class:`NumericalAccuracyError`.
     """
     if not (np.isfinite(t0) and np.isfinite(t1) and t1 > t0):
         raise DomainError(f"need finite t1 > t0, got [{t0}, {t1}]")
@@ -473,12 +477,14 @@ def propagate(dyn: Dynamics, t0: float, t1: float, steps: int = 256) -> Trajecto
         if grid.errors:
             raise grid.errors[min(grid.errors)]
         gens = grid.generators
-        # an overflowing sweep ends in inf or NaN, which the gap test below rejects
+        # an overflowing sweep ends in inf or NaN, which makes the gap non-finite
         with np.errstate(over="ignore", invalid="ignore"):
             mats, drift = _rk4_sweep(gens[::2], times, n)
             fine = _pairwise_product(_rk4_steps(gens, coarse, n))
             gap = float(np.max(np.abs(fine - mats[-1]))) / 15.0
-        if not gap <= RICHARDSON_TOL:
+        if not np.isfinite(gap):
+            raise NumericalAccuracyError(f"RK4 sweep over [{t0:.6g}, {t1:.6g}] overflows to non-finite entries")
+        if gap > RICHARDSON_TOL:
             raise IntegrationAccuracyError(
                 f"step-halving estimate {gap:.3e} exceeds {RICHARDSON_TOL:.0e}; increase steps"
             )

@@ -23,13 +23,13 @@ from enum import Enum
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import expm
 
 from .distances import fisher_rate
 from .errors import (
     ChannelRepresentationError,
     DimensionMismatchError,
     DomainError,
+    InvalidGeneratorError,
     InvalidStateError,
     InvalidTangentError,
     NumericalAccuracyError,
@@ -37,7 +37,8 @@ from .errors import (
     SingularBaseError,
     WitnessNotApplicableError,
 )
-from .simplex import rate_matrix, rates_of
+from .propagation import expm
+from .simplex import _SUM_SAFE, rate_matrix, rates_of
 
 __all__ = [
     "MAX_QUANTUM_DIM",
@@ -301,12 +302,17 @@ def semiclassical_lindbladian(rates, d: int) -> SuperOperator:
 
     ``rates`` is a mapping (i, j) -> a(i <- j) or a full classical rate
     matrix. The induced action on diagonal matrices is exactly the
-    classical generator, negative entries included.
+    classical generator, negative entries included. Every rate must be
+    finite.
     """
     if isinstance(rates, Mapping):
         pairs = dict(rates)
     else:
         pairs = rates_of(rates)
+    values = np.array(list(pairs.values()), dtype=float)
+    # one pass passes every usual rate set; a NaN fails the comparison
+    if not np.abs(values).max(initial=0.0) <= _SUM_SAFE and not np.isfinite(values).all():
+        raise InvalidGeneratorError("rates contain non-finite entries")
     # entry ((a, b), (c, e)) of the superoperator is s[a, b, c, e]: E_ij rho E_ji moves
     # rho[j, j] to [i, i], and -(1/2){E_jj, rho} scales row j and column j of rho
     s = np.zeros((d, d, d, d), dtype=complex)

@@ -32,7 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distances import _edge_laplacian, _form_matrix, _require_interior, fisher_rate, forward_trace_rate
+from .distances import (
+    _edge_laplacian,
+    _form_matrix,
+    _forward_trace_rate,
+    _require_interior,
+    fisher_rate,
+    forward_trace_rate,
+)
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -99,6 +106,7 @@ class WitnessReport:
         if self.method == "closed-form":
             return _closed_form_rate(self.generator, self.offender, self.epsilon_used)
         if self.method == "trace-ancilla":
+            # a report's fields may come from its caller, so they pass the public checks
             return forward_trace_rate(self.direction, self.generator)
         raise WitnessNotApplicableError(f"unknown method {self.method!r}")
 
@@ -399,7 +407,7 @@ def trace_ancilla_witness(r, check: GeneratorCheck, mode: str = "ancilla-M2") ->
         direction[j0] = 1.0
         direction[n] = -1.0
 
-    rate = forward_trace_rate(direction, r_ext)
+    rate = _forward_trace_rate(direction, r_ext)
     dim = r_ext.shape[0]
     return WitnessReport(
         found=rate > 0.0,

@@ -161,6 +161,22 @@ class TestTraceRate:
         d = np.kron(np.array([0.0, 1.0]), np.array([0.5, -0.5]))
         assert ff.forward_trace_rate(d, r) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("rate", [ff.trace_rate, ff.forward_trace_rate])
+    @pytest.mark.parametrize(
+        "d, r, error",
+        [
+            ([np.nan, 1.0], COUNTEREXAMPLE, ff.InvalidStateError),
+            ([0.1, 0.2], COUNTEREXAMPLE, ff.InvalidTangentError),
+            ([0.1, -0.1], [[-1.0, 0.5], [1.0, 0.5]], ff.InvalidGeneratorError),
+            ([0.1, -0.1], [[np.inf, 0.0], [0.0, 0.0]], ff.InvalidStateError),
+            ([0.1, -0.1, 0.0], COUNTEREXAMPLE, ff.DimensionMismatchError),
+        ],
+        ids=["nan-entry", "not-zero-sum", "column-sums", "non-finite-generator", "dimensions"],
+    )
+    def test_inputs_are_validated(self, rate, d, r, error):
+        with pytest.raises(error):
+            rate(d, r)
+
     @given(st.integers(0, 2**32 - 1))
     def test_markovian_never_grows(self, seed):
         rng = np.random.default_rng(seed)

@@ -15,7 +15,7 @@ from scipy.linalg import expm
 import fisherflow as ff
 from fisherflow import propagation
 from fisherflow.propagation import refinement_stable
-from helpers import random_markovian
+from helpers import random_forced_negative, random_markovian
 import oracles
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -183,12 +183,19 @@ class TestPropagate:
         with pytest.raises(ff.DomainError, match="finite"):
             ff.propagate(ff.GeneratorDynamics(SYM), t0, t1, steps=4)
 
-    def test_overflowing_sweep_raises_without_warnings(self):
-        # a step of 2.5e307 overflows the step matrices; the NaN gap must not pass
+    @pytest.mark.parametrize("scale, t1", [(1.0, 1e308), (1e150, 1.0)], ids=["long-step", "huge-rates"])
+    def test_overflowing_sweep_raises_without_warnings(self, scale, t1):
+        # the step matrices overflow; the non-finite gap is an overflow, which more steps cannot mend
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ff.IntegrationAccuracyError, match="nan"):
-                ff.propagate(ff.GeneratorDynamics(lambda t: SYM, dimension=2), 0.0, 1e308, steps=4)
+            with pytest.raises(ff.NumericalAccuracyError, match=r"^RK4 sweep over \[0, .*\] overflows") as info:
+                ff.propagate(ff.GeneratorDynamics(lambda t: scale * SYM, dimension=2), 0.0, t1, steps=4)
+        assert not isinstance(info.value, ff.IntegrationAccuracyError)
+
+    def test_finite_gap_past_the_tolerance_asks_for_more_steps(self):
+        message = r"^step-halving estimate \S+ exceeds 1e-06; increase steps$"
+        with pytest.raises(ff.IntegrationAccuracyError, match=message):
+            ff.propagate(ff.GeneratorDynamics(lambda t: 400.0 * SYM, dimension=2), 0.0, 1.0, steps=4)
 
     def test_overflowing_exponential_raises_without_warnings(self):
         # expm gives NaN for 2.5e307 SYM without a warning; no propagator may be NaN
@@ -301,6 +308,46 @@ class TestExpm:
         assert err[squarings <= 6].max() <= 1e-13
         assert err.max() <= 1e-10
 
+    @given(st.integers(0, 2**32 - 1))
+    def test_complex_matches_scipy_at_every_squaring_count(self, seed):
+        # D R D^-1 + i w I, with D diagonal of unit phases: its exponential is e^(i w t) D exp(t R) D^-1,
+        # whose entries have the moduli of a stochastic matrix's, so each column's moduli sum to 1
+        # and the absolute error is relative to the result's 1-norm
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        r = rng.uniform(0.0, 1.0, size=(n, n)) * np.exp(rng.uniform(-3.0, 3.0, size=(n, n)))
+        np.fill_diagonal(r, 0.0)
+        np.fill_diagonal(r, -r.sum(axis=0))
+        phase = np.exp(2j * np.pi * rng.uniform(size=n))
+        shift = 1j * rng.uniform(-1.0, 1.0) * np.abs(np.diag(r)).mean()
+        z = phase[:, None] * r / phase[None, :] + shift * np.eye(n)
+        squarings = np.arange(17)
+        norm = np.abs(z).sum(axis=0).max()
+        times = propagation._THETA13 * 2.0**squarings * rng.uniform(0.51, 0.99, size=17) / norm
+        a = np.multiply.outer(times, z)
+        norms = np.abs(a).sum(axis=1).max(axis=1)
+        assert np.array_equal(np.ceil(np.log2(norms / propagation._THETA13)).clip(0), squarings)
+        want = expm(a)
+        got = propagation.expm(a)
+        assert got.dtype == np.complex128
+        err = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).sum(axis=1).max(axis=1)
+        assert err[squarings <= 6].max() <= 1e-13
+        assert err.max() <= 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_lindbladian_steps_match_scipy(self, d):
+        # dt L for a semiclassical generator with one negative rate and a Hamiltonian part -i[H, .]
+        rng = np.random.default_rng(50 + d)
+        eye = np.eye(d)
+        for _ in range(20):
+            lind = ff.semiclassical_lindbladian(random_forced_negative(rng, d), d).matrix
+            h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            h = h + h.conj().T
+            a = np.multiply.outer(10.0 ** np.arange(-4.0, 1.0), lind - 1j * (np.kron(h, eye) - np.kron(eye, h.T)))
+            want = expm(a)
+            err = np.abs(propagation.expm(a) - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+            assert err.max() <= 1e-13
+
     def test_zero_rows_are_the_identity_bitwise(self):
         # t = 0 rows hold -0.0 where the generator is negative
         a = np.multiply.outer([0.0, 0.5, 0.0, 3.0], random_markovian(np.random.default_rng(3), 3))
@@ -318,6 +365,20 @@ class TestExpm:
         past = np.abs(a).sum(axis=1).max(axis=1) > propagation._THETA13 * 2.0**16
         assert past.tolist() == [False] + [True] * (grid["points"] - 1)
         assert _bitwise_equal(got[0], np.eye(4))
+        assert _bitwise_equal(got[past], np.stack([expm(m) for m in a[past]]))
+
+    def test_complex_rows_past_sixteen_squarings_are_scipys_bitwise(self):
+        # the stiff block with unit phases: D R D^-1 has the 1-norms, and so the squaring counts, of R
+        with open(os.path.join(SCENARIO_DIR, "edge", "retro_stiff_block.json"), encoding="utf-8") as fh:
+            scenario = json.load(fh)
+        grid = scenario["grid"]
+        r = np.array(scenario["dynamics"]["matrix"])
+        phase = np.exp(1j * np.linspace(0.3, 2.0, 4))
+        a = np.multiply.outer(np.linspace(grid["t0"], grid["t1"], grid["points"]), phase[:, None] * r / phase[None, :])
+        got = propagation.expm(a)
+        past = np.abs(a).sum(axis=1).max(axis=1) > propagation._THETA13 * 2.0**16
+        assert past.tolist() == [False] + [True] * (grid["points"] - 1)
+        assert _bitwise_equal(got[0], np.eye(4, dtype=complex))
         assert _bitwise_equal(got[past], np.stack([expm(m) for m in a[past]]))
 
     def test_overflow_is_non_finite_where_scipys_is(self):

@@ -1,5 +1,7 @@
 """Monotone metrics, Choi tests, and the entangled-state dilation witness."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,15 @@ class TestSemiclassicalGenerator:
             r = random_markovian(rng, d)
             lind = ff.semiclassical_lindbladian(r, d)
             assert np.allclose(ff.classical_action(lind), r, atol=1e-12)
+
+    @pytest.mark.parametrize("rate", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("other", [1.0, 1e305], ids=["usual", "past-the-bound"])
+    def test_non_finite_rate_is_rejected_without_warnings(self, rate, other):
+        # a finite rate past 1e300 takes the exact check instead of the one-pass bound
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ff.InvalidGeneratorError, match="^rates contain non-finite entries$"):
+                ff.semiclassical_lindbladian({(0, 1): rate, (1, 0): other}, 2)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_superoperator_is_the_kron_sum_bitwise(self, d):
